@@ -16,8 +16,8 @@ from . import reports
 from .catalog import CatalogError, compile_catalog, load_catalog
 from .disruption import (BlocklistIndex, RoutingEvent, blocklist_check, outage_scan,
                          read_blocklist, routing_event_overlap)
-from .flows import (ServerIndex, aggregate_flows, detect_scanners, exclude_scanner_lines,
-                    read_flows, regional_down_series, scanner_line_ids, threshold_sweep)
+from .flows import (ServerIndex, line_contact_sets, read_flows, regional_down_series,
+                    threshold_sweep)
 from .fusion import fuse, read_candidates, write_candidates
 from .ingest import (ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
                      ingest_cert_scan, ingest_passive_dns, read_cert_scan_export,
@@ -25,7 +25,8 @@ from .ingest import (ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
                      resolve_active, write_cert_scan_export, write_observations,
                      write_resolutions)
 from .pipeline import (DEFAULT_SWEEP_THRESHOLDS, RunConfig, UpstreamMissingError,
-                       load_run_config, read_servers, run_pipeline)
+                       analyze_flows, load_run_config, read_servers, run_pipeline,
+                       write_sharing)
 from .timeutil import parse_iso
 
 EXIT_VALIDATION = 1
@@ -215,28 +216,13 @@ def fuse_cmd(obs_paths, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def classify_cmd(cand_path, pdns_path, catalog_path, threshold, out_path):
     """Shared-vs-dedicated verdicts from reverse DNS evidence."""
-    from .fusion import build_reverse_index, classify_sharing
+    from .fusion import build_reverse_index
 
     if not Path(cand_path).exists():
         _fail(EXIT_UPSTREAM, f"missing candidates {cand_path}; run 'fuse' first")
     patterns = _load_patterns(catalog_path)
-    candidates = read_candidates(cand_path)
     reverse = build_reverse_index(read_pdns_export(pdns_path))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for (pid, ip) in sorted(candidates):
-            if ip in reverse:
-                v = classify_sharing(ip, pid, reverse, patterns, threshold)
-                row = {"provider_id": pid, "ip": ip,
-                       "non_matching_domain_count": v.non_matching_domain_count,
-                       "matching_domain_count": v.matching_domain_count,
-                       "verdict": v.verdict, "threshold_used": threshold,
-                       "reverse_data": True}
-            else:
-                row = {"provider_id": pid, "ip": ip,
-                       "non_matching_domain_count": 0, "matching_domain_count": 0,
-                       "verdict": "dedicated", "threshold_used": threshold,
-                       "reverse_data": False}
-            fh.write(json.dumps(row) + "\n")
+    write_sharing(Path(out_path), read_candidates(cand_path), reverse, patterns, threshold)
     click.echo("classified")
 
 
@@ -307,9 +293,9 @@ def flows_sweep(flows_path, servers_path, thresholds, out_path):
     """Scanner-threshold sweep: visibility and removed lines per threshold."""
     if not Path(servers_path).exists():
         _fail(EXIT_UPSTREAM, f"missing servers {servers_path}; run 'footprint' first")
-    index = ServerIndex(read_servers(Path(servers_path)))
-    points = threshold_sweep(read_flows(flows_path), index.all_server_ips,
-                             [int(t) for t in thresholds.split(",")])
+    backend_ips = ServerIndex(read_servers(Path(servers_path))).all_server_ips
+    points = threshold_sweep(line_contact_sets(read_flows(flows_path), backend_ips),
+                             backend_ips, [int(t) for t in thresholds.split(",")])
     reports.write_sweep(Path(out_path), points)
     click.echo(f"{len(points)} sweep points")
 
@@ -330,10 +316,10 @@ def flows_ablate(flows_path, servers_path, cand_path, scanner_threshold, out_pat
     index = ServerIndex(read_servers(Path(servers_path)))
     candidates = read_candidates(cand_path)
     cert_ips = {ip for (pid, ip), c in candidates.items() if "tls-cert" in c.sources}
-    scanners = scanner_line_ids(detect_scanners(
-        read_flows(flows_path), index.all_server_ips, scanner_threshold))
-    agg = aggregate_flows(exclude_scanner_lines(read_flows(flows_path), scanners),
-                          index, cert_ips=cert_ips)
+    try:
+        agg = analyze_flows(Path(flows_path), index, scanner_threshold, cert_ips=cert_ips).agg
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     rows = [[pid, f"{pct:.6f}"] for pid, pct in sorted(source_ablation(agg).items())]
     reports.write_table(Path(out_path), ["provider", "decrease_pct"], rows)
     click.echo(f"{len(rows)} providers")
@@ -362,12 +348,9 @@ def disrupt_outage(flows_path, servers_path, window_text, baseline_days,
         _fail(EXIT_UPSTREAM, f"missing servers {servers_path}; run 'footprint' first")
     window = _parse_window(window_text)
     index = ServerIndex(read_servers(Path(servers_path)))
-    scanners = scanner_line_ids(detect_scanners(
-        read_flows(flows_path), index.all_server_ips, scanner_threshold))
-    agg = aggregate_flows(exclude_scanner_lines(read_flows(flows_path), scanners), index)
-    series = regional_down_series(agg)
     try:
-        findings = outage_scan(series, window, baseline_days, sustain_hours)
+        agg = analyze_flows(Path(flows_path), index, scanner_threshold).agg
+        findings = outage_scan(regional_down_series(agg), window, baseline_days, sustain_hours)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     from .timeutil import fmt_iso

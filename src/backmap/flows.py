@@ -32,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import ProviderProfile
 from .footprint import BackendServer
@@ -71,10 +71,6 @@ class FlowRecord:
             raise ValueError(f"bad direction {self.direction!r}")
         if self.transport not in ("tcp", "udp"):
             raise ValueError(f"bad transport {self.transport!r}")
-
-    @property
-    def estimated_bytes(self) -> int:
-        return self.sampled_bytes * self.sampling_rate
 
 
 class ServerIndex:
@@ -125,22 +121,6 @@ class ServerIndex:
         return len(self._by_ip)
 
 
-# --- basic estimation -----------------------------------------------------------
-
-
-def estimate_bytes(
-    flows: Iterable[FlowRecord],
-    key: Callable[[FlowRecord], Hashable] | None = None,
-) -> int | dict:
-    """Sampled bytes scaled by the sampling rate, totalled or per key."""
-    if key is None:
-        return sum(f.sampled_bytes * f.sampling_rate for f in flows)
-    out: dict = defaultdict(int)
-    for f in flows:
-        out[key(f)] += f.sampled_bytes * f.sampling_rate
-    return dict(out)
-
-
 # --- scanner handling -------------------------------------------------------------
 
 
@@ -173,14 +153,12 @@ def line_contact_sets(
 
 
 def detect_scanners(
-    flows: Iterable[FlowRecord],
-    backend_ips: set[str],
+    contacts: Mapping[tuple[str, str], set[str]],
     threshold: int = DEFAULT_SCANNER_THRESHOLD,
-    tz_name: str = "UTC",
 ) -> list[ScannerVerdict]:
     """A line hosts a scanner on a day iff it contacts strictly more than
-    `threshold` distinct backend server IPs that day."""
-    contacts = line_contact_sets(flows, backend_ips, tz_name)
+    `threshold` distinct backend server IPs that day. `contacts` comes from
+    `line_contact_sets`."""
     return [
         ScannerVerdict(
             line_id=line, date=date, distinct_backend_ips=len(ips),
@@ -208,20 +186,19 @@ class SweepPoint:
 
 
 def threshold_sweep(
-    flows: Iterable[FlowRecord],
+    contacts: Mapping[tuple[str, str], set[str]],
     backend_ips: set[str],
     thresholds: Sequence[int],
-    tz_name: str = "UTC",
 ) -> list[SweepPoint]:
     """Visibility and scanner count per candidate threshold over one day.
 
+    `contacts` comes from `line_contact_sets` over the same `backend_ips`.
     Visibility at threshold t = |union of server IPs contacted by lines
     with per-day breadth <= t| / |backend_ips|. Lines are folded in breadth
     order so the whole sweep costs one pass over the contact sets.
     """
     if not backend_ips:
         raise ValueError("backend_ips must be non-empty")
-    contacts = line_contact_sets(flows, backend_ips, tz_name)
     per_line: dict[str, set[str]] = defaultdict(set)
     breadth: dict[str, int] = {}
     for (line, _date), ips in contacts.items():

@@ -15,7 +15,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import DomainPattern, match_fqdn
+from .catalog import DomainPattern, match_fqdn, normalize_fqdn
 from .ingest import Observation
 from .netutil import canonical_ip, ip_family, parse_network
 from .timeutil import ensure_utc, fmt_iso, parse_iso
@@ -150,14 +150,15 @@ def classify_sharing(
     patterns: Sequence[DomainPattern],
     threshold: int = 2,
 ) -> SharingVerdict:
-    """Count reverse names that match no provider pattern; shared iff the
-    count strictly exceeds the threshold."""
+    """Count distinct reverse names (compared after `normalize_fqdn`) that
+    match no provider pattern; shared iff the count strictly exceeds the
+    threshold."""
     ip = canonical_ip(ip)
     if ip not in reverse_index:
         raise ReverseIndexMissError(f"no reverse data for {ip}")
     non_matching = 0
     matching = 0
-    for name in set(reverse_index[ip]):
+    for name in {normalize_fqdn(n) for n in reverse_index[ip]}:
         if any(match_fqdn(p, name).matched for p in patterns):
             matching += 1
         else:

@@ -15,10 +15,6 @@ def ip_family(ip: str) -> int:
     return ipaddress.ip_address(ip).version
 
 
-def ip_to_int(ip: str) -> int:
-    return int(ipaddress.ip_address(ip))
-
-
 def truncate_prefix(ip: str, v4_bits: int = 24, v6_bits: int = 56) -> str:
     """Covering prefix of an address at the per-family aggregation width."""
     addr = ipaddress.ip_address(ip)

@@ -19,14 +19,15 @@ from typing import Iterable, Mapping, Sequence
 import yaml
 
 from . import reports
-from .catalog import compile_catalog, load_catalog
+from .catalog import DomainPattern, compile_catalog, load_catalog
 from .disruption import outage_scan
-from .flows import (ServerIndex, aggregate_flows, detect_scanners, exclude_scanner_lines,
-                    read_flows, regional_down_series, scanner_line_ids, threshold_sweep)
+from .flows import (FlowAggregate, ScannerVerdict, ServerIndex, SweepPoint, aggregate_flows,
+                    detect_scanners, exclude_scanner_lines, line_contact_sets, read_flows,
+                    regional_down_series, scanner_line_ids, threshold_sweep)
 from .footprint import (BackendServer, diff_snapshots, diversity_report, enrich_candidates,
                         load_prefix_table)
-from .fusion import (build_reverse_index, classify_sharing, fuse, read_candidates,
-                     snapshot_filename, write_candidates)
+from .fusion import (CandidateAddress, build_reverse_index, classify_sharing, fuse,
+                     read_candidates, snapshot_filename, write_candidates)
 from .geo import Location
 from .ingest import (StudyWindow, ingest_cert_scan, ingest_passive_dns,
                      observations_from_resolutions, read_cert_scan_export,
@@ -226,39 +227,40 @@ def _stage_fuse(state: RunState) -> None:
     state.outputs["snapshots"] = snap_dir
 
 
+def write_sharing(
+    path: Path,
+    candidates: Mapping[tuple[str, str], CandidateAddress],
+    reverse: Mapping[str, set[str]],
+    patterns: Sequence[DomainPattern],
+    threshold: int,
+) -> None:
+    """One sharing row per candidate in (provider, ip) order. An IP with no
+    reverse evidence at all stays dedicated but is marked `reverse_data:
+    false`, so reports can tell it from a measured zero."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for (pid, ip) in sorted(candidates):
+            non_matching, matching, verdict = 0, 0, "dedicated"
+            if ip in reverse:
+                v = classify_sharing(ip, pid, reverse, patterns, threshold)
+                non_matching, matching, verdict = (v.non_matching_domain_count,
+                                                   v.matching_domain_count, v.verdict)
+            fh.write(json.dumps({
+                "provider_id": pid, "ip": ip,
+                "non_matching_domain_count": non_matching,
+                "matching_domain_count": matching,
+                "verdict": verdict, "threshold_used": threshold,
+                "reverse_data": ip in reverse,
+            }) + "\n")
+
+
 def _stage_classify(state: RunState) -> None:
     cfg = state.config
     candidates = read_candidates(_require_artifact(cfg.out_dir / "candidates.jsonl", "fuse"))
     reverse: dict[str, set[str]] = {}
     if cfg.pdns:
         reverse = build_reverse_index(read_pdns_export(cfg.pdns))
-    rows = []
-    missing_reverse = 0
-    for (pid, ip) in sorted(candidates):
-        if ip in reverse:
-            verdict = classify_sharing(ip, pid, reverse, state.patterns,
-                                       cfg.sharing_threshold)
-            rows.append({
-                "provider_id": pid, "ip": ip,
-                "non_matching_domain_count": verdict.non_matching_domain_count,
-                "matching_domain_count": verdict.matching_domain_count,
-                "verdict": verdict.verdict, "threshold_used": verdict.threshold_used,
-                "reverse_data": True,
-            })
-        else:
-            # no reverse evidence at all: left dedicated, but marked so the
-            # report distinguishes this from a measured zero
-            missing_reverse += 1
-            rows.append({
-                "provider_id": pid, "ip": ip,
-                "non_matching_domain_count": 0, "matching_domain_count": 0,
-                "verdict": "dedicated", "threshold_used": cfg.sharing_threshold,
-                "reverse_data": False,
-            })
     out = cfg.out_dir / "sharing.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    write_sharing(out, candidates, reverse, state.patterns, cfg.sharing_threshold)
     state.outputs["sharing"] = out
 
 
@@ -337,6 +339,38 @@ def _stage_footprint(state: RunState) -> None:
     state.outputs["stability"] = cfg.out_dir / "fig4_stability.csv"
 
 
+@dataclass(frozen=True)
+class FlowAnalysis:
+    verdicts: list[ScannerVerdict]
+    sweep: list[SweepPoint]
+    agg: FlowAggregate
+
+
+def analyze_flows(
+    path: Path,
+    index: ServerIndex,
+    scanner_threshold: int,
+    tz_name: str = "UTC",
+    cert_ips: set[str] | None = None,
+) -> FlowAnalysis:
+    """Scanner verdicts, the threshold sweep over DEFAULT_SWEEP_THRESHOLDS
+    and the aggregate of the flows left once scanner lines are removed.
+
+    The trace is read twice: scanner verdicts must exist before aggregation
+    can drop a scanner line's flows, and holding the records in memory
+    between the reads would cost far more than reading again. The contact
+    sets are freed before the second read for the same reason.
+    """
+    backend_ips = index.all_server_ips
+    contacts = line_contact_sets(read_flows(path), backend_ips, tz_name)
+    verdicts = detect_scanners(contacts, scanner_threshold)
+    sweep = threshold_sweep(contacts, backend_ips, DEFAULT_SWEEP_THRESHOLDS)
+    del contacts
+    agg = aggregate_flows(exclude_scanner_lines(read_flows(path), scanner_line_ids(verdicts)),
+                          index, tz_name, cert_ips)
+    return FlowAnalysis(verdicts, sweep, agg)
+
+
 def _stage_flows(state: RunState) -> None:
     cfg = state.config
     if not cfg.flows:
@@ -348,29 +382,21 @@ def _stage_flows(state: RunState) -> None:
     index = ServerIndex(servers, profiles_by_id, include_shared=cfg.include_shared)
     cert_ips = {ip for (pid, ip), cand in candidates.items() if "tls-cert" in cand.sources}
 
-    verdicts = detect_scanners(read_flows(flows_path), index.all_server_ips,
-                               cfg.scanner_threshold, cfg.timezone)
-    scanners = scanner_line_ids(verdicts)
+    analysis = analyze_flows(flows_path, index, cfg.scanner_threshold, cfg.timezone, cert_ips)
     with open(cfg.out_dir / "scanners.jsonl", "w", encoding="utf-8") as fh:
-        for v in verdicts:
+        for v in analysis.verdicts:
             if v.is_scanner:
                 fh.write(json.dumps({
                     "line_id": v.line_id, "date": v.date,
                     "distinct_backend_ips": v.distinct_backend_ips,
                     "threshold_used": v.threshold_used,
                 }) + "\n")
-
-    sweep = threshold_sweep(read_flows(flows_path), index.all_server_ips,
-                            DEFAULT_SWEEP_THRESHOLDS, cfg.timezone)
-    reports.write_sweep(cfg.out_dir / "fig5_sweep.csv", sweep)
-
-    agg = aggregate_flows(exclude_scanner_lines(read_flows(flows_path), scanners),
-                          index, cfg.timezone, cert_ips)
-    reports.emit_flow_reports(cfg.out_dir, agg, index, profiles_by_id)
+    reports.write_sweep(cfg.out_dir / "fig5_sweep.csv", analysis.sweep)
+    reports.emit_flow_reports(cfg.out_dir, analysis.agg, index, profiles_by_id)
 
     # outage scan over regional series; series without a complete baseline
     # week are skipped (the scan itself refuses partial baselines)
-    series = regional_down_series(agg)
+    series = regional_down_series(analysis.agg)
     baseline_start = cfg.window.start - timedelta(days=cfg.baseline_days)
     eligible = {}
     for key, points in series.items():

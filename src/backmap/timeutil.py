@@ -6,7 +6,7 @@ epoch seconds (ints) except observation files, which use ISO-8601.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
 
 UTC = timezone.utc
@@ -41,22 +41,6 @@ def parse_iso(text: str) -> datetime:
     if text.endswith("Z"):
         return datetime.strptime(text, _ISO_FMT).replace(tzinfo=UTC)
     return ensure_utc(datetime.fromisoformat(text))
-
-
-def hour_floor(dt: datetime) -> datetime:
-    dt = ensure_utc(dt)
-    return dt.replace(minute=0, second=0, microsecond=0)
-
-
-def hours_between(start: datetime, end: datetime) -> list[datetime]:
-    """Hour-bucket starts covering [start, end), both floored to the hour."""
-    out = []
-    cur = hour_floor(start)
-    end = ensure_utc(end)
-    while cur < end:
-        out.append(cur)
-        cur += timedelta(hours=1)
-    return out
 
 
 def local_date(dt: datetime, tz_name: str) -> str:

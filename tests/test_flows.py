@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from backmap.flows import (DOWN, UP, Ecdf, FlowRecord, ServerIndex,
                            activity_series, aggregate_flows, continent_attribution,
-                           detect_scanners, estimate_bytes, exclude_scanner_lines,
+                           detect_scanners, exclude_scanner_lines, line_contact_sets,
                            line_day_profiles, per_line_distribution, port_label,
                            port_mix, read_flows, read_flows_binary, region_class,
                            regional_down_series, scanner_line_ids, source_ablation,
@@ -42,48 +42,32 @@ def index():
     return ServerIndex([server(f"10.1.0.{i}") for i in range(1, 11)])
 
 
-class TestEstimate:
-    def test_multiplication(self):
-        flows = [flow(sampled_bytes=1500, rate=1000) for _ in range(3)]
-        assert estimate_bytes(flows) == 4_500_000
-
-    def test_rate_one_is_identity(self):
-        flows = [flow(sampled_bytes=123), flow(sampled_bytes=77)]
-        assert estimate_bytes(flows) == 200
-
-    def test_grouped(self):
-        flows = [flow(line="L1", sampled_bytes=10, rate=10),
-                 flow(line="L2", sampled_bytes=1, rate=10)]
-        assert estimate_bytes(flows, key=lambda f: f.line_id) == {"L1": 100, "L2": 10}
-
-    def test_linearity_over_disjoint_sets(self):
-        f1 = [flow(sampled_bytes=10, rate=3)]
-        f2 = [flow(sampled_bytes=20, rate=7)]
-        assert estimate_bytes(f1 + f2) == estimate_bytes(f1) + estimate_bytes(f2)
+def contacts(flows, idx):
+    return line_contact_sets(flows, idx.all_server_ips)
 
 
 class TestScanners:
     def test_above_threshold_is_scanner(self, index):
         flows = [flow(ip=f"10.1.0.{i}", line="S1") for i in range(1, 9)]
-        verdicts = detect_scanners(flows, index.all_server_ips, threshold=5)
+        verdicts = detect_scanners(contacts(flows, index), threshold=5)
         assert verdicts[0].is_scanner
         assert verdicts[0].distinct_backend_ips == 8
 
     def test_exactly_threshold_is_not_scanner(self, index):
         flows = [flow(ip=f"10.1.0.{i}", line="S1") for i in range(1, 6)]
-        verdicts = detect_scanners(flows, index.all_server_ips, threshold=5)
+        verdicts = detect_scanners(contacts(flows, index), threshold=5)
         assert not verdicts[0].is_scanner
 
     def test_non_backend_ips_do_not_count(self, index):
         flows = [flow(ip=f"203.0.113.{i}", line="S1") for i in range(1, 20)]
-        assert detect_scanners(flows, index.all_server_ips, threshold=5) == []
+        assert detect_scanners(contacts(flows, index), threshold=5) == []
 
     def test_shrinking_threshold_grows_scanner_set(self, index):
         flows = [flow(ip=f"10.1.0.{i}", line=f"L{n}")
                  for n in range(1, 6) for i in range(1, n + 2)]
         sets = {}
         for threshold in (1, 2, 3):
-            verdicts = detect_scanners(flows, index.all_server_ips, threshold)
+            verdicts = detect_scanners(contacts(flows, index), threshold)
             sets[threshold] = scanner_line_ids(verdicts)
         assert sets[3] <= sets[2] <= sets[1]
 
@@ -92,7 +76,7 @@ class TestSweep:
     def test_monotone_and_boundary(self, index):
         flows = [flow(ip=f"10.1.0.{i}", line="WIDE") for i in range(1, 9)]
         flows += [flow(ip="10.1.0.1", line="NARROW")]
-        points = threshold_sweep(flows, index.all_server_ips, [1, 5, 10])
+        points = threshold_sweep(contacts(flows, index), index.all_server_ips, [1, 5, 10])
         fractions = [p.visible_server_fraction for p in points]
         assert fractions == sorted(fractions)
         assert points[-1].scanner_line_count == 0  # threshold above max breadth
@@ -101,7 +85,7 @@ class TestSweep:
 
     def test_empty_backend_set_rejected(self):
         with pytest.raises(ValueError):
-            threshold_sweep([], set(), [10])
+            threshold_sweep({}, set(), [10])
 
 
 def make_agg(flows, idx, **kw):

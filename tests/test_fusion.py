@@ -127,6 +127,15 @@ class TestClassifySharing:
         assert verdict.non_matching_domain_count == 0
         assert verdict.verdict == "dedicated"
 
+    def test_spellings_of_one_name_count_once(self, catalog_patterns):
+        index = {"192.0.2.1": {"Web.example.com", "web.example.com.", "web.example.com",
+                               "A.IOT.us-east-1.amazonaws.com.",
+                               "a.iot.us-east-1.amazonaws.com"}}
+        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, 1)
+        assert verdict.non_matching_domain_count == 1
+        assert verdict.matching_domain_count == 1
+        assert verdict.verdict == "dedicated"
+
 
 NAMES = (["x.iot.us-east-1.amazonaws.com", "dev1.iot.cn-shanghai.aliyuncs.com",
           "gw.iot.sap", "myhub.azure-devices.net"] +

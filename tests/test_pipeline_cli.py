@@ -111,6 +111,26 @@ class TestRunPipeline:
             assert (config_a.out_dir / rel).read_bytes() == \
                 (config_b.out_dir / rel).read_bytes(), rel
 
+    def test_flows_stage_reads_the_trace_twice(self, universe_dir, completed_run, tmp_path,
+                                               monkeypatch):
+        import shutil
+
+        from backmap import pipeline
+
+        config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
+        reads = []
+        original = pipeline.read_flows
+
+        def counting_read_flows(path):
+            reads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "read_flows", counting_read_flows)
+        run_pipeline(make_run_config(universe_dir, out_dir), ["flows"])
+        assert len(reads) == 2
+
     def test_fig12_shares_sum_to_100(self, completed_run):
         config, _ = completed_run
         rows = (config.out_dir / "fig12_continents.csv").read_text().splitlines()[1:]
@@ -278,6 +298,9 @@ class TestCli:
         rows = dict(line.split(",") for line in
                     (tmp_path / "ablate.csv").read_text().splitlines()[1:])
         assert float(rows["p02"]) == 100.0  # SNI-only provider loses every line
+        # no dedicated-port providers and a UTC day: the CLI and the flows stage agree
+        assert (tmp_path / "ablate.csv").read_bytes() == \
+            (out_dir / "fig7_ablation.csv").read_bytes()
 
     def test_disrupt_outage_and_routing_cli(self, universe_dir, completed_run, tmp_path):
         config, _ = completed_run
