@@ -47,6 +47,23 @@ def _parse_window(text: str) -> StudyWindow:
         _fail(EXIT_VALIDATION, f"bad window {text!r} (want START..END ISO-8601): {exc}")
 
 
+def _run_stages(config_path: str, out_dir: str | None,
+                stages: list[str] | None) -> tuple[RunConfig, dict]:
+    """Load a run config and run `stages` of it, mapping errors to exit codes."""
+    try:
+        config = load_run_config(config_path, {"out_dir": Path(out_dir)} if out_dir else {})
+    except (ValueError, OSError) as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    try:
+        return config, run_pipeline(config, stages)
+    except UpstreamMissingError as exc:
+        _fail(EXIT_UPSTREAM, str(exc))
+    except ValueError as exc:  # CatalogError included
+        _fail(EXIT_VALIDATION, str(exc))
+    except OSError as exc:
+        _fail(EXIT_IO, str(exc))
+
+
 @click.group()
 def main() -> None:
     """Map IoT backend server footprints and attribute ISP flow data."""
@@ -234,13 +251,7 @@ def footprint_cmd(out_dir, config_path, diff):
     """Enrich candidates into located, routed server records."""
     from .footprint import diff_snapshots
 
-    try:
-        config = load_run_config(config_path, {"out_dir": Path(out_dir)})
-        run_pipeline(config, ["footprint"])
-    except UpstreamMissingError as exc:
-        _fail(EXIT_UPSTREAM, str(exc))
-    except (CatalogError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    _run_stages(config_path, out_dir, ["footprint"])
     if diff:
         date_a, date_b = diff
         snap_dir = Path(out_dir) / "snapshots"
@@ -263,23 +274,12 @@ def flows() -> None:
     """Flow attribution and traffic metrics."""
 
 
-def _flows_prereqs(out_dir: str, config_path: str) -> RunConfig:
-    try:
-        return load_run_config(config_path, {"out_dir": Path(out_dir)})
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-
 @flows.command("analyze")
 @click.option("--out-dir", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", required=True, type=click.Path())
 def flows_analyze(out_dir, config_path):
     """Scanner exclusion plus every flow-derived figure table."""
-    config = _flows_prereqs(out_dir, config_path)
-    try:
-        run_pipeline(config, ["flows"])
-    except UpstreamMissingError as exc:
-        _fail(EXIT_UPSTREAM, str(exc))
+    _run_stages(config_path, out_dir, ["flows"])
     click.echo("flow reports written")
 
 
@@ -531,21 +531,8 @@ def report_cmd(figure_id, out_dir, anonymize, salt, catalog_path, out_path):
 @click.option("--out-dir", "out_dir", default=None, type=click.Path())
 def run_cmd(config_path, stages, out_dir):
     """Run the whole pipeline (or a stage subset) from a config file."""
-    overrides = {}
-    if out_dir:
-        overrides["out_dir"] = Path(out_dir)
-    try:
-        config = load_run_config(config_path, overrides)
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    try:
-        manifest = run_pipeline(config, stages.split(",") if stages else None)
-    except UpstreamMissingError as exc:
-        _fail(EXIT_UPSTREAM, str(exc))
-    except CatalogError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    config, manifest = _run_stages(config_path, out_dir,
+                                   stages.split(",") if stages else None)
     click.echo(f"manifest: {config.out_dir / 'manifest.json'} "
                f"(config {manifest['config_hash'][:12]})")
 

@@ -9,7 +9,6 @@ the findings.
 
 from __future__ import annotations
 
-import ipaddress
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .footprint import BackendServer
 from .ingest import StudyWindow
-from .netutil import parse_network
+from .netutil import PrefixIndex, parse_network
 from .timeutil import ensure_utc
 
 DEFAULT_BASELINE_DAYS = 7
@@ -144,34 +143,16 @@ def outage_scan(
 
 
 class BlocklistIndex:
-    """Containment index over many lists' CIDRs, bucketed by prefix length."""
+    """Containment index over many lists' CIDRs."""
 
     def __init__(self, entries: Iterable[BlocklistEntry]) -> None:
-        self._buckets: dict[tuple[int, int], dict[int, set[str]]] = {}
-        self._lengths: dict[int, list[int]] = {4: [], 6: []}
-        self.list_ids: set[str] = set()
+        self._index: PrefixIndex[set[str]] = PrefixIndex()
         for entry in entries:
-            net = parse_network(entry.cidr)
-            key = (net.version, net.prefixlen)
-            if key not in self._buckets:
-                self._buckets[key] = {}
-                self._lengths[net.version] = sorted(
-                    set(self._lengths[net.version]) | {net.prefixlen}, reverse=True)
-            self._buckets[key].setdefault(int(net.network_address), set()).add(entry.list_id)
-            self.list_ids.add(entry.list_id)
+            self._index.setdefault(parse_network(entry.cidr), set()).add(entry.list_id)
 
     def matches(self, ip: str) -> set[str]:
         """All list ids with a block containing the address."""
-        addr = ipaddress.ip_address(ip)
-        value = int(addr)
-        width = 32 if addr.version == 4 else 128
-        out: set[str] = set()
-        for length in self._lengths[addr.version]:
-            masked = value >> (width - length) << (width - length) if length else 0
-            hit = self._buckets[(addr.version, length)].get(masked)
-            if hit:
-                out |= hit
-        return out
+        return set().union(*self._index.containing(ip))
 
 
 @dataclass(frozen=True)
@@ -254,6 +235,7 @@ def routing_event_overlap(
     prefix; AS events hit servers announced from that ASN.
     """
     server_list = list(servers)
+    server_nets = [(parse_network(s.prefix), s) for s in server_list]
     reports: list[EventOverlap] = []
     for event in events:
         if not study_window.overlaps(*event.window):
@@ -261,10 +243,8 @@ def routing_event_overlap(
         hit: list[BackendServer] = []
         if event.prefix is not None:
             enet = parse_network(event.prefix)
-            for s in server_list:
-                snet = parse_network(s.prefix)
-                if snet.version == enet.version and snet.overlaps(enet):
-                    hit.append(s)
+            hit.extend(s for snet, s in server_nets
+                       if snet.version == enet.version and snet.overlaps(enet))
         if event.asn is not None:
             hit.extend(s for s in server_list if s.asn == event.asn)
         affected = sorted({s.ip for s in hit})

@@ -227,11 +227,10 @@ def threshold_sweep(
 
 @dataclass
 class FlowAggregate:
-    """Mergeable partial aggregates of one pass over attributed flows.
+    """Aggregates of one pass over attributed flows.
 
     Hour keys are epoch hours (ints); conversion to datetimes happens at
-    report emission. Merging partials from any partitioning of the input
-    equals the single-pass result: every field is a sum, set union or max.
+    report emission.
     """
 
     tz_name: str = "UTC"
@@ -250,35 +249,6 @@ class FlowAggregate:
     line_day: dict = field(default_factory=dict)
     attributed_records: int = 0
     unattributed_records: int = 0
-
-    def merge(self, other: "FlowAggregate") -> "FlowAggregate":
-        if other.tz_name != self.tz_name:
-            raise ValueError("cannot merge aggregates with different timezones")
-        for name in ("provider_hour_down", "provider_hour_up", "provider_region_hour_down",
-                     "provider_down", "provider_up", "provider_port_bytes", "region_bytes"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            for k, v in theirs.items():
-                mine[k] += v
-        for name in ("provider_hour_lines", "provider_contacted", "provider_lines_full",
-                     "provider_lines_cert", "line_regions"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            for k, v in theirs.items():
-                mine[k] |= v
-        for k, slot in other.line_day.items():
-            dst = self.line_day.get(k)
-            if dst is None:
-                self.line_day[k] = [set(slot[0]), dict(slot[1]), dict(slot[2])]
-            else:
-                dst[0] |= slot[0]
-                for pk, (d, u) in slot[1].items():
-                    pd, pu = dst[1].get(pk, (0, 0))
-                    dst[1][pk] = (pd + d, pu + u)
-                for pk, (d, u) in slot[2].items():
-                    pd, pu = dst[2].get(pk, (0, 0))
-                    dst[2][pk] = (pd + d, pu + u)
-        self.attributed_records += other.attributed_records
-        self.unattributed_records += other.unattributed_records
-        return self
 
 
 def aggregate_flows(

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .catalog import DomainPattern, ProviderProfile, match_fqdn
 from .fusion import CandidateAddress
 from .geo import Location
-from .netutil import truncate_prefix
+from .netutil import PrefixIndex, parse_network, truncate_prefix
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
 
@@ -129,39 +129,20 @@ class RouteEntry:
 
 
 class PrefixTable:
-    """Longest-prefix-match lookups over a static prefix2as snapshot.
-
-    Entries are bucketed by (family, prefix length); a lookup masks the
-    address at each populated length, longest first.
-    """
+    """Longest-prefix-match lookups over a static prefix2as snapshot."""
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple[int, int], dict[int, RouteEntry]] = {}
-        self._lengths: dict[int, list[int]] = {4: [], 6: []}
+        self._index: PrefixIndex[RouteEntry] = PrefixIndex()
 
     def add(self, prefix: str, origins: Sequence[int]) -> None:
-        net = ipaddress.ip_network(prefix, strict=False)
-        entry = RouteEntry(prefix=str(net), origins=tuple(sorted(set(origins))))
-        key = (net.version, net.prefixlen)
-        if key not in self._buckets:
-            self._buckets[key] = {}
-            self._lengths[net.version] = sorted(
-                set(self._lengths[net.version]) | {net.prefixlen}, reverse=True)
-        self._buckets[key][int(net.network_address)] = entry
+        net = parse_network(prefix)
+        self._index[net] = RouteEntry(prefix=str(net), origins=tuple(sorted(set(origins))))
 
     def lookup(self, ip: str) -> RouteEntry:
-        addr = ipaddress.ip_address(ip)
-        value = int(addr)
-        width = 32 if addr.version == 4 else 128
-        for length in self._lengths[addr.version]:
-            masked = value >> (width - length) << (width - length) if length else 0
-            entry = self._buckets[(addr.version, length)].get(masked)
-            if entry is not None:
-                return entry
-        raise UnroutedError(f"unrouted: no covering prefix for {ip}")
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        hits = self._index.containing(ip)
+        if not hits:
+            raise UnroutedError(f"unrouted: no covering prefix for {ip}")
+        return hits[0]
 
 
 def load_prefix_table(path: str | Path) -> PrefixTable:

@@ -1,8 +1,13 @@
-"""IP address helpers: canonical text forms, families, prefix truncation."""
+"""IP address helpers: canonical text forms, families, prefix truncation, and
+the prefix index behind the prefix2as table and the blocklists."""
 
 from __future__ import annotations
 
 import ipaddress
+from typing import Generic, TypeVar
+
+V = TypeVar("V")
+Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
 
 def canonical_ip(text: str) -> str:
@@ -23,7 +28,48 @@ def truncate_prefix(ip: str, v4_bits: int = 24, v6_bits: int = 56) -> str:
     return str(net)
 
 
-def parse_network(text: str) -> ipaddress.IPv4Network | ipaddress.IPv6Network:
+def parse_network(text: str) -> Network:
     """Parse an address or CIDR block; bare addresses become host routes."""
     text = text.strip()
     return ipaddress.ip_network(text, strict=False)
+
+
+class PrefixIndex(Generic[V]):
+    """Values keyed by network, bucketed by (family, prefix length).
+
+    A query masks the address at each populated length of its family,
+    longest first, and looks the masked value up in that length's bucket.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: dict[tuple[int, int], dict[int, V]] = {}
+        # per family: (shift, bucket) pairs, longest prefix (smallest shift) first
+        self._levels: dict[int, list[tuple[int, dict[int, V]]]] = {4: [], 6: []}
+
+    def _bucket(self, net: Network) -> dict[int, V]:
+        key = (net.version, net.prefixlen)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = {}
+            levels = self._levels[net.version]
+            levels.append((net.max_prefixlen - net.prefixlen, bucket))
+            levels.sort(key=lambda level: level[0])
+        return bucket
+
+    def __setitem__(self, net: Network, value: V) -> None:
+        self._bucket(net)[int(net.network_address)] = value
+
+    def setdefault(self, net: Network, default: V) -> V:
+        """The value stored for `net`, storing `default` first if it has none."""
+        return self._bucket(net).setdefault(int(net.network_address), default)
+
+    def containing(self, ip: str) -> list[V]:
+        """Values of every indexed network that contains `ip`, longest first."""
+        addr = ipaddress.ip_address(ip)
+        value = int(addr)
+        hits = []
+        for shift, bucket in self._levels[addr.version]:
+            hit = bucket.get(value >> shift << shift)
+            if hit is not None:
+                hits.append(hit)
+        return hits

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .netutil import ip_family
-from .synth import GroundTruthLog, ServerTruth
-
-
-def _alive_in_window(s: ServerTruth, n_days: int) -> bool:
-    return s.first_day < n_days and (s.last_day is None or s.last_day >= 0)
+from .synth import GroundTruthLog
 
 
 def oracle_candidates(log: GroundTruthLog) -> set[tuple[str, str]]:
@@ -173,13 +169,6 @@ def oracle_server_share(log: GroundTruthLog) -> dict[str, float]:
             counts[region_class(Location.of(s.country))] += 1
     total = sum(counts.values())
     return {region: n / total for region, n in sorted(counts.items())} if total else {}
-
-
-def oracle_line_day_down(log: GroundTruthLog) -> list[int]:
-    """Sorted per-(line, day) downstream byte estimates, scanners excluded."""
-    values = [pair[0] for (line, _d), pair in log.flow.line_day_est.items()
-              if line not in log.scanner_lines]
-    return sorted(values)
 
 
 @dataclass(frozen=True)

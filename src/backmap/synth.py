@@ -26,7 +26,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .catalog import ProviderProfile, RegionGrammar, SubdomainRule
 from .flows import DOWN, UP, FlowRecord
-from .footprint import PrefixTable
 from .geo import Location, region_class
 from .ingest import CertScanRecord, PassiveDnsRecord, ResolutionResult, StudyWindow
 from .netutil import ip_family
@@ -210,7 +209,6 @@ class FlowTruth:
     provider_lines_cert: dict = field(default_factory=dict)
     provider_contacted_fam: dict = field(default_factory=dict)
     line_contacts: dict = field(default_factory=dict)
-    line_day_est: dict = field(default_factory=dict)
     line_regions: dict = field(default_factory=dict)
     region_est: dict = field(default_factory=dict)
     token_hour_true_down: dict = field(default_factory=dict)
@@ -446,12 +444,6 @@ class SyntheticUniverse:
         for s in provider_servers:
             length = 32 if ip_family(s.ip) == 4 else 128
             self.prefix_rows.append((s.ip, length, str(s.asn)))
-
-    def prefix_table(self) -> PrefixTable:
-        table = PrefixTable()
-        for prefix, length, asn_field in self.prefix_rows:
-            table.add(f"{prefix}/{length}", [int(a) for a in asn_field.split("_")])
-        return table
 
     def _emit_discovery(self, servers: list[ServerTruth]) -> None:
         cfg = self.config
@@ -767,11 +759,6 @@ class SyntheticUniverse:
                 region = region_of[ip]
                 ft.line_regions.setdefault(line, set()).add(region)
                 ft.region_est[region] = ft.region_est.get(region, 0) + est
-                lkey = (line, date)
-                pair = ft.line_day_est.get(lkey)
-                if pair is None:
-                    pair = ft.line_day_est[lkey] = [0, 0]
-                pair[0 if direction == DOWN else 1] += est
             return FlowRecord(
                 timestamp=from_epoch(hour_epoch * 3600 + 1800),
                 line_id=line, server_ip=ip, server_port=port,
@@ -1118,5 +1105,3 @@ def _replay_rows(log: GroundTruthLog, rows: list[tuple]) -> None:
             region = region_of[ip]
             ft.line_regions.setdefault(line, set()).add(region)
             ft.region_est[region] = ft.region_est.get(region, 0) + est
-            pair = ft.line_day_est.setdefault((line, date), [0, 0])
-            pair[0 if direction == DOWN else 1] += est

@@ -91,10 +91,15 @@ def server(ip, pid="p1", asn=64500, prefix=None):
 
 class TestBlocklist:
     def test_containment(self):
-        index = BlocklistIndex([BlocklistEntry("l1", "192.0.2.0/24")])
+        index = BlocklistIndex([BlocklistEntry("l1", "192.0.2.0/24"),
+                                BlocklistEntry("v4", "10.0.0.0/8"),
+                                BlocklistEntry("v6", "::a00:0/104")])
         report = blocklist_check([server("192.0.2.7")], index)
         assert [m.ip for m in report.matches] == ["192.0.2.7"]
         assert report.matches[0].list_ids == {"l1"}
+        # the two blocks share an integer network value; each matches its own family
+        assert index.matches("10.5.5.5") == {"v4"}
+        assert index.matches("::a05:505") == {"v6"}
 
     def test_multiple_lists_per_ip(self):
         index = BlocklistIndex([BlocklistEntry("l1", "192.0.2.0/24"),

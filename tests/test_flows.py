@@ -2,8 +2,6 @@ import math
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from backmap.flows import (DOWN, UP, Ecdf, FlowRecord, ServerIndex,
                            activity_series, aggregate_flows, continent_attribution,
@@ -275,33 +273,6 @@ class TestAttributionRules:
                           {"google": google})
         assert idx.attribute("10.1.0.1", 8883, "tcp") == "google"
         assert idx.attribute("10.1.0.1", 80, "tcp") is None  # not an MQTT port
-
-
-class TestAggregateMerge:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(
-        st.sampled_from(["L1", "L2", "L3"]),
-        st.integers(min_value=1, max_value=10),
-        st.sampled_from([DOWN, UP]),
-        st.integers(min_value=0, max_value=5000),
-        st.integers(min_value=0, max_value=47),
-    ), max_size=40), st.integers(min_value=0, max_value=39))
-    def test_partitioned_merge_equals_single_pass(self, rows, cut):
-        idx = ServerIndex([server(f"10.1.0.{i}") for i in range(1, 11)])
-        flows = [flow(line=line, ip=f"10.1.0.{i}", direction=direction,
-                      sampled_bytes=sampled, hours=hours)
-                 for line, i, direction, sampled, hours in rows]
-        single = aggregate_flows(flows, idx)
-        cut = min(cut, len(flows))
-        left = aggregate_flows(flows[:cut], idx)
-        right = aggregate_flows(flows[cut:], idx)
-        merged = left.merge(right)
-        assert merged.provider_hour_down == single.provider_hour_down
-        assert merged.provider_hour_lines == single.provider_hour_lines
-        assert merged.provider_port_bytes == single.provider_port_bytes
-        assert merged.region_bytes == single.region_bytes
-        assert merged.line_day == single.line_day
-        assert merged.attributed_records == single.attributed_records
 
 
 class TestFlowFiles:

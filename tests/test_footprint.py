@@ -94,13 +94,17 @@ class TestPrefixTable:
 
     def test_multi_origin_primary_is_lowest(self, tmp_path):
         path = tmp_path / "prefix2as.tsv"
-        path.write_text("10.0.0.0\t8\t300_100_200\n2001:db8::\t32\t65000\n")
+        # ::a00:0/104 has the same integer network value as 10.0.0.0/8
+        path.write_text("10.0.0.0\t8\t300_100_200\n2001:db8::\t32\t65000\n"
+                        "::a00:0\t104\t64999\n")
         table = load_prefix_table(path)
         prefix, asn, origins = map_prefix_asn("10.5.5.5", table)
+        assert prefix == "10.0.0.0/8"
         assert origins == (100, 200, 300)
         assert asn == 100
         prefix, asn, _ = map_prefix_asn("2001:db8::77", table)
         assert prefix == "2001:db8::/32"
+        assert map_prefix_asn("::a05:505", table) == ("::a00:0/104", 64999, (64999,))
 
     def test_bruteforce_agreement_on_fixture_table(self, tmp_path):
         import ipaddress

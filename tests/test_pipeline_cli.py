@@ -73,6 +73,21 @@ def make_run_config(universe_dir: Path, out_dir: Path) -> RunConfig:
     )
 
 
+def write_run_yaml(path: Path, universe_dir: Path, out_dir: Path) -> Path:
+    path.write_text(yaml.safe_dump({
+        "catalog": str(universe_dir / "catalog.yaml"),
+        "certs": str(universe_dir / "certs.jsonl"),
+        "pdns": str(universe_dir / "pdns.jsonl"),
+        "resolutions": str(universe_dir / "resolutions.jsonl"),
+        "flows": str(universe_dir / "flows.bmf"),
+        "prefix2as": str(universe_dir / "prefix2as.tsv"),
+        "out_dir": str(out_dir),
+        "scanner_threshold": 10,
+        "window": {"start": "2022-02-28T00:00:00Z", "end": "2022-03-02T00:00:00Z"},
+    }))
+    return path
+
+
 class TestRunPipeline:
     def test_full_run_produces_every_figure_csv(self, completed_run):
         config, manifest = completed_run
@@ -218,25 +233,29 @@ class TestCli:
         assert "discover" in result.output
 
     def test_run_and_report_roundtrip(self, universe_dir, tmp_path):
-        run_yaml = tmp_path / "run.yaml"
         out_dir = tmp_path / "out"
-        run_yaml.write_text(yaml.safe_dump({
-            "catalog": str(universe_dir / "catalog.yaml"),
-            "certs": str(universe_dir / "certs.jsonl"),
-            "pdns": str(universe_dir / "pdns.jsonl"),
-            "resolutions": str(universe_dir / "resolutions.jsonl"),
-            "flows": str(universe_dir / "flows.bmf"),
-            "prefix2as": str(universe_dir / "prefix2as.tsv"),
-            "out_dir": str(out_dir),
-            "scanner_threshold": 10,
-            "window": {"start": "2022-02-28T00:00:00Z", "end": "2022-03-02T00:00:00Z"},
-        }))
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir)
         result = self.runner.invoke(main, ["run", "--config", str(run_yaml)])
         assert result.exit_code == 0, result.output
         result = self.runner.invoke(main, [
             "report", "fig5_sweep", "--from", str(out_dir)])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "threshold,visibility_pct,scanner_lines"
+
+    def test_run_without_dedicated_servers_exits_1(self, universe_dir, completed_run,
+                                                   tmp_path):
+        import shutil
+
+        config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
+        (out_dir / "servers.jsonl").write_text("")
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir)
+        result = self.runner.invoke(main, ["run", "--config", str(run_yaml),
+                                           "--stages", "flows"])
+        assert isinstance(result.exception, SystemExit)  # not an uncaught traceback
+        assert result.exit_code == 1
+        assert "error: backend_ips must be non-empty" in result.output
 
     def test_report_unknown_figure_exits_1(self, tmp_path):
         result = self.runner.invoke(main, ["report", "fig99", "--from", str(tmp_path)])
