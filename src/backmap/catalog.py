@@ -103,6 +103,9 @@ class DomainPattern:
     expression: str
     capture_map: str | None
     compiled: re.Pattern = field(repr=False, compare=False)
+    # Every match ends with one of these (``$`` also matches before a final
+    # newline); lets `match_fqdn` skip the regex for foreign names.
+    tails: tuple[str, ...] = field(default=("",), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.expression.endswith("$"):
@@ -179,6 +182,7 @@ def compile_pattern(profile: ProviderProfile) -> DomainPattern:
         expression=expression,
         capture_map=capture_map,
         compiled=compiled,
+        tails=(profile.parent_domain, profile.parent_domain + "\n"),
     )
 
 
@@ -187,7 +191,8 @@ def match_fqdn(pattern: DomainPattern, fqdn: str) -> MatchResult:
     if not fqdn:
         raise ValueError("fqdn must be non-empty")
     normalized = normalize_fqdn(fqdn)
-    m = pattern.compiled.search(normalized) if normalized else None
+    m = (pattern.compiled.search(normalized)
+         if normalized and normalized.endswith(pattern.tails) else None)
     if m is None:
         return MatchResult(pattern.provider_id, False, None, normalized)
     region = m.group(pattern.capture_map) if pattern.capture_map else None

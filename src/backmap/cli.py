@@ -21,9 +21,8 @@ from .flows import (ServerIndex, line_contact_sets, read_flows, regional_down_se
 from .fusion import fuse, read_candidates, write_candidates
 from .ingest import (ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
                      ingest_cert_scan, ingest_passive_dns, read_cert_scan_export,
-                     read_observations, read_pdns_export, read_resolutions,
-                     resolve_active, write_cert_scan_export, write_observations,
-                     write_resolutions)
+                     read_observations, read_pdns_export, resolve_active,
+                     write_cert_scan_export, write_observations, write_resolutions)
 from .pipeline import (DEFAULT_SWEEP_THRESHOLDS, RunConfig, UpstreamMissingError,
                        analyze_flows, load_run_config, read_servers, run_pipeline,
                        write_sharing)
@@ -294,8 +293,11 @@ def flows_sweep(flows_path, servers_path, thresholds, out_path):
     if not Path(servers_path).exists():
         _fail(EXIT_UPSTREAM, f"missing servers {servers_path}; run 'footprint' first")
     backend_ips = ServerIndex(read_servers(Path(servers_path))).all_server_ips
-    points = threshold_sweep(line_contact_sets(read_flows(flows_path), backend_ips),
-                             backend_ips, [int(t) for t in thresholds.split(",")])
+    try:
+        points = threshold_sweep(line_contact_sets(read_flows(flows_path), backend_ips),
+                                 backend_ips, [int(t) for t in thresholds.split(",")])
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     reports.write_sweep(Path(out_path), points)
     click.echo(f"{len(points)} sweep points")
 

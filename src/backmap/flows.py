@@ -19,6 +19,9 @@ Flow file formats:
   16s ip (network byte order, IPv4 in the first 4 bytes) | u16 port |
   u8 transport (6=tcp, 17=udp) | u8 direction (0=down, 1=up) |
   u64 sampled_bytes | u32 sampled_packets | u32 sampling_rate | 3 pad bytes.
+
+Both readers raise ValueError for a bad record, with a message that starts
+``<path>:<line or record number>:`` and names the field.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import ProviderProfile
 from .footprint import BackendServer
 from .geo import region_class
 from .netutil import canonical_ip, ip_family
-from .timeutil import from_epoch, local_date, to_epoch
+from .timeutil import LocalDays, from_epoch
 
 DOWN = "downstream"
 UP = "upstream"
@@ -47,12 +50,18 @@ DEFAULT_SCANNER_THRESHOLD = 100
 ACTIVITY_SUPPRESSION_FLOOR = 15
 
 _MAGIC = b"BMFL"
-_REC = struct.Struct("<Q16sB16sHBBQII3x")
+# the family byte and the address are read as one 17-byte field, so one dict
+# lookup decodes both
+_REC = struct.Struct("<Q16s17sHBBQII3x")
+_TRANSPORT_CODES = {"tcp": 6, "udp": 17}
+_TRANSPORTS = {code: name for name, code in _TRANSPORT_CODES.items()}
+_DIRECTION_CODES = {DOWN: 0, UP: 1}
+_DIRECTIONS = {code: name for name, code in _DIRECTION_CODES.items()}
 
 
 @dataclass(slots=True)
 class FlowRecord:
-    timestamp: datetime
+    ts: int  # epoch seconds
     line_id: str
     server_ip: str
     server_port: int
@@ -66,11 +75,21 @@ class FlowRecord:
         if self.sampling_rate < 1:
             raise ValueError("sampling_rate must be >= 1")
         if self.sampled_bytes < 0 or self.sampled_packets < 0:
-            raise ValueError("sampled counters must be >= 0")
+            raise ValueError("sampled_bytes and sampled_packets must be >= 0")
         if self.direction not in (DOWN, UP):
             raise ValueError(f"bad direction {self.direction!r}")
         if self.transport not in ("tcp", "udp"):
             raise ValueError(f"bad transport {self.transport!r}")
+
+
+class ServerFacts(NamedTuple):
+    """What aggregation needs to know about one attributable server."""
+
+    provider_id: str
+    ports: frozenset | None  # dedicated (port, transport) pairs; None = any
+    token: str  # region token, or the region class when the server has none
+    region: str  # region class
+    family: int
 
 
 class ServerIndex:
@@ -78,7 +97,8 @@ class ServerIndex:
 
     Shared servers are excluded unless `include_shared` is set (the flagged
     alternative for visibility denominators). Providers with a dedicated
-    port filter only attribute flows on those ports.
+    port filter only attribute flows on those ports. Each server's facts
+    are computed once here, so aggregation does one lookup per record.
     """
 
     def __init__(
@@ -88,37 +108,33 @@ class ServerIndex:
         include_shared: bool = False,
     ) -> None:
         profiles_by_id = profiles_by_id or {}
-        self._by_ip: dict[str, tuple[str, frozenset | None]] = {}
-        self.server_region: dict[str, str] = {}
-        self.server_token: dict[str, str] = {}
-        self.provider_servers: dict[str, set[str]] = defaultdict(set)
+        self.facts: dict[str, ServerFacts] = {}
         self.provider_family_servers: dict[tuple[str, int], set[str]] = defaultdict(set)
         for s in servers:
             if s.sharing == "shared" and not include_shared:
                 continue
             profile = profiles_by_id.get(s.provider_id)
             ports = profile.dedicated_ports() if profile is not None else None
-            self._by_ip[s.ip] = (s.provider_id, ports)
-            self.server_region[s.ip] = region_class(s.location)
-            self.server_token[s.ip] = s.region_token or region_class(s.location)
-            self.provider_servers[s.provider_id].add(s.ip)
-            self.provider_family_servers[(s.provider_id, ip_family(s.ip))].add(s.ip)
+            region = region_class(s.location)
+            family = ip_family(s.ip)
+            self.facts[s.ip] = ServerFacts(
+                s.provider_id, ports, s.region_token or region, region, family)
+            self.provider_family_servers[(s.provider_id, family)].add(s.ip)
 
     def attribute(self, ip: str, port: int, transport: str) -> str | None:
-        entry = self._by_ip.get(ip)
-        if entry is None:
+        facts = self.facts.get(ip)
+        if facts is None:
             return None
-        provider_id, ports = entry
-        if ports is not None and (port, transport) not in ports:
+        if facts.ports is not None and (port, transport) not in facts.ports:
             return None
-        return provider_id
+        return facts.provider_id
 
     @property
     def all_server_ips(self) -> set[str]:
-        return set(self._by_ip)
+        return set(self.facts)
 
     def __len__(self) -> int:
-        return len(self._by_ip)
+        return len(self.facts)
 
 
 # --- scanner handling -------------------------------------------------------------
@@ -139,16 +155,12 @@ def line_contact_sets(
     tz_name: str = "UTC",
 ) -> dict[tuple[str, str], set[str]]:
     """(line, local date) -> distinct backend server IPs contacted."""
-    date_cache: dict[int, str] = {}
+    date_of = LocalDays(tz_name).date
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
     for f in flows:
-        if f.server_ip not in backend_ips:
-            continue
-        epoch_hour = to_epoch(f.timestamp) // 3600
-        date = date_cache.get(epoch_hour)
-        if date is None:
-            date = date_cache[epoch_hour] = local_date(f.timestamp, tz_name)
-        out[(f.line_id, date)].add(f.server_ip)
+        ip = f.server_ip
+        if ip in backend_ips:
+            out[(f.line_id, date_of(f.ts))].add(ip)
     return out
 
 
@@ -264,48 +276,59 @@ def aggregate_flows(
     """
     agg = FlowAggregate(tz_name=tz_name)
     cert_ips = cert_ips or set()
-    date_cache: dict[int, str] = {}
+    facts_of = index.facts.get
+    date_of = LocalDays(tz_name).date
+    hour_down, hour_up = agg.provider_hour_down, agg.provider_hour_up
+    hour_lines, region_hour_down = agg.provider_hour_lines, agg.provider_region_hour_down
+    provider_down, provider_up = agg.provider_down, agg.provider_up
+    port_bytes, contacted = agg.provider_port_bytes, agg.provider_contacted
+    lines_full, lines_cert = agg.provider_lines_full, agg.provider_lines_cert
+    line_regions, region_bytes, line_day = agg.line_regions, agg.region_bytes, agg.line_day
+    attributed = unattributed = 0
     for f in flows:
-        pid = index.attribute(f.server_ip, f.server_port, f.transport)
-        if pid is None:
-            agg.unattributed_records += 1
+        ip = f.server_ip
+        port, transport = f.server_port, f.transport
+        facts = facts_of(ip)
+        if facts is None or (facts.ports is not None
+                             and (port, transport) not in facts.ports):
+            unattributed += 1
             continue
-        agg.attributed_records += 1
+        pid, _ports, token, region, family = facts
+        attributed += 1
+        line = f.line_id
         est = f.sampled_bytes * f.sampling_rate
-        epoch = to_epoch(f.timestamp)
-        hour = epoch // 3600
-        date = date_cache.get(hour)
-        if date is None:
-            date = date_cache[hour] = local_date(f.timestamp, tz_name)
+        ts = f.ts
+        hour = ts // 3600
         down = f.direction == DOWN
 
         if down:
-            agg.provider_hour_down[(pid, hour)] += est
-            agg.provider_down[pid] += est
-            agg.provider_region_hour_down[
-                (pid, index.server_token[f.server_ip], hour)] += est
+            hour_down[(pid, hour)] += est
+            provider_down[pid] += est
+            region_hour_down[(pid, token, hour)] += est
         else:
-            agg.provider_hour_up[(pid, hour)] += est
-            agg.provider_up[pid] += est
-        agg.provider_hour_lines[(pid, hour)].add(f.line_id)
-        agg.provider_port_bytes[(pid, f.server_port, f.transport)] += est
-        agg.provider_contacted[(pid, ip_family(f.server_ip))].add(f.server_ip)
-        agg.provider_lines_full[pid].add(f.line_id)
-        if f.server_ip in cert_ips:
-            agg.provider_lines_cert[pid].add(f.line_id)
-        region = index.server_region[f.server_ip]
-        agg.line_regions[f.line_id].add(region)
-        agg.region_bytes[region] += est
+            hour_up[(pid, hour)] += est
+            provider_up[pid] += est
+        hour_lines[(pid, hour)].add(line)
+        port_bytes[(pid, port, transport)] += est
+        contacted[(pid, family)].add(ip)
+        lines_full[pid].add(line)
+        if ip in cert_ips:
+            lines_cert[pid].add(line)
+        line_regions[line].add(region)
+        region_bytes[region] += est
 
-        slot = agg.line_day.get((f.line_id, date))
+        day_key = (line, date_of(ts))
+        slot = line_day.get(day_key)
         if slot is None:
-            slot = agg.line_day[(f.line_id, date)] = [set(), {}, {}]
-        slot[0].add(f.server_ip)
+            slot = line_day[day_key] = [set(), {}, {}]
+        slot[0].add(ip)
         d, u = slot[1].get(pid, (0, 0))
         slot[1][pid] = (d + est, u) if down else (d, u + est)
-        pkey = (f.server_port, f.transport)
+        pkey = (port, transport)
         d, u = slot[2].get(pkey, (0, 0))
         slot[2][pkey] = (d + est, u) if down else (d, u + est)
+    agg.attributed_records = attributed
+    agg.unattributed_records = unattributed
     return agg
 
 
@@ -590,8 +613,8 @@ def continent_attribution(agg: FlowAggregate, index: ServerIndex) -> ContinentRe
                for region, v in sorted(agg.region_bytes.items())}
 
     region_servers: dict[str, int] = defaultdict(int)
-    for _ip, region in index.server_region.items():
-        region_servers[region] += 1
+    for facts in index.facts.values():
+        region_servers[facts.region] += 1
     total_servers = sum(region_servers.values())
     servers = {region: (n / total_servers if total_servers else 0.0)
                for region, n in sorted(region_servers.items())}
@@ -604,31 +627,45 @@ def continent_attribution(agg: FlowAggregate, index: ServerIndex) -> ContinentRe
 # --- flow file I/O ----------------------------------------------------------------------------
 
 
+_JSON_FIELDS = (
+    ("ts", int), ("line_id", str), ("server_ip", canonical_ip), ("port", int),
+    ("transport", str), ("direction", str), ("sampled_bytes", int),
+    ("sampled_packets", int), ("sampling_rate", int),
+)
+
+
+def _flow_from_json(doc: object) -> FlowRecord:
+    if not isinstance(doc, dict):
+        raise ValueError("record is not a JSON object")
+    values = []
+    for name, parse in _JSON_FIELDS:
+        if name not in doc:
+            raise ValueError(f"missing field {name!r}")
+        try:
+            values.append(parse(doc[name]))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
+    return FlowRecord(*values)
+
+
 def read_flows_jsonl(path: str | Path) -> Iterator[FlowRecord]:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            yield FlowRecord(
-                timestamp=from_epoch(doc["ts"]),
-                line_id=doc["line_id"],
-                server_ip=canonical_ip(doc["server_ip"]),
-                server_port=int(doc["port"]),
-                transport=doc["transport"],
-                direction=doc["direction"],
-                sampled_bytes=int(doc["sampled_bytes"]),
-                sampled_packets=int(doc["sampled_packets"]),
-                sampling_rate=int(doc["sampling_rate"]),
-            )
+            try:
+                record = _flow_from_json(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield record
 
 
 def write_flows_jsonl(path: str | Path, flows: Iterable[FlowRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in flows:
             fh.write(json.dumps({
-                "ts": to_epoch(f.timestamp), "line_id": f.line_id,
+                "ts": f.ts, "line_id": f.line_id,
                 "server_ip": f.server_ip, "port": f.server_port,
                 "transport": f.transport, "direction": f.direction,
                 "sampled_bytes": f.sampled_bytes,
@@ -637,16 +674,27 @@ def write_flows_jsonl(path: str | Path, flows: Iterable[FlowRecord]) -> None:
             }) + "\n")
 
 
-def _pack_ip(ip: str) -> tuple[int, bytes]:
+def _pack_ip(ip: str) -> bytes:
+    """The family byte followed by the 16-byte address field."""
     if ":" in ip:
-        return 6, socket.inet_pton(socket.AF_INET6, ip)
-    return 4, socket.inet_pton(socket.AF_INET, ip).ljust(16, b"\x00")
+        return b"\x06" + socket.inet_pton(socket.AF_INET6, ip)
+    return b"\x04" + socket.inet_pton(socket.AF_INET, ip).ljust(16, b"\x00")
 
 
-def _unpack_ip(family: int, raw: bytes) -> str:
-    if family == 6:
-        return socket.inet_ntop(socket.AF_INET6, raw)
-    return socket.inet_ntop(socket.AF_INET, raw[:4])
+def _unpack_line(raw: bytes) -> str:
+    try:
+        return raw.rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"line_id: {exc}") from None
+
+
+def _unpack_ip(raw: bytes) -> str:
+    """Inverse of `_pack_ip`."""
+    if raw[0] == 6:
+        return socket.inet_ntop(socket.AF_INET6, raw[1:])
+    if raw[0] == 4:
+        return socket.inet_ntop(socket.AF_INET, raw[1:5])
+    raise ValueError(f"server_ip: bad address family {raw[0]}")
 
 
 def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
@@ -663,13 +711,9 @@ def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
             line_raw = f.line_id.encode("ascii")
             if len(line_raw) > 16:
                 raise ValueError(f"line_id too long for binary format: {f.line_id!r}")
-            family, ip_raw = _pack_ip(f.server_ip)
             fh.write(pack(
-                to_epoch(f.timestamp),
-                line_raw.ljust(16, b"\x00"),
-                family, ip_raw, f.server_port,
-                6 if f.transport == "tcp" else 17,
-                0 if f.direction == DOWN else 1,
+                f.ts, line_raw.ljust(16, b"\x00"), _pack_ip(f.server_ip), f.server_port,
+                _TRANSPORT_CODES[f.transport], _DIRECTION_CODES[f.direction],
                 f.sampled_bytes, f.sampled_packets, f.sampling_rate,
             ))
             count += 1
@@ -677,34 +721,40 @@ def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
 
 
 def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
+    """Records of a `.bmf` file. Line ids and addresses repeat across
+    records, so each distinct raw value is decoded once."""
+    lines: dict[bytes, str] = {}
+    ips: dict[bytes, str] = {}
+    transports, directions = _TRANSPORTS, _DIRECTIONS
+    number = 0
     with open(path, "rb") as fh:
         header = fh.read(8)
         if header[:4] != _MAGIC:
             raise ValueError(f"{path}: not a binary flow file")
         if header[4] != 1:
             raise ValueError(f"{path}: unsupported version {header[4]}")
-        unpack = _REC.unpack
         size = _REC.size
-        while True:
-            chunk = fh.read(size * 4096)
-            if not chunk:
-                break
+        while chunk := fh.read(size * 4096):
             if len(chunk) % size:
                 raise ValueError(f"{path}: truncated record")
-            for off in range(0, len(chunk), size):
-                (ts, line_raw, family, ip_raw, port, proto, direction,
-                 sampled_bytes, sampled_packets, rate) = unpack(chunk[off:off + size])
-                yield FlowRecord(
-                    timestamp=from_epoch(ts),
-                    line_id=line_raw.rstrip(b"\x00").decode("ascii"),
-                    server_ip=_unpack_ip(family, ip_raw),
-                    server_port=port,
-                    transport="tcp" if proto == 6 else "udp",
-                    direction=DOWN if direction == 0 else UP,
-                    sampled_bytes=sampled_bytes,
-                    sampled_packets=sampled_packets,
-                    sampling_rate=rate,
-                )
+            for (ts, line_raw, ip_raw, port, proto, direction,
+                 sampled_bytes, sampled_packets, rate) in _REC.iter_unpack(chunk):
+                number += 1
+                try:
+                    line = lines.get(line_raw)
+                    if line is None:
+                        line = lines[line_raw] = _unpack_line(line_raw)
+                    ip = ips.get(ip_raw)
+                    if ip is None:
+                        ip = ips[ip_raw] = _unpack_ip(ip_raw)
+                    # an unknown code passes through and fails validation
+                    record = FlowRecord(
+                        ts, line, ip, port, transports.get(proto, proto),
+                        directions.get(direction, direction),
+                        sampled_bytes, sampled_packets, rate)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+                yield record
 
 
 def read_flows(path: str | Path) -> Iterator[FlowRecord]:

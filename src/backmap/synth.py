@@ -760,7 +760,7 @@ class SyntheticUniverse:
                 ft.line_regions.setdefault(line, set()).add(region)
                 ft.region_est[region] = ft.region_est.get(region, 0) + est
             return FlowRecord(
-                timestamp=from_epoch(hour_epoch * 3600 + 1800),
+                ts=hour_epoch * 3600 + 1800,
                 line_id=line, server_ip=ip, server_port=port,
                 transport=transport, direction=direction,
                 sampled_bytes=sb, sampled_packets=k, sampling_rate=N,

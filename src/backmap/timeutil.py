@@ -1,12 +1,13 @@
 """UTC timestamp helpers shared across ingest, flow and disruption code.
 
-All internal timestamps are timezone-aware UTC datetimes; exports carry
-epoch seconds (ints) except observation files, which use ISO-8601.
+All internal timestamps are timezone-aware UTC datetimes, except flow
+records, which keep the epoch seconds (ints) of their files; exports carry
+epoch seconds except observation files, which use ISO-8601.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 UTC = timezone.utc
@@ -46,3 +47,36 @@ def parse_iso(text: str) -> datetime:
 def local_date(dt: datetime, tz_name: str) -> str:
     """Calendar date (YYYY-MM-DD) of a UTC instant in the given timezone."""
     return ensure_utc(dt).astimezone(ZoneInfo(tz_name)).strftime("%Y-%m-%d")
+
+
+class LocalDays:
+    """Local calendar date (YYYY-MM-DD) of epoch seconds in one timezone.
+
+    Remembers the [start, end) epoch bounds of the last local day it
+    resolved, so a time-ordered trace pays for zoneinfo only when the day
+    changes. The bounds are the zone's own midnights, so offsets that are
+    not a whole hour and days of 23 or 25 hours come out right. Where a
+    midnight falls in a DST gap or fold, the bounds shrink to the part of
+    the day that is certain; instants outside them are converted afresh.
+    """
+
+    def __init__(self, tz_name: str) -> None:
+        self._tz = ZoneInfo(tz_name)
+        self._start = self._end = 0
+        self._date = ""
+
+    def _midnight(self, day: date, fold: int) -> int:
+        return int(datetime.combine(day, time(fold=fold), self._tz).timestamp())
+
+    def date(self, ts: int) -> str:
+        if self._start <= ts < self._end:
+            return self._date
+        day = datetime.fromtimestamp(ts, self._tz).date()
+        following = day + timedelta(days=1)
+        # both folds name the same instant for an ordinary midnight; for one
+        # in a gap or fold, the later start and the earlier end keep the
+        # bounds inside the day
+        self._start = max(self._midnight(day, 0), self._midnight(day, 1))
+        self._end = min(self._midnight(following, 0), self._midnight(following, 1))
+        self._date = day.isoformat()
+        return self._date

@@ -159,6 +159,22 @@ def test_matching_is_deterministic(patterns_by_id, fqdn):
     assert first == second
 
 
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(LABEL, min_size=0, max_size=3),
+       tail=st.sampled_from(["iot.us-east-1.amazonaws.com", "azure-devices.net",
+                             "mqtt.googleapis.com", "example.org", "amazonaws.com"]),
+       end=st.sampled_from(["", ".", "\n.", "\n\n.", "x"]))
+def test_suffix_precheck_agrees_with_the_bare_regex(catalog_patterns, head, tail, end):
+    fqdn = ".".join(head + [tail]) + end
+    normalized = normalize_fqdn(fqdn)
+    for pattern in catalog_patterns:
+        m = pattern.compiled.search(normalized)
+        result = match_fqdn(pattern, fqdn)
+        assert result.matched == (m is not None)
+        if m is not None and pattern.capture_map:
+            assert result.region_token == m.group(pattern.capture_map)
+
+
 def test_normalize_fqdn_lowercases_and_strips_one_dot():
     assert normalize_fqdn("MQTT.GoogleApis.COM.") == "mqtt.googleapis.com"
     assert normalize_fqdn("a.example..") == "a.example."  # only one trailing dot

@@ -1,11 +1,17 @@
+import json
 import math
-from datetime import timedelta
+import re
+import struct
+from datetime import date, datetime, time, timedelta
+from zoneinfo import ZoneInfo
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backmap.flows import (DOWN, UP, Ecdf, FlowRecord, ServerIndex,
                            activity_series, aggregate_flows, continent_attribution,
-                           detect_scanners, exclude_scanner_lines, line_contact_sets,
+                           detect_scanners, line_contact_sets,
                            line_day_profiles, per_line_distribution, port_label,
                            port_mix, read_flows, read_flows_binary, region_class,
                            regional_down_series, scanner_line_ids, source_ablation,
@@ -14,7 +20,7 @@ from backmap.flows import (DOWN, UP, Ecdf, FlowRecord, ServerIndex,
                            write_flows_binary, write_flows_jsonl)
 from backmap.footprint import BackendServer
 from backmap.geo import Location
-from backmap.timeutil import utc
+from backmap.timeutil import LocalDays, from_epoch, local_date, to_epoch, utc
 
 T0 = utc(2022, 2, 28)
 
@@ -22,7 +28,7 @@ T0 = utc(2022, 2, 28)
 def flow(ip="10.1.0.1", line="L1", port=8883, transport="tcp", direction=DOWN,
          sampled_bytes=1500, sampled_packets=1, rate=1, hours=0.0):
     return FlowRecord(
-        timestamp=T0 + timedelta(hours=hours), line_id=line, server_ip=ip,
+        ts=to_epoch(T0) + round(hours * 3600), line_id=line, server_ip=ip,
         server_port=port, transport=transport, direction=direction,
         sampled_bytes=sampled_bytes, sampled_packets=sampled_packets,
         sampling_rate=rate)
@@ -301,11 +307,131 @@ class TestFlowFiles:
         write_flows_binary(path, self.flows())
         assert list(read_flows(path)) == self.flows()
 
+    def test_binary_roundtrip_repeated_lines_and_mixed_families(self, tmp_path):
+        # "a01:1::" has the 16 address bytes of 10.1.0.1 padded, so only the
+        # family byte tells the two apart in the decode cache
+        ips = ("10.1.0.1", "2001:db8::1", "a01:1::", "10.1.0.2")
+        flows = [flow(line=f"L{i % 3}", ip=ips[i % 4], sampled_bytes=100 + i,
+                      direction=(DOWN, UP)[i % 2], hours=i / 4) for i in range(24)]
+        path = tmp_path / "flows.bmf"
+        assert write_flows_binary(path, flows) == 24
+        assert list(read_flows_binary(path)) == flows
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "flows.bmf"
         path.write_bytes(b"XXXX\x01\x00\x00\x00")
         with pytest.raises(ValueError, match="not a binary flow file"):
             list(read_flows_binary(path))
+
+
+class TestFlowFileErrors:
+    """A bad record fails with `<path>:<line or record number>:` and its field."""
+
+    def write_jsonl(self, path, **changes):
+        """Two records; the second gets `changes`, a None value deleting the field."""
+        write_flows_jsonl(path, [flow(), flow(line="L2")])
+        first, second = path.read_text().splitlines()
+        doc = json.loads(second)
+        for name, value in changes.items():
+            if value is None:
+                del doc[name]
+            else:
+                doc[name] = value
+        path.write_text(f"{first}\n{json.dumps(doc)}\n")
+        return path
+
+    def expect(self, path, message):
+        return pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {message}")
+
+    def test_jsonl_missing_field(self, tmp_path):
+        path = self.write_jsonl(tmp_path / "flows.jsonl", sampling_rate=None)
+        with self.expect(path, "missing field 'sampling_rate'"):
+            list(read_flows(path))
+
+    def test_jsonl_rate_zero(self, tmp_path):
+        path = self.write_jsonl(tmp_path / "flows.jsonl", sampling_rate=0)
+        with self.expect(path, "sampling_rate must be >= 1"):
+            list(read_flows(path))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("direction", "sideways", "bad direction 'sideways'"),
+        ("transport", "sctp", "bad transport 'sctp'"),
+        ("server_ip", "10.1.0.999", "field 'server_ip': "),
+        ("port", "https", "field 'port': "),
+    ])
+    def test_jsonl_bad_value(self, tmp_path, name, value, message):
+        path = self.write_jsonl(tmp_path / "flows.jsonl", **{name: value})
+        with self.expect(path, re.escape(message)):
+            list(read_flows(path))
+
+    def write_binary(self, path, offset, fmt, value):
+        """Two records; the second gets `value` packed at `offset` in it."""
+        write_flows_binary(path, [flow(), flow(line="L2")])
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, 8 + 64 + offset, value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (57, "<I", 0, "sampling_rate must be >= 1"),  # sampling_rate field
+        (43, "<B", 7, "bad transport 7"),
+        (44, "<B", 2, "bad direction 2"),
+        (24, "<B", 5, "server_ip: bad address family 5"),
+    ])
+    def test_binary_bad_value(self, tmp_path, offset, fmt, value, message):
+        path = self.write_binary(tmp_path / "flows.bmf", offset, fmt, value)
+        with self.expect(path, message):
+            list(read_flows(path))
+
+
+ZONES = ("UTC", "Asia/Kolkata", "Asia/Kathmandu", "America/St_Johns",
+         "Australia/Lord_Howe", "Europe/Berlin", "America/Santiago")
+
+
+class TestLocalDay:
+    """Dates follow the zone's own midnights, also for offsets that are not a
+    whole hour: in Asia/Kolkata (+05:30), 18:10 and 18:40 UTC on 2022-03-01
+    fall on either side of local midnight."""
+
+    def flows(self):
+        return [flow(ip="10.1.0.1", hours=24 + 18 + 10 / 60),
+                flow(ip="10.1.0.2", hours=24 + 18 + 40 / 60)]
+
+    def test_contact_sets(self, index):
+        assert line_contact_sets(self.flows(), index.all_server_ips, "Asia/Kolkata") == {
+            ("L1", "2022-03-01"): {"10.1.0.1"}, ("L1", "2022-03-02"): {"10.1.0.2"}}
+
+    def test_line_day_profiles(self, index):
+        profiles = line_day_profiles(aggregate_flows(self.flows(), index, "Asia/Kolkata"))
+        assert [(p.date, p.distinct_backend_ips) for p in profiles] == [
+            ("2022-03-01", 1), ("2022-03-02", 1)]
+
+    @pytest.mark.parametrize("tz", ZONES)
+    def test_every_quarter_hour_of_2022(self, tz):
+        days = LocalDays(tz)
+        for ts in range(to_epoch(utc(2022, 1, 1)), to_epoch(utc(2023, 1, 1)), 900):
+            assert days.date(ts) == local_date(from_epoch(ts), tz), ts
+
+
+FIRST, LAST = to_epoch(utc(2020, 1, 1)), to_epoch(utc(2025, 1, 1)) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(tz=st.sampled_from(ZONES), day=st.dates(date(2020, 1, 2), date(2024, 12, 30)),
+       near=st.lists(st.integers(-3 * 3600, 3 * 3600), max_size=30),
+       spread=st.lists(st.integers(FIRST, LAST), max_size=30), rnd=st.randoms())
+def test_local_days_agree_with_local_date(tz, day, near, spread, rnd):
+    """Epochs spread over 2020-2024 plus epochs within 3 hours of one local
+    midnight, in sorted order (the day bounds are reused and crossed) and in
+    shuffled order."""
+    midnight = int(datetime.combine(day, time(), ZoneInfo(tz)).timestamp())
+    epochs = [midnight + offset for offset in near] + spread
+    shuffled = list(epochs)
+    rnd.shuffle(shuffled)
+    for order in (sorted(epochs), shuffled):
+        days = LocalDays(tz)
+        assert [days.date(ts) for ts in order] == [
+            local_date(from_epoch(ts), tz) for ts in order]
 
 
 def test_regional_series_uses_region_tokens():

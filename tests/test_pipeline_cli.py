@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import backmap
 from backmap.cli import main
+from backmap.flows import read_flows, write_flows_jsonl
 from backmap.ingest import StudyWindow
 from backmap.pipeline import RunConfig, UpstreamMissingError, run_pipeline
 from backmap.reports import FIGURE_FILES, pseudonymize
@@ -73,13 +78,14 @@ def make_run_config(universe_dir: Path, out_dir: Path) -> RunConfig:
     )
 
 
-def write_run_yaml(path: Path, universe_dir: Path, out_dir: Path) -> Path:
+def write_run_yaml(path: Path, universe_dir: Path, out_dir: Path,
+                   flows: Path | None = None) -> Path:
     path.write_text(yaml.safe_dump({
         "catalog": str(universe_dir / "catalog.yaml"),
         "certs": str(universe_dir / "certs.jsonl"),
         "pdns": str(universe_dir / "pdns.jsonl"),
         "resolutions": str(universe_dir / "resolutions.jsonl"),
-        "flows": str(universe_dir / "flows.bmf"),
+        "flows": str(flows or universe_dir / "flows.bmf"),
         "prefix2as": str(universe_dir / "prefix2as.tsv"),
         "out_dir": str(out_dir),
         "scanner_threshold": 10,
@@ -257,6 +263,32 @@ class TestCli:
         assert result.exit_code == 1
         assert "error: backend_ips must be non-empty" in result.output
 
+    def test_run_with_bad_flow_record_exits_1(self, universe_dir, completed_run, tmp_path):
+        import itertools
+        import shutil
+
+        config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
+        flows = tmp_path / "flows.jsonl"
+        write_flows_jsonl(flows, itertools.islice(read_flows(universe_dir / "flows.bmf"), 3))
+        first, second, third = flows.read_text().splitlines()
+        doc = json.loads(third)
+        del doc["sampling_rate"]
+        flows.write_text(f"{first}\n{second}\n{json.dumps(doc)}\n")
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir, flows)
+        result = self.runner.invoke(main, ["run", "--config", str(run_yaml),
+                                           "--stages", "flows"])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {flows}:3: missing field 'sampling_rate'" in result.output
+        result = self.runner.invoke(main, [
+            "flows", "sweep", "--flows", str(flows),
+            "--servers", str(out_dir / "servers.jsonl"), "--out", str(tmp_path / "sweep.csv")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {flows}:3: missing field 'sampling_rate'" in result.output
+
     def test_report_unknown_figure_exits_1(self, tmp_path):
         result = self.runner.invoke(main, ["report", "fig99", "--from", str(tmp_path)])
         assert result.exit_code == 1
@@ -385,3 +417,13 @@ class TestCli:
             "--list", str(netset), "--out", str(tmp_path / "matches.jsonl")])
         assert result.exit_code == 0
         assert "1 matched IPs" in result.output
+
+
+def test_runtime_imports_leave_numpy_out():
+    """numpy is a test dependency only: importing it would add to every
+    run's start-up time and resident memory."""
+    src = Path(backmap.__file__).resolve().parents[1]
+    code = "import sys, backmap.pipeline, backmap.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"
