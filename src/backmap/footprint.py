@@ -257,8 +257,8 @@ def diversity_report(servers: Iterable[BackendServer]) -> dict[str, DiversityRow
         slot = acc.setdefault(s.provider_id, {
             "asns": set(), "v4": set(), "v6": set(), "locs": set(), "countries": set()})
         slot["asns"].add(s.asn)
-        fam = ipaddress.ip_address(s.ip).version
-        slot["v4" if fam == 4 else "v6"].add(truncate_prefix(s.ip))
+        prefix = truncate_prefix(s.ip)
+        slot["v6" if ":" in prefix else "v4"].add(prefix)
         slot["locs"].add((s.location.country, s.location.city))
         slot["countries"].add(s.location.country)
     return {

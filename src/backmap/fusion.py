@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn
 from .ingest import Observation
 from .netutil import canonical_ip, ip_family, parse_network
-from .timeutil import ensure_utc, fmt_iso, parse_iso
+from .timeutil import fmt_iso, parse_iso
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
 
@@ -69,6 +69,7 @@ class GroundTruthSet:
     def __post_init__(self) -> None:
         nets = [parse_network(p) for p in self.prefixes]
         object.__setattr__(self, "prefixes", tuple(str(n) for n in nets))
+        object.__setattr__(self, "_networks", tuple(nets))
         for i, a in enumerate(nets):
             for b in nets[i + 1:]:
                 if a.version == b.version and a.overlaps(b):
@@ -76,7 +77,7 @@ class GroundTruthSet:
 
     def contains(self, ip: str) -> bool:
         addr = ipaddress.ip_address(ip)
-        return any(addr in net for net in map(parse_network, self.prefixes))
+        return any(addr in net for net in self._networks)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,11 @@ def classify_sharing(
     non_matching = 0
     matching = 0
     for name in {normalize_fqdn(n) for n in reverse_index[ip]}:
-        if any(match_fqdn(p, name).matched for p in patterns):
+        # match_fqdn normalises `name` again and matches only names ending
+        # with a pattern's tails; an empty name still reaches it and raises
+        tested = normalize_fqdn(name)
+        if any(match_fqdn(p, name).matched for p in patterns
+               if not name or tested.endswith(p.tails)):
             matching += 1
         else:
             non_matching += 1
@@ -238,8 +243,8 @@ def read_candidates(path: str | Path) -> dict[tuple[str, str], CandidateAddress]
             cand = CandidateAddress(
                 ip=doc["ip"], provider_id=doc["provider_id"],
                 sources=frozenset(doc["sources"]),
-                first_seen=ensure_utc(parse_iso(doc["first_seen"])),
-                last_seen=ensure_utc(parse_iso(doc["last_seen"])),
+                first_seen=parse_iso(doc["first_seen"]),
+                last_seen=parse_iso(doc["last_seen"]),
                 fqdns=frozenset(doc["fqdns"]),
             )
             out[(cand.provider_id, cand.ip)] = cand

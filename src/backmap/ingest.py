@@ -178,11 +178,15 @@ def _match_name(patterns: Sequence[DomainPattern], name: str):
     """
     wildcard = name.startswith("*.")
     probe = "wildcardprobe" + name[1:] if wildcard else name
+    # match_fqdn matches only names that end with a pattern's tails, and
+    # rejects an empty one, so only those patterns need asking
+    normalized = normalize_fqdn(probe)
     out = []
     for pattern in patterns:
-        result = match_fqdn(pattern, probe)
-        if result.matched:
-            out.append((result, wildcard))
+        if not probe or normalized.endswith(pattern.tails):
+            result = match_fqdn(pattern, probe)
+            if result.matched:
+                out.append((result, wildcard))
     return out
 
 

@@ -4,19 +4,31 @@ the prefix index behind the prefix2as table and the blocklists."""
 from __future__ import annotations
 
 import ipaddress
+import re
 from typing import Generic, TypeVar
 
 V = TypeVar("V")
 Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
+# a dotted quad exactly as `str(IPv4Address)` writes it: ASCII octets 0-255
+# without leading zeros, which `ipaddress` would return unchanged (it also
+# takes ints and packed bytes, which skip the shortcut)
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_CANONICAL_V4 = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+
 
 def canonical_ip(text: str) -> str:
     """Canonical text form (IPv6 compressed, lowercase). Raises ValueError."""
-    return str(ipaddress.ip_address(text.strip()))
+    text = text.strip()
+    if isinstance(text, str) and _CANONICAL_V4.fullmatch(text):
+        return text
+    return str(ipaddress.ip_address(text))
 
 
 def ip_family(ip: str) -> int:
     """4 or 6."""
+    if isinstance(ip, str) and _CANONICAL_V4.fullmatch(ip):
+        return 4
     return ipaddress.ip_address(ip).version
 
 

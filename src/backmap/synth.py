@@ -29,7 +29,7 @@ from .flows import DOWN, UP, FlowRecord
 from .geo import Location, region_class
 from .ingest import CertScanRecord, PassiveDnsRecord, ResolutionResult, StudyWindow
 from .netutil import ip_family
-from .timeutil import from_epoch, local_date, to_epoch
+from .timeutil import LocalDays, from_epoch, local_date, to_epoch
 
 
 def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
@@ -678,7 +678,7 @@ class SyntheticUniverse:
         if truth.flow.complete:
             raise RuntimeError("flow stream already consumed")
         ft = truth.flow
-        tz = cfg.timezone
+        local_days = LocalDays(cfg.timezone)
         N = cfg.sampling_rate
         random_mode = cfg.random_sampling
         sample_rng = random.Random(f"{cfg.seed}:sampling") if random_mode else None
@@ -713,8 +713,9 @@ class SyntheticUniverse:
             return counter // N - before
 
         def emit(line: str, pid: str | None, ip: str, port: int, transport: str,
-                 direction: str, hour_epoch: int, packets: int, size: int,
-                 date: str) -> FlowRecord | None:
+                 direction: str, hour_epoch: int, packets: int,
+                 size: int) -> FlowRecord | None:
+            ts = hour_epoch * 3600 + 1800
             tb = packets * size
             k = sample(packets)
             sb = k * size
@@ -733,7 +734,7 @@ class SyntheticUniverse:
             ft.emitted_records += 1
             attributable = ip in backend_set
             if attributable:
-                ckey = (line, date)
+                ckey = (line, local_days.date(ts))
                 contacts = ft.line_contacts.get(ckey)
                 if contacts is None:
                     contacts = ft.line_contacts[ckey] = set()
@@ -760,7 +761,7 @@ class SyntheticUniverse:
                 ft.line_regions.setdefault(line, set()).add(region)
                 ft.region_est[region] = ft.region_est.get(region, 0) + est
             return FlowRecord(
-                ts=hour_epoch * 3600 + 1800,
+                ts=ts,
                 line_id=line, server_ip=ip, server_port=port,
                 transport=transport, direction=direction,
                 sampled_bytes=sb, sampled_packets=k, sampling_rate=N,
@@ -769,7 +770,6 @@ class SyntheticUniverse:
         for day in range(total_days):
             day_start = start + timedelta(days=day)
             day_epoch = to_epoch(day_start)
-            date = local_date(day_start, tz)
             in_window = day_epoch >= window_start_epoch
             for spec in cfg.providers:
                 pid = spec.provider_id
@@ -797,11 +797,11 @@ class SyntheticUniverse:
                                 down_p = max(1, int(per_hour * factor) // size)
                             up_p = max(1, round(down_p / ratio))
                             rec = emit(line, pid, ip, port, transport, DOWN,
-                                       hour_epoch, down_p, size, date)
+                                       hour_epoch, down_p, size)
                             if rec is not None:
                                 yield rec
                             rec = emit(line, pid, ip, port, transport, UP,
-                                       hour_epoch, up_p, size, date)
+                                       hour_epoch, up_p, size)
                             if rec is not None:
                                 yield rec
                 else:
@@ -823,11 +823,11 @@ class SyntheticUniverse:
                         for h in active:
                             hour_epoch = day_epoch // 3600 + h
                             rec = emit(line, pid, ip, port, transport, DOWN,
-                                       hour_epoch, down_p, size, date)
+                                       hour_epoch, down_p, size)
                             if rec is not None:
                                 yield rec
                             rec = emit(line, pid, ip, port, transport, UP,
-                                       hour_epoch, up_p, size, date)
+                                       hour_epoch, up_p, size)
                             if rec is not None:
                                 yield rec
             if in_window:
@@ -835,7 +835,7 @@ class SyntheticUniverse:
                     hour_epoch = day_epoch // 3600 + 12
                     for ip in truth.scanner_targets[line]:
                         rec = emit(line, None, ip, 8883, "tcp", UP, hour_epoch,
-                                   cfg.scanners.packets_per_contact, 60, date)
+                                   cfg.scanners.packets_per_contact, 60)
                         if rec is not None:
                             yield rec
         ft.complete = True
@@ -1070,8 +1070,7 @@ def _replay_rows(log: GroundTruthLog, rows: list[tuple]) -> None:
     token_of = {s.ip: s.region_token for s in log.servers}
     cert_of = {s.ip for s in log.servers if "tls-cert" in s.sources}
     N = log.sampling_rate
-    tz = log.timezone
-    date_cache: dict[int, str] = {}
+    local_days = LocalDays(log.timezone)
     for (line, pid, ip, port, transport, direction, hour_epoch,
          packets, tb, k, sb) in rows:
         ft.true_records += 1
@@ -1081,11 +1080,10 @@ def _replay_rows(log: GroundTruthLog, rows: list[tuple]) -> None:
         if k < 1:
             continue
         ft.emitted_records += 1
-        date = date_cache.get(hour_epoch)
-        if date is None:
-            date = date_cache[hour_epoch] = local_date(from_epoch(hour_epoch * 3600), tz)
         est = sb * N
         if ip in backend_set:
+            # the flow's own instant, as synth emits it and the flows stage dates it
+            date = local_days.date(hour_epoch * 3600 + 1800)
             ft.line_contacts.setdefault((line, date), set()).add(ip)
         if pid is not None and ip in backend_set:
             if direction == DOWN:

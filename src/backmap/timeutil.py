@@ -7,12 +7,16 @@ epoch seconds except observation files, which use ISO-8601.
 
 from __future__ import annotations
 
+import re
 from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 UTC = timezone.utc
 
 _ISO_FMT = "%Y-%m-%dT%H:%M:%SZ"
+# the exact shape `fmt_iso` writes, ASCII digits only; `strptime` reads
+# every other spelling it accepts (single-digit fields, Unicode digits)
+_ISO_Z = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
 
 
 def utc(year: int, month: int, day: int, hour: int = 0, minute: int = 0,
@@ -40,6 +44,10 @@ def fmt_iso(dt: datetime) -> str:
 
 def parse_iso(text: str) -> datetime:
     if text.endswith("Z"):
+        m = _ISO_Z.fullmatch(text)
+        if m is not None:
+            # datetime() rejects the out-of-range fields strptime rejects
+            return datetime(*map(int, m.groups()), tzinfo=UTC)
         return datetime.strptime(text, _ISO_FMT).replace(tzinfo=UTC)
     return ensure_utc(datetime.fromisoformat(text))
 

@@ -419,6 +419,25 @@ class TestCli:
         assert "1 matched IPs" in result.output
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(universe_dir, tmp_path):
+    """Full runs under two PYTHONHASHSEED values write the same bytes, the
+    manifest included, so no output follows set or dict iteration order."""
+    src = Path(backmap.__file__).resolve().parents[1]
+    trees = []
+    for seed in ("0", "1"):
+        out_dir = tmp_path / f"seed{seed}"
+        run_yaml = write_run_yaml(tmp_path / f"run{seed}.yaml", universe_dir, out_dir)
+        subprocess.run([sys.executable, "-m", "backmap.cli", "run", "--config", str(run_yaml)],
+                       capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+        trees.append({str(p.relative_to(out_dir)): p.read_bytes()
+                      for p in sorted(out_dir.rglob("*")) if p.is_file()})
+    assert "manifest.json" in trees[0]
+    assert trees[0].keys() == trees[1].keys()
+    for rel in trees[0]:
+        assert trees[0][rel] == trees[1][rel], rel
+
+
 def test_runtime_imports_leave_numpy_out():
     """numpy is a test dependency only: importing it would add to every
     run's start-up time and resident memory."""

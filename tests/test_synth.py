@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from backmap import oracle as orc
 from backmap.catalog import compile_catalog
+from backmap.flows import detect_scanners, line_contact_sets
 from backmap.footprint import diff_snapshots
 from backmap.fusion import fuse
 from backmap.ingest import StudyWindow, ingest_cert_scan, ingest_passive_dns
@@ -158,6 +161,25 @@ class TestTruthRoundtrip:
         assert loaded.flow.provider_est_down == universe.truth.flow.provider_est_down
         assert loaded.flow.line_contacts == universe.truth.flow.line_contacts
         assert loaded.scanner_lines == universe.truth.scanner_lines
+
+    def test_line_contacts_follow_each_flows_local_day(self, tmp_path):
+        """In Asia/Kolkata (+05:30) a UTC day spans two local days. The truth
+        log, its replay and the oracle date every flow by its own instant,
+        as the flows stage does. Sparse activity leaves lines whose only
+        flow of a local day falls in the UTC hour that straddles midnight."""
+        providers = tuple(replace(p, diurnal=(0.25,) * 24) for p in small_config().providers)
+        universe = generate(small_config(timezone="Asia/Kolkata", providers=providers,
+                                         scanners=ScannerSpec(count=1, breadth=5)))
+        flows = list(universe.flow_stream())
+        truth = universe.truth
+        contacts = line_contact_sets(flows, truth.dedicated_discovered_ips(), "Asia/Kolkata")
+        assert truth.flow.line_contacts == contacts
+        path = tmp_path / "truth.json"
+        write_truth(path, truth)
+        assert read_truth(path).flow.line_contacts == contacts
+        for threshold in (1, 3, 4):
+            assert orc.oracle_scanner_lines(truth, threshold) == {
+                v.line_id for v in detect_scanners(contacts, threshold) if v.is_scanner}
 
     def test_double_stream_consumption_rejected(self):
         universe = generate(small_config())
