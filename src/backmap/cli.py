@@ -19,14 +19,15 @@ from .disruption import (BlocklistIndex, RoutingEvent, blocklist_check, outage_s
 from .flows import (ServerIndex, line_contact_sets, read_flows, regional_down_series,
                     threshold_sweep)
 from .fusion import fuse, read_candidates, write_candidates
-from .ingest import (ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
+from .ingest import (IngestError, ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
                      ingest_cert_scan, ingest_passive_dns, read_cert_scan_export,
                      read_observations, read_pdns_export, resolve_active,
                      write_cert_scan_export, write_observations, write_resolutions)
 from .pipeline import (DEFAULT_SWEEP_THRESHOLDS, RunConfig, UpstreamMissingError,
                        analyze_flows, load_run_config, read_servers, run_pipeline,
                        write_sharing)
-from .timeutil import parse_iso
+from .jsonl import read_jsonl, write_jsonl
+from .timeutil import fmt_iso, parse_iso
 
 EXIT_VALIDATION = 1
 EXIT_IO = 2
@@ -119,7 +120,10 @@ def discover_certs(in_path, catalog_path, window_text, out_path, sorted_out, str
     window = _parse_window(window_text)
     if not Path(in_path).exists():
         _fail(EXIT_IO, f"no such file: {in_path}")
-    result = ingest_cert_scan(read_cert_scan_export(in_path), patterns, window, strict)
+    try:
+        result = ingest_cert_scan(read_cert_scan_export(in_path), patterns, window, strict)
+    except IngestError as exc:
+        _fail(EXIT_VALIDATION, f"{in_path}: {exc}")
     write_observations(out_path, result.observations, sort=sorted_out)
     click.echo(f"{result.stats.emitted} observations "
                f"({result.stats.malformed} malformed rows skipped)")
@@ -138,7 +142,10 @@ def discover_pdns(in_path, catalog_path, window_text, out_path, sorted_out, stri
     window = _parse_window(window_text)
     if not Path(in_path).exists():
         _fail(EXIT_IO, f"no such file: {in_path}")
-    result = ingest_passive_dns(read_pdns_export(in_path), patterns, window, strict)
+    try:
+        result = ingest_passive_dns(read_pdns_export(in_path), patterns, window, strict)
+    except IngestError as exc:
+        _fail(EXIT_VALIDATION, f"{in_path}: {exc}")
     write_observations(out_path, result.observations, sort=sorted_out)
     click.echo(f"{result.stats.emitted} observations "
                f"({result.stats.malformed} malformed, "
@@ -192,12 +199,11 @@ def discover_tls(targets_file, timeout, max_inflight, out_path):
     """Collect TLS certificates from supplied targets (one try per target)."""
     if not Path(targets_file).exists():
         _fail(EXIT_IO, f"no such file: {targets_file}")
-    targets = []
-    with open(targets_file, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                doc = json.loads(line)
-                targets.append(TlsTarget(doc["ip"], int(doc["port"]), doc.get("sni")))
+    try:
+        targets = list(read_jsonl(
+            targets_file, lambda doc: TlsTarget(doc["ip"], int(doc["port"]), doc.get("sni"))))
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     results = collect_tls(targets, timeout=timeout, max_inflight=max_inflight)
     write_cert_scan_export(out_path, [r.record for r in results if r.record])
     failures = [r for r in results if r.failure]
@@ -355,16 +361,12 @@ def disrupt_outage(flows_path, servers_path, window_text, baseline_days,
         findings = outage_scan(regional_down_series(agg), window, baseline_days, sustain_hours)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    from .timeutil import fmt_iso
-
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for f in findings:
-            fh.write(json.dumps({
-                "provider_id": f.provider_id, "region": f.region,
-                "start": fmt_iso(f.window[0]), "end": fmt_iso(f.window[1]),
-                "min_baseline": f.min_baseline,
-                "max_drop_fraction": f.max_drop_fraction,
-            }) + "\n")
+    write_jsonl(out_path, ({
+        "provider_id": f.provider_id, "region": f.region,
+        "start": fmt_iso(f.window[0]), "end": fmt_iso(f.window[1]),
+        "min_baseline": f.min_baseline,
+        "max_drop_fraction": f.max_drop_fraction,
+    } for f in findings))
     click.echo(f"{len(findings)} findings")
 
 
@@ -384,10 +386,8 @@ def disrupt_blocklist(servers_path, list_paths, exclude, out_path):
         entries.extend(read_blocklist(path))
     report = blocklist_check(read_servers(Path(servers_path)),
                              BlocklistIndex(entries), exclude)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for m in report.matches:
-            fh.write(json.dumps({"provider_id": m.provider_id, "ip": m.ip,
-                                 "lists": sorted(m.list_ids)}) + "\n")
+    write_jsonl(out_path, ({"provider_id": m.provider_id, "ip": m.ip,
+                            "lists": sorted(m.list_ids)} for m in report.matches))
     click.echo(f"{len(report.distinct_ips())} matched IPs "
                f"({len(report.excluded_matches)} only on excluded lists)")
 
@@ -403,24 +403,22 @@ def disrupt_routing(servers_path, events_path, window_text, out_path):
     if not Path(servers_path).exists():
         _fail(EXIT_UPSTREAM, f"missing servers {servers_path}; run 'footprint' first")
     window = _parse_window(window_text)
-    events = []
-    with open(events_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                doc = json.loads(line)
-                events.append(RoutingEvent(
-                    kind=doc["kind"],
-                    window=(parse_iso(doc["start"]), parse_iso(doc["end"])),
-                    prefix=doc.get("prefix"), asn=doc.get("asn"),
-                ))
+    try:
+        events = list(read_jsonl(events_path, lambda doc: RoutingEvent(
+            kind=doc["kind"],
+            window=(parse_iso(doc["start"]), parse_iso(doc["end"])),
+            prefix=doc.get("prefix"), asn=doc.get("asn"),
+        )))
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    except OSError as exc:
+        _fail(EXIT_IO, str(exc))
     overlaps = routing_event_overlap(read_servers(Path(servers_path)), events, window)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for o in overlaps:
-            fh.write(json.dumps({
-                "kind": o.event.kind, "prefix": o.event.prefix, "asn": o.event.asn,
-                "affected_servers": list(o.affected_servers),
-                "affected_providers": list(o.affected_providers),
-            }) + "\n")
+    write_jsonl(out_path, ({
+        "kind": o.event.kind, "prefix": o.event.prefix, "asn": o.event.asn,
+        "affected_servers": list(o.affected_servers),
+        "affected_providers": list(o.affected_providers),
+    } for o in overlaps))
     affected = sum(1 for o in overlaps if o.affected_servers)
     click.echo(f"{len(overlaps)} events in window, {affected} with overlap")
 
@@ -510,17 +508,7 @@ def report_cmd(figure_id, out_dir, anonymize, salt, catalog_path, out_path):
         profiles = load_catalog(catalog_path)
         mapping = reports.pseudonymize([p.provider_id for p in profiles], salt,
                                        {p.provider_id: p.group for p in profiles})
-        lines = text.splitlines()
-        header = lines[0].split(",")
-        if "provider" in header:
-            col = header.index("provider")
-            rewritten = [lines[0]]
-            for line in lines[1:]:
-                cells = line.split(",")
-                if len(cells) > col and cells[col] in mapping:
-                    cells[col] = mapping[cells[col]]
-                rewritten.append(",".join(cells))
-            text = "\n".join(rewritten) + "\n"
+        text = reports.anonymize_table(text, mapping)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:

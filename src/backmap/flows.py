@@ -27,7 +27,6 @@ Both readers raise ValueError for a bad record, with a message that starts
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import socket
 import struct
@@ -40,6 +39,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .catalog import ProviderProfile
 from .footprint import BackendServer
 from .geo import region_class
+from .jsonl import read_jsonl, write_jsonl
 from .netutil import canonical_ip, ip_family
 from .timeutil import LocalDays, from_epoch
 
@@ -634,13 +634,9 @@ _JSON_FIELDS = (
 )
 
 
-def _flow_from_json(doc: object) -> FlowRecord:
-    if not isinstance(doc, dict):
-        raise ValueError("record is not a JSON object")
+def _flow_from_json(doc: dict) -> FlowRecord:
     values = []
     for name, parse in _JSON_FIELDS:
-        if name not in doc:
-            raise ValueError(f"missing field {name!r}")
         try:
             values.append(parse(doc[name]))
         except (AttributeError, TypeError, ValueError) as exc:
@@ -649,29 +645,18 @@ def _flow_from_json(doc: object) -> FlowRecord:
 
 
 def read_flows_jsonl(path: str | Path) -> Iterator[FlowRecord]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = _flow_from_json(json.loads(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            yield record
+    return read_jsonl(path, _flow_from_json)
 
 
 def write_flows_jsonl(path: str | Path, flows: Iterable[FlowRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in flows:
-            fh.write(json.dumps({
-                "ts": f.ts, "line_id": f.line_id,
-                "server_ip": f.server_ip, "port": f.server_port,
-                "transport": f.transport, "direction": f.direction,
-                "sampled_bytes": f.sampled_bytes,
-                "sampled_packets": f.sampled_packets,
-                "sampling_rate": f.sampling_rate,
-            }) + "\n")
+    write_jsonl(path, ({
+        "ts": f.ts, "line_id": f.line_id,
+        "server_ip": f.server_ip, "port": f.server_port,
+        "transport": f.transport, "direction": f.direction,
+        "sampled_bytes": f.sampled_bytes,
+        "sampled_packets": f.sampled_packets,
+        "sampling_rate": f.sampling_rate,
+    } for f in flows))
 
 
 def _pack_ip(ip: str) -> bytes:

@@ -169,53 +169,6 @@ def map_prefix_asn(ip: str, table: PrefixTable) -> tuple[str, int, tuple[int, ..
     return entry.prefix, entry.primary_asn, entry.origins
 
 
-# --- deployment strategy --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrategyReport:
-    provider_id: str
-    strategy: str  # DI | PR | DI+PR
-    org_asns: frozenset[int]
-    cloud_asns: frozenset[int]
-    other_asns: frozenset[int]
-
-
-def infer_strategy(
-    provider: ProviderProfile,
-    servers: Iterable[BackendServer],
-    org_map: Mapping[int, str],
-) -> StrategyReport:
-    """Dedicated infrastructure vs. public cloud/CDN, by announcing ASN.
-
-    ASNs in the provider's own org set count as dedicated; the org_map
-    classifies the rest (``cloud``/``self``/``other``). Unmapped ASNs are
-    surfaced as ``other`` rather than guessed.
-    """
-    asns = {s.asn for s in servers if s.provider_id == provider.provider_id}
-    if not asns:
-        raise ValueError(f"no servers for provider {provider.provider_id}")
-    org, cloud, other = set(), set(), set()
-    for asn in asns:
-        if asn in provider.org_asns or org_map.get(asn) == "self":
-            org.add(asn)
-        elif org_map.get(asn) == "cloud":
-            cloud.add(asn)
-        else:
-            other.add(asn)
-    if not org:
-        strategy = "PR"
-    elif cloud or other:
-        strategy = "DI+PR"
-    else:
-        strategy = "DI"
-    return StrategyReport(
-        provider_id=provider.provider_id, strategy=strategy,
-        org_asns=frozenset(org), cloud_asns=frozenset(cloud),
-        other_asns=frozenset(other),
-    )
-
-
 # --- snapshot diffing and diversity ----------------------------------------------
 
 

@@ -9,7 +9,6 @@ shared hosting rather than a dedicated gateway.
 from __future__ import annotations
 
 import ipaddress
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn
 from .ingest import Observation
+from .jsonl import read_jsonl, write_jsonl
 from .netutil import canonical_ip, ip_family, parse_network
 from .timeutil import fmt_iso, parse_iso
 
@@ -221,34 +221,26 @@ def validate_against_ground_truth(
 def write_candidates(path: str | Path,
                      candidates: Mapping[tuple[str, str], CandidateAddress]) -> None:
     """Dated snapshot file, one line per (provider, ip), byte-stable order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(candidates):
-            c = candidates[key]
-            fh.write(json.dumps({
-                "provider_id": c.provider_id, "ip": c.ip,
-                "sources": sorted(c.sources),
-                "first_seen": fmt_iso(c.first_seen), "last_seen": fmt_iso(c.last_seen),
-                "fqdns": sorted(c.fqdns),
-            }) + "\n")
+    write_jsonl(path, ({
+        "provider_id": c.provider_id, "ip": c.ip,
+        "sources": sorted(c.sources),
+        "first_seen": fmt_iso(c.first_seen), "last_seen": fmt_iso(c.last_seen),
+        "fqdns": sorted(c.fqdns),
+    } for _, c in sorted(candidates.items())))
+
+
+def _candidate(doc: dict) -> CandidateAddress:
+    return CandidateAddress(
+        ip=doc["ip"], provider_id=doc["provider_id"],
+        sources=frozenset(doc["sources"]),
+        first_seen=parse_iso(doc["first_seen"]),
+        last_seen=parse_iso(doc["last_seen"]),
+        fqdns=frozenset(doc["fqdns"]),
+    )
 
 
 def read_candidates(path: str | Path) -> dict[tuple[str, str], CandidateAddress]:
-    out: dict[tuple[str, str], CandidateAddress] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            cand = CandidateAddress(
-                ip=doc["ip"], provider_id=doc["provider_id"],
-                sources=frozenset(doc["sources"]),
-                first_seen=parse_iso(doc["first_seen"]),
-                last_seen=parse_iso(doc["last_seen"]),
-                fqdns=frozenset(doc["fqdns"]),
-            )
-            out[(cand.provider_id, cand.ip)] = cand
-    return out
+    return {(c.provider_id, c.ip): c for c in read_jsonl(path, _candidate)}
 
 
 def snapshot_filename(date: str) -> str:

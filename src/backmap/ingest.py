@@ -18,7 +18,6 @@ File formats (all line-delimited JSON, one record per line):
 
 from __future__ import annotations
 
-import json
 import socket
 import ssl
 import struct
@@ -31,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn
+from .jsonl import read_jsonl, write_jsonl
 from .netutil import canonical_ip, ip_family
 from .timeutil import UTC, ensure_utc, fmt_iso, from_epoch, parse_iso, to_epoch
 
@@ -535,104 +535,84 @@ def collect_tls(
 # --- file formats -------------------------------------------------------------
 
 
+def _cert_record(doc: dict) -> CertScanRecord:
+    return CertScanRecord(
+        ip=doc["ip"],
+        port=int(doc["port"]),
+        names=tuple(doc["names"]),
+        not_before=from_epoch(doc["validity"]["start"]),
+        not_after=from_epoch(doc["validity"]["end"]),
+        observed_at=from_epoch(doc["observed_at"]),
+    )
+
+
 def read_cert_scan_export(path: str | Path) -> Iterator[CertScanRecord | MalformedRecord]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                yield CertScanRecord(
-                    ip=doc["ip"],
-                    port=int(doc["port"]),
-                    names=tuple(doc["names"]),
-                    not_before=from_epoch(doc["validity"]["start"]),
-                    not_after=from_epoch(doc["validity"]["end"]),
-                    observed_at=from_epoch(doc["observed_at"]),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                yield MalformedRecord(line_no, str(exc))
+    return read_jsonl(path, _cert_record, MalformedRecord)
 
 
 def write_cert_scan_export(path: str | Path, records: Iterable[CertScanRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "ip": r.ip, "port": r.port, "names": list(r.names),
-                "validity": {"start": to_epoch(r.not_before), "end": to_epoch(r.not_after)},
-                "observed_at": to_epoch(r.observed_at),
-            }) + "\n")
+    write_jsonl(path, ({
+        "ip": r.ip, "port": r.port, "names": list(r.names),
+        "validity": {"start": to_epoch(r.not_before), "end": to_epoch(r.not_after)},
+        "observed_at": to_epoch(r.observed_at),
+    } for r in records))
+
+
+def _pdns_record(doc: dict) -> PassiveDnsRecord:
+    return PassiveDnsRecord(
+        rrname=doc["rrname"],
+        rrtype=doc["rrtype"],
+        rdata=doc["rdata"],
+        first_seen=from_epoch(doc["time_first"]),
+        last_seen=from_epoch(doc["time_last"]),
+    )
 
 
 def read_pdns_export(path: str | Path) -> Iterator[PassiveDnsRecord | MalformedRecord]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                yield PassiveDnsRecord(
-                    rrname=doc["rrname"],
-                    rrtype=doc["rrtype"],
-                    rdata=doc["rdata"],
-                    first_seen=from_epoch(doc["time_first"]),
-                    last_seen=from_epoch(doc["time_last"]),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                yield MalformedRecord(line_no, str(exc))
+    return read_jsonl(path, _pdns_record, MalformedRecord)
 
 
 def write_pdns_export(path: str | Path, records: Iterable[PassiveDnsRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "rrname": r.rrname, "rrtype": r.rrtype, "rdata": r.rdata,
-                "time_first": to_epoch(r.first_seen), "time_last": to_epoch(r.last_seen),
-            }) + "\n")
+    write_jsonl(path, ({
+        "rrname": r.rrname, "rrtype": r.rrtype, "rdata": r.rdata,
+        "time_first": to_epoch(r.first_seen), "time_last": to_epoch(r.last_seen),
+    } for r in records))
+
+
+def _resolution(doc: dict) -> ResolutionResult:
+    return ResolutionResult(
+        fqdn=doc["fqdn"],
+        vantage_id=doc["vantage_id"],
+        answers=tuple(doc["answers"]),
+        resolved_at=from_epoch(doc["resolved_at"]),
+        status=doc["status"],
+    )
 
 
 def read_resolutions(path: str | Path) -> Iterator[ResolutionResult]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            yield ResolutionResult(
-                fqdn=doc["fqdn"],
-                vantage_id=doc["vantage_id"],
-                answers=tuple(doc["answers"]),
-                resolved_at=from_epoch(doc["resolved_at"]),
-                status=doc["status"],
-            )
+    return read_jsonl(path, _resolution)
 
 
 def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(json.dumps({
-                "fqdn": r.fqdn, "vantage_id": r.vantage_id, "answers": list(r.answers),
-                "resolved_at": to_epoch(r.resolved_at), "status": r.status,
-            }) + "\n")
+    write_jsonl(path, ({
+        "fqdn": r.fqdn, "vantage_id": r.vantage_id, "answers": list(r.answers),
+        "resolved_at": to_epoch(r.resolved_at), "status": r.status,
+    } for r in results))
+
+
+def _observation(doc: dict) -> Observation:
+    return Observation(
+        provider_id=doc["provider_id"],
+        fqdn=doc["fqdn"],
+        ip=doc["ip"],
+        source=doc["source"],
+        seen_at=parse_iso(doc["seen_at"]),
+        wildcard=bool(doc.get("wildcard", False)),
+    )
 
 
 def read_observations(path: str | Path) -> Iterator[Observation]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            yield Observation(
-                provider_id=doc["provider_id"],
-                fqdn=doc["fqdn"],
-                ip=doc["ip"],
-                source=doc["source"],
-                seen_at=parse_iso(doc["seen_at"]),
-                wildcard=bool(doc.get("wildcard", False)),
-            )
+    return read_jsonl(path, _observation)
 
 
 def write_observations(path: str | Path, observations: Iterable[Observation],
@@ -640,10 +620,8 @@ def write_observations(path: str | Path, observations: Iterable[Observation],
     rows = list(observations)
     if sort:
         rows.sort(key=Observation.sort_key)
-    with open(path, "w", encoding="utf-8") as fh:
-        for o in rows:
-            fh.write(json.dumps({
-                "provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
-                "source": o.source, "seen_at": fmt_iso(o.seen_at),
-                "wildcard": o.wildcard,
-            }) + "\n")
+    write_jsonl(path, ({
+        "provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
+        "source": o.source, "seen_at": fmt_iso(o.seen_at),
+        "wildcard": o.wildcard,
+    } for o in rows))

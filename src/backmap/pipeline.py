@@ -33,6 +33,7 @@ from .ingest import (StudyWindow, ingest_cert_scan, ingest_passive_dns,
                      observations_from_resolutions, read_cert_scan_export,
                      read_observations, read_pdns_export, read_resolutions,
                      write_observations)
+from .jsonl import read_jsonl, write_jsonl
 from .timeutil import fmt_iso, local_date, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
@@ -167,7 +168,6 @@ class RunState:
     config: RunConfig
     profiles: list = field(default_factory=list)
     patterns: list = field(default_factory=list)
-    outputs: dict[str, Path] = field(default_factory=dict)
 
     def profiles_by_id(self) -> dict:
         return {p.provider_id: p for p in self.profiles}
@@ -194,9 +194,7 @@ def _stage_discover(state: RunState) -> None:
         observations.extend(result.observations)
     if not observations and not (cfg.certs or cfg.pdns or cfg.resolutions):
         raise UpstreamMissingError("certs/pdns/resolutions inputs", "discover")
-    out = cfg.out_dir / "observations.jsonl"
-    write_observations(out, observations, sort=True)
-    state.outputs["observations"] = out
+    write_observations(cfg.out_dir / "observations.jsonl", observations, sort=True)
 
 
 def _stage_fuse(state: RunState) -> None:
@@ -204,9 +202,7 @@ def _stage_fuse(state: RunState) -> None:
     obs_path = _require_artifact(cfg.out_dir / "observations.jsonl", "discover")
     observations = list(read_observations(obs_path))
     candidates = fuse(observations)
-    out = cfg.out_dir / "candidates.jsonl"
-    write_candidates(out, candidates)
-    state.outputs["candidates"] = out
+    write_candidates(cfg.out_dir / "candidates.jsonl", candidates)
     reports.write_sources(cfg.out_dir / "fig3_sources.csv", candidates.values())
 
     # dated per-day snapshots for stability diffing
@@ -224,7 +220,6 @@ def _stage_fuse(state: RunState) -> None:
     with open(snap_dir / "index.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    state.outputs["snapshots"] = snap_dir
 
 
 def write_sharing(
@@ -237,20 +232,21 @@ def write_sharing(
     """One sharing row per candidate in (provider, ip) order. An IP with no
     reverse evidence at all stays dedicated but is marked `reverse_data:
     false`, so reports can tell it from a measured zero."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (pid, ip) in sorted(candidates):
-            non_matching, matching, verdict = 0, 0, "dedicated"
-            if ip in reverse:
-                v = classify_sharing(ip, pid, reverse, patterns, threshold)
-                non_matching, matching, verdict = (v.non_matching_domain_count,
-                                                   v.matching_domain_count, v.verdict)
-            fh.write(json.dumps({
-                "provider_id": pid, "ip": ip,
-                "non_matching_domain_count": non_matching,
-                "matching_domain_count": matching,
-                "verdict": verdict, "threshold_used": threshold,
-                "reverse_data": ip in reverse,
-            }) + "\n")
+    def row(pid: str, ip: str) -> dict:
+        non_matching, matching, verdict = 0, 0, "dedicated"
+        if ip in reverse:
+            v = classify_sharing(ip, pid, reverse, patterns, threshold)
+            non_matching, matching, verdict = (v.non_matching_domain_count,
+                                               v.matching_domain_count, v.verdict)
+        return {
+            "provider_id": pid, "ip": ip,
+            "non_matching_domain_count": non_matching,
+            "matching_domain_count": matching,
+            "verdict": verdict, "threshold_used": threshold,
+            "reverse_data": ip in reverse,
+        }
+
+    write_jsonl(path, (row(pid, ip) for pid, ip in sorted(candidates)))
 
 
 def _stage_classify(state: RunState) -> None:
@@ -259,50 +255,38 @@ def _stage_classify(state: RunState) -> None:
     reverse: dict[str, set[str]] = {}
     if cfg.pdns:
         reverse = build_reverse_index(read_pdns_export(cfg.pdns))
-    out = cfg.out_dir / "sharing.jsonl"
-    write_sharing(out, candidates, reverse, state.patterns, cfg.sharing_threshold)
-    state.outputs["sharing"] = out
+    write_sharing(cfg.out_dir / "sharing.jsonl", candidates, reverse, state.patterns,
+                  cfg.sharing_threshold)
 
 
 def _read_sharing(path: Path) -> dict[tuple[str, str], str]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                doc = json.loads(line)
-                out[(doc["provider_id"], doc["ip"])] = doc["verdict"]
-    return out
+    return dict(read_jsonl(path, lambda doc: ((doc["provider_id"], doc["ip"]), doc["verdict"])))
 
 
 def write_servers(path: Path, servers: Iterable[BackendServer]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sorted(servers, key=lambda s: (s.provider_id, s.ip)):
-            fh.write(json.dumps({
-                "ip": s.ip, "provider_id": s.provider_id,
-                "country": s.location.country, "city": s.location.city,
-                "continent": s.location.continent,
-                "location_confidence": s.location_confidence,
-                "prefix": s.prefix, "asn": s.asn, "sharing": s.sharing,
-                "sources": sorted(s.sources), "region_token": s.region_token,
-            }) + "\n")
+    write_jsonl(path, ({
+        "ip": s.ip, "provider_id": s.provider_id,
+        "country": s.location.country, "city": s.location.city,
+        "continent": s.location.continent,
+        "location_confidence": s.location_confidence,
+        "prefix": s.prefix, "asn": s.asn, "sharing": s.sharing,
+        "sources": sorted(s.sources), "region_token": s.region_token,
+    } for s in sorted(servers, key=lambda s: (s.provider_id, s.ip))))
+
+
+def _server(doc: dict) -> BackendServer:
+    return BackendServer(
+        ip=doc["ip"], provider_id=doc["provider_id"],
+        location=Location(doc["country"], doc.get("city"), doc["continent"]),
+        location_confidence=doc["location_confidence"],
+        prefix=doc["prefix"], asn=doc["asn"], sharing=doc["sharing"],
+        sources=frozenset(doc["sources"]),
+        region_token=doc.get("region_token"),
+    )
 
 
 def read_servers(path: Path) -> list[BackendServer]:
-    servers = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            servers.append(BackendServer(
-                ip=doc["ip"], provider_id=doc["provider_id"],
-                location=Location(doc["country"], doc.get("city"), doc["continent"]),
-                location_confidence=doc["location_confidence"],
-                prefix=doc["prefix"], asn=doc["asn"], sharing=doc["sharing"],
-                sources=frozenset(doc["sources"]),
-                region_token=doc.get("region_token"),
-            ))
-    return servers
+    return list(read_jsonl(path, _server))
 
 
 def _stage_footprint(state: RunState) -> None:
@@ -314,13 +298,11 @@ def _stage_footprint(state: RunState) -> None:
     table = load_prefix_table(_require_artifact(cfg.prefix2as, "inputs"))
     servers, skipped = enrich_candidates(
         candidates, state.profiles_by_id(), state.patterns_by_id(), table, sharing)
-    out = cfg.out_dir / "servers.jsonl"
-    write_servers(out, servers)
-    state.outputs["servers"] = out
+    write_servers(cfg.out_dir / "servers.jsonl", servers)
     if skipped:
-        with open(cfg.out_dir / "footprint_skipped.jsonl", "w", encoding="utf-8") as fh:
-            for pid, ip, reason in skipped:
-                fh.write(json.dumps({"provider_id": pid, "ip": ip, "reason": reason}) + "\n")
+        write_jsonl(cfg.out_dir / "footprint_skipped.jsonl",
+                    ({"provider_id": pid, "ip": ip, "reason": reason}
+                     for pid, ip, reason in skipped))
 
     diversity = diversity_report(servers)
     reports.write_diversity(cfg.out_dir / "diversity.csv", diversity)
@@ -336,7 +318,6 @@ def _stage_footprint(state: RunState) -> None:
             snap_b = read_candidates(snap_dir / f"candidates-{b}")
             diffs.extend(diff_snapshots(snap_a, snap_b, a, b).values())
     reports.write_stability(cfg.out_dir / "fig4_stability.csv", diffs)
-    state.outputs["stability"] = cfg.out_dir / "fig4_stability.csv"
 
 
 @dataclass(frozen=True)
@@ -383,14 +364,11 @@ def _stage_flows(state: RunState) -> None:
     cert_ips = {ip for (pid, ip), cand in candidates.items() if "tls-cert" in cand.sources}
 
     analysis = analyze_flows(flows_path, index, cfg.scanner_threshold, cfg.timezone, cert_ips)
-    with open(cfg.out_dir / "scanners.jsonl", "w", encoding="utf-8") as fh:
-        for v in analysis.verdicts:
-            if v.is_scanner:
-                fh.write(json.dumps({
-                    "line_id": v.line_id, "date": v.date,
-                    "distinct_backend_ips": v.distinct_backend_ips,
-                    "threshold_used": v.threshold_used,
-                }) + "\n")
+    write_jsonl(cfg.out_dir / "scanners.jsonl", ({
+        "line_id": v.line_id, "date": v.date,
+        "distinct_backend_ips": v.distinct_backend_ips,
+        "threshold_used": v.threshold_used,
+    } for v in analysis.verdicts if v.is_scanner))
     reports.write_sweep(cfg.out_dir / "fig5_sweep.csv", analysis.sweep)
     reports.emit_flow_reports(cfg.out_dir, analysis.agg, index, profiles_by_id)
 
@@ -406,7 +384,6 @@ def _stage_flows(state: RunState) -> None:
     findings = outage_scan(eligible, cfg.window, cfg.baseline_days,
                            cfg.sustain_hours) if eligible else []
     reports.write_outage(cfg.out_dir / "fig13_outage.csv", series, findings, cfg.window)
-    state.outputs["flow_reports"] = cfg.out_dir
 
 
 def _stage_report(state: RunState) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -232,25 +233,27 @@ def pseudonymize(provider_ids: Sequence[str], salt: str,
     return mapping
 
 
+def anonymize_table(text: str, mapping: Mapping[str, str]) -> str:
+    """A figure CSV with its provider column pseudonymized; a table without
+    one comes back unchanged."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or "provider" not in rows[0]:
+        return text
+    col = rows[0].index("provider")
+    for row in rows[1:]:
+        if len(row) > col and row[col] in mapping:
+            row[col] = mapping[row[col]]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def anonymize_reports(out_dir: Path, mapping: Mapping[str, str]) -> None:
     """Rewrite the provider column of every figure CSV in place."""
-    for fig_id, filename in FIGURE_FILES.items():
+    for filename in FIGURE_FILES.values():
         path = out_dir / filename
-        if not path.exists():
-            continue
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-        if not rows:
-            continue
-        header = rows[0]
-        try:
-            col = header.index("provider")
-        except ValueError:
-            continue
-        for row in rows[1:]:
-            if row and row[col] in mapping:
-                row[col] = mapping[row[col]]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
+        if path.exists():
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(anonymize_table(text, mapping))

@@ -265,7 +265,6 @@ class SyntheticUniverse:
     def __init__(self, config: UniverseConfig) -> None:
         self.config = config
         self.profiles: list[ProviderProfile] = []
-        self.org_map: dict[int, str] = {}
         self.prefix_rows: list[tuple[str, int, str]] = []
         self.cert_records: list[CertScanRecord] = []
         self.pdns_records: list[PassiveDnsRecord] = []
@@ -293,8 +292,6 @@ class SyntheticUniverse:
         for p_index, spec in enumerate(cfg.providers):
             parent = _provider_parent(spec, p_index)
             self.profiles.append(self._make_profile(spec, parent))
-            for a in spec.asns:
-                self.org_map[a.asn] = a.kind
 
             rng = random.Random(f"{cfg.seed}:servers:{spec.provider_id}")
             region_counts = largest_remainder(

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backmap.catalog import ProviderProfile, SubdomainRule
 from backmap.footprint import (BackendServer, LocationHint, PrefixTable,
                                UnlocatableError, UnroutedError, diff_snapshots,
-                               diversity_report, infer_strategy, load_prefix_table,
+                               diversity_report, load_prefix_table,
                                locate, map_prefix_asn)
 from backmap.fusion import fuse
 from backmap.geo import Location
@@ -139,36 +138,6 @@ def server(ip, pid="p1", asn=100, country="DE", sharing="dedicated", prefix=None
         ip=ip, provider_id=pid, location=Location.of(country, city),
         location_confidence="unanimous", prefix=prefix or f"{ip}/32", asn=asn,
         sharing=sharing, sources=frozenset({"tls-cert"}))
-
-
-class TestInferStrategy:
-    def profile(self, org_asns=frozenset({100})):
-        return ProviderProfile(
-            provider_id="p1", display_name="p1", parent_domain="p1.example",
-            subdomain_rule=SubdomainRule(kind="wildcard"), region_grammar=None,
-            org_asns=frozenset(org_asns))
-
-    def test_all_org_is_di(self):
-        servers = [server("10.0.0.1", asn=100), server("10.0.0.2", asn=100)]
-        report = infer_strategy(self.profile(), servers, {})
-        assert report.strategy == "DI"
-
-    def test_all_cloud_is_pr(self):
-        servers = [server("10.0.0.1", asn=500), server("10.0.0.2", asn=501)]
-        report = infer_strategy(self.profile(), servers, {500: "cloud", 501: "cloud"})
-        assert report.strategy == "PR"
-
-    def test_mixed_is_di_plus_pr(self):
-        servers = [server(f"10.0.0.{i}", asn=100) for i in range(1, 10)]
-        servers.append(server("10.0.0.10", asn=500))
-        report = infer_strategy(self.profile(), servers, {500: "cloud"})
-        assert report.strategy == "DI+PR"
-
-    def test_unmapped_asn_surfaced_as_other(self):
-        servers = [server("10.0.0.1", asn=999)]
-        report = infer_strategy(self.profile(), servers, {})
-        assert report.strategy == "PR"
-        assert report.other_asns == {999}
 
 
 def candidate_set(pid, ips):

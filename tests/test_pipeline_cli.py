@@ -126,9 +126,8 @@ class TestRunPipeline:
         files_b = sorted(p.relative_to(config_b.out_dir)
                          for p in config_b.out_dir.rglob("*") if p.is_file())
         assert files_a == files_b
+        assert Path("manifest.json") in files_a
         for rel in files_a:
-            if rel.name == "manifest.json":
-                continue  # embeds the out_dir path in the config section
             assert (config_a.out_dir / rel).read_bytes() == \
                 (config_b.out_dir / rel).read_bytes(), rel
 
@@ -231,6 +230,25 @@ class TestCli:
         assert result.exit_code == 0
         assert fused_path.exists()
 
+    @pytest.mark.parametrize("source, row, field", [
+        ("certs", {"ip": "192.0.2.1", "names": [], "observed_at": 0,
+                   "validity": {"start": 0, "end": 0}}, "port"),
+        ("pdns", {"rrname": "a.example", "rrtype": "A", "time_first": 0,
+                  "time_last": 0}, "rdata"),
+    ])
+    def test_discover_strict_bad_row_exits_1(self, universe_dir, tmp_path, source, row,
+                                             field):
+        export = tmp_path / f"{source}.jsonl"
+        export.write_text(json.dumps(row) + "\n")
+        result = self.runner.invoke(main, [
+            "discover", source, "--in", str(export),
+            "--catalog", str(universe_dir / "catalog.yaml"),
+            "--window", "2022-02-28T00:00:00Z..2022-03-02T00:00:00Z",
+            "--out", str(tmp_path / "obs.jsonl"), "--strict"])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {export}: line 1: missing field '{field}'" in result.output
+
     def test_fuse_missing_observations_exits_3(self, tmp_path):
         result = self.runner.invoke(main, [
             "fuse", "--obs", str(tmp_path / "missing.jsonl"),
@@ -288,6 +306,54 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert f"error: {flows}:3: missing field 'sampling_rate'" in result.output
+
+    def test_run_with_bad_observation_exits_1(self, universe_dir, completed_run, tmp_path):
+        import shutil
+
+        config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
+        observations = out_dir / "observations.jsonl"
+        first, second, *rest = observations.read_text().splitlines()
+        doc = json.loads(second)
+        del doc["ip"]
+        observations.write_text("\n".join([first, json.dumps(doc), *rest]) + "\n")
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir)
+        result = self.runner.invoke(main, ["run", "--config", str(run_yaml),
+                                           "--stages", "fuse"])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {observations}:2: missing field 'ip'" in result.output
+
+    def test_disrupt_routing_with_bad_event_exits_1(self, completed_run, tmp_path):
+        config, _ = completed_run
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({
+            "kind": "meteor", "prefix": "10.1.0.0/16",
+            "start": "2022-02-28T06:00:00Z", "end": "2022-02-28T09:00:00Z"}) + "\n")
+        result = self.runner.invoke(main, [
+            "disrupt", "routing", "--servers", str(config.out_dir / "servers.jsonl"),
+            "--events", str(events),
+            "--window", "2022-02-28T00:00:00Z..2022-03-02T00:00:00Z",
+            "--out", str(tmp_path / "overlap.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {events}:1: bad event kind 'meteor'" in result.output
+
+    def test_discover_tls_target_without_port_exits_1(self, tmp_path, monkeypatch):
+        import socket
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        targets = tmp_path / "targets.jsonl"
+        targets.write_text(json.dumps({"ip": "127.0.0.1"}) + "\n")
+        result = self.runner.invoke(main, [
+            "discover", "tls", "--targets", str(targets), "--out", str(tmp_path / "certs.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {targets}:1: missing field 'port'" in result.output
 
     def test_report_unknown_figure_exits_1(self, tmp_path):
         result = self.runner.invoke(main, ["report", "fig99", "--from", str(tmp_path)])
