@@ -383,7 +383,10 @@ def disrupt_blocklist(servers_path, list_paths, exclude, out_path):
     for path in list_paths:
         if not Path(path).exists():
             _fail(EXIT_IO, f"no such blocklist: {path}")
-        entries.extend(read_blocklist(path))
+        try:
+            entries.extend(read_blocklist(path))
+        except ValueError as exc:
+            _fail(EXIT_VALIDATION, str(exc))
     report = blocklist_check(read_servers(Path(servers_path)),
                              BlocklistIndex(entries), exclude)
     write_jsonl(out_path, ({"provider_id": m.provider_id, "ip": m.ip,

@@ -201,16 +201,20 @@ def blocklist_check(
 
 def read_blocklist(path: str | Path, list_id: str | None = None) -> list[BlocklistEntry]:
     """Parse the common netset/ipset convention: one address or CIDR per
-    line, '#' comments. The list id defaults to the file stem."""
+    line, '#' comments. The list id defaults to the file stem. An entry
+    that is no network raises ValueError("<path>:<line>: ...")."""
     path = Path(path)
     lid = list_id or path.stem
     entries: list[BlocklistEntry] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            entries.append(BlocklistEntry(list_id=lid, cidr=line))
+            try:
+                entries.append(BlocklistEntry(list_id=lid, cidr=line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return entries
 
 

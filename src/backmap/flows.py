@@ -59,8 +59,14 @@ _DIRECTION_CODES = {DOWN: 0, UP: 1}
 _DIRECTIONS = {code: name for name, code in _DIRECTION_CODES.items()}
 
 
-@dataclass(slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
+    """One sampled flow record.
+
+    A plain tuple: the readers validate each record before they build it
+    (`_check` for JSONL, inline checks for `.bmf`), so building one runs no
+    code, and the engine unpacks it instead of looking up attributes.
+    """
+
     ts: int  # epoch seconds
     line_id: str
     server_ip: str
@@ -70,16 +76,6 @@ class FlowRecord:
     sampled_bytes: int
     sampled_packets: int
     sampling_rate: int
-
-    def __post_init__(self) -> None:
-        if self.sampling_rate < 1:
-            raise ValueError("sampling_rate must be >= 1")
-        if self.sampled_bytes < 0 or self.sampled_packets < 0:
-            raise ValueError("sampled_bytes and sampled_packets must be >= 0")
-        if self.direction not in (DOWN, UP):
-            raise ValueError(f"bad direction {self.direction!r}")
-        if self.transport not in ("tcp", "udp"):
-            raise ValueError(f"bad transport {self.transport!r}")
 
 
 class ServerFacts(NamedTuple):
@@ -157,10 +153,9 @@ def line_contact_sets(
     """(line, local date) -> distinct backend server IPs contacted."""
     date_of = LocalDays(tz_name).date
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
-    for f in flows:
-        ip = f.server_ip
+    for ts, line, ip, _port, _transport, _direction, _bytes, _packets, _rate in flows:
         if ip in backend_ips:
-            out[(f.line_id, date_of(f.ts))].add(ip)
+            out[(line, date_of(ts))].add(ip)
     return out
 
 
@@ -187,7 +182,7 @@ def scanner_line_ids(verdicts: Iterable[ScannerVerdict]) -> set[str]:
 def exclude_scanner_lines(
     flows: Iterable[FlowRecord], scanners: set[str],
 ) -> Iterator[FlowRecord]:
-    return (f for f in flows if f.line_id not in scanners)
+    return (f for f in flows if f[1] not in scanners)
 
 
 @dataclass(frozen=True)
@@ -273,63 +268,114 @@ def aggregate_flows(
 
     `cert_ips` marks servers discoverable from certificate scans alone and
     feeds the source-ablation numbers.
+
+    Attribution depends only on a record's (ip, port, transport), so it is
+    decided once per distinct triple. A record then updates three
+    accumulators: the downstream bytes per (provider, region token, hour)
+    or the upstream bytes per (provider, hour), the lines per (provider,
+    hour), and the [down, up] bytes per triple within its (line, local
+    day). Every other field is rolled up from those once at the end, in
+    the same key order a record-by-record pass would give.
     """
-    agg = FlowAggregate(tz_name=tz_name)
     cert_ips = cert_ips or set()
-    facts_of = index.facts.get
     date_of = LocalDays(tz_name).date
-    hour_down, hour_up = agg.provider_hour_down, agg.provider_hour_up
-    hour_lines, region_hour_down = agg.provider_hour_lines, agg.provider_region_hour_down
-    provider_down, provider_up = agg.provider_down, agg.provider_up
-    port_bytes, contacted = agg.provider_port_bytes, agg.provider_contacted
-    lines_full, lines_cert = agg.provider_lines_full, agg.provider_lines_cert
-    line_regions, region_bytes, line_day = agg.line_regions, agg.region_bytes, agg.line_day
+    attribute, facts = index.attribute, index.facts
+    triples: dict[tuple[str, int, str], tuple] = {}
+    # (provider, ip, (port, transport), family, region, cert) per attributed
+    # triple, in first-record order; a triple's id is its position here
+    attributions: list[tuple] = []
+
+    def decide(ip: str, port: int, transport: str) -> tuple:
+        """(provider, region token, triple id), or () when unattributed."""
+        pid = attribute(ip, port, transport)
+        if pid is None:
+            return ()
+        _pid, _ports, token, region, family = facts[ip]
+        attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
+        return (pid, token, len(attributions) - 1)
+
+    triple_of = triples.get
+    region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
+    hour_up: dict[tuple[str, int], int] = defaultdict(int)
+    hour_lines: dict[tuple[str, int], set[str]] = defaultdict(set)
+    line_days: dict[tuple[str, str], dict[int, list[int]]] = {}
+    line_days_get = line_days.get
     attributed = unattributed = 0
-    for f in flows:
-        ip = f.server_ip
-        port, transport = f.server_port, f.transport
-        facts = facts_of(ip)
-        if facts is None or (facts.ports is not None
-                             and (port, transport) not in facts.ports):
+    for ts, line, ip, port, transport, direction, sampled_bytes, _packets, rate in flows:
+        attribution = triple_of((ip, port, transport))
+        if attribution is None:
+            attribution = triples[(ip, port, transport)] = decide(ip, port, transport)
+        if not attribution:
             unattributed += 1
             continue
-        pid, _ports, token, region, family = facts
+        pid, token, triple = attribution
         attributed += 1
-        line = f.line_id
-        est = f.sampled_bytes * f.sampling_rate
-        ts = f.ts
+        est = sampled_bytes * rate
         hour = ts // 3600
-        down = f.direction == DOWN
-
-        if down:
-            hour_down[(pid, hour)] += est
-            provider_down[pid] += est
+        day_key = (line, date_of(ts))
+        slot = line_days_get(day_key)
+        if slot is None:
+            slot = line_days[day_key] = {}
+        pair = slot.get(triple)
+        if pair is None:
+            pair = slot[triple] = [0, 0]
+        if direction == DOWN:
             region_hour_down[(pid, token, hour)] += est
+            pair[0] += est
         else:
             hour_up[(pid, hour)] += est
-            provider_up[pid] += est
+            pair[1] += est
         hour_lines[(pid, hour)].add(line)
-        port_bytes[(pid, port, transport)] += est
-        contacted[(pid, family)].add(ip)
-        lines_full[pid].add(line)
-        if ip in cert_ips:
-            lines_cert[pid].add(line)
-        line_regions[line].add(region)
-        region_bytes[region] += est
 
-        day_key = (line, date_of(ts))
-        slot = line_day.get(day_key)
-        if slot is None:
-            slot = line_day[day_key] = [set(), {}, {}]
-        slot[0].add(ip)
-        d, u = slot[1].get(pid, (0, 0))
-        slot[1][pid] = (d + est, u) if down else (d, u + est)
-        pkey = (port, transport)
-        d, u = slot[2].get(pkey, (0, 0))
-        slot[2][pkey] = (d + est, u) if down else (d, u + est)
+    agg = FlowAggregate(tz_name=tz_name, provider_hour_up=hour_up,
+                        provider_hour_lines=hour_lines,
+                        provider_region_hour_down=region_hour_down)
     agg.attributed_records = attributed
     agg.unattributed_records = unattributed
+    _rollup(agg, attributions, line_days)
     return agg
+
+
+def _rollup(agg: FlowAggregate, attributions: list[tuple],
+            line_days: dict[tuple[str, str], dict[int, list[int]]]) -> None:
+    """Fill the fields of `agg` that `aggregate_flows` does not keep per
+    record. A key's first record is the first record of the earliest hour
+    key, triple or (line, day) key that rolls up into it, and those are all
+    stored in first-record order, so each dict gets its keys in the order
+    a record-by-record pass would insert them."""
+    for (pid, _token, hour), est in agg.provider_region_hour_down.items():
+        agg.provider_hour_down[(pid, hour)] += est
+        agg.provider_down[pid] += est
+    for (pid, _hour), est in agg.provider_hour_up.items():
+        agg.provider_up[pid] += est
+
+    per_triple = [[0, 0, set()] for _ in attributions]  # down, up, lines
+    for (line, day), slot in line_days.items():
+        ips: set[str] = set()
+        per_provider: dict[str, tuple[int, int]] = {}
+        per_port: dict[tuple[int, str], tuple[int, int]] = {}
+        regions = agg.line_regions[line]
+        for triple, (down, up) in slot.items():
+            pid, ip, pkey, _family, region, _cert = attributions[triple]
+            ips.add(ip)
+            d, u = per_provider.get(pid, (0, 0))
+            per_provider[pid] = (d + down, u + up)
+            d, u = per_port.get(pkey, (0, 0))
+            per_port[pkey] = (d + down, u + up)
+            regions.add(region)
+            acc = per_triple[triple]
+            acc[0] += down
+            acc[1] += up
+            acc[2].add(line)
+        agg.line_day[(line, day)] = [ips, per_provider, per_port]
+    for (pid, ip, (port, transport), family, region, cert), (down, up, lines) in zip(
+            attributions, per_triple):
+        agg.provider_port_bytes[(pid, port, transport)] += down + up
+        agg.provider_contacted[(pid, family)].add(ip)
+        agg.provider_lines_full[pid] |= lines
+        if cert:
+            agg.provider_lines_cert[pid] |= lines
+        agg.region_bytes[region] += down + up
 
 
 # --- derived metrics ------------------------------------------------------------------
@@ -634,6 +680,19 @@ _JSON_FIELDS = (
 )
 
 
+def _check(rec: FlowRecord) -> None:
+    """Raise ValueError for a record whose values no flow can have."""
+    _ts, _line, _ip, _port, transport, direction, sampled_bytes, sampled_packets, rate = rec
+    if rate < 1:
+        raise ValueError("sampling_rate must be >= 1")
+    if sampled_bytes < 0 or sampled_packets < 0:
+        raise ValueError("sampled_bytes and sampled_packets must be >= 0")
+    if direction not in (DOWN, UP):
+        raise ValueError(f"bad direction {direction!r}")
+    if transport not in ("tcp", "udp"):
+        raise ValueError(f"bad transport {transport!r}")
+
+
 def _flow_from_json(doc: dict) -> FlowRecord:
     values = []
     for name, parse in _JSON_FIELDS:
@@ -641,7 +700,9 @@ def _flow_from_json(doc: dict) -> FlowRecord:
             values.append(parse(doc[name]))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"field {name!r}: {exc}") from None
-    return FlowRecord(*values)
+    rec = tuple.__new__(FlowRecord, values)
+    _check(rec)
+    return rec
 
 
 def read_flows_jsonl(path: str | Path) -> Iterator[FlowRecord]:
@@ -707,10 +768,12 @@ def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
 
 def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
     """Records of a `.bmf` file. Line ids and addresses repeat across
-    records, so each distinct raw value is decoded once."""
+    records, so each distinct raw value is decoded once. Bytes and packets
+    are unsigned in the format; the other checks of `_check` run inline."""
     lines: dict[bytes, str] = {}
     ips: dict[bytes, str] = {}
-    transports, directions = _TRANSPORTS, _DIRECTIONS
+    transports, directions = _TRANSPORTS.get, _DIRECTIONS.get
+    new = tuple.__new__
     number = 0
     with open(path, "rb") as fh:
         header = fh.read(8)
@@ -732,11 +795,16 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
                     ip = ips.get(ip_raw)
                     if ip is None:
                         ip = ips[ip_raw] = _unpack_ip(ip_raw)
-                    # an unknown code passes through and fails validation
-                    record = FlowRecord(
-                        ts, line, ip, port, transports.get(proto, proto),
-                        directions.get(direction, direction),
-                        sampled_bytes, sampled_packets, rate)
+                    if rate < 1:
+                        raise ValueError("sampling_rate must be >= 1")
+                    direction_name = directions(direction)
+                    if direction_name is None:
+                        raise ValueError(f"bad direction {direction!r}")
+                    transport = transports(proto)
+                    if transport is None:
+                        raise ValueError(f"bad transport {proto!r}")
+                    record = new(FlowRecord, (ts, line, ip, port, transport, direction_name,
+                                              sampled_bytes, sampled_packets, rate))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
                 yield record

@@ -11,16 +11,20 @@ V = TypeVar("V")
 Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
 # a dotted quad exactly as `str(IPv4Address)` writes it: ASCII octets 0-255
-# without leading zeros, which `ipaddress` would return unchanged (it also
-# takes ints and packed bytes, which skip the shortcut)
+# without leading zeros, which `ipaddress` would return unchanged (`ip_family`
+# also takes ints and packed bytes, which skip the shortcut)
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _CANONICAL_V4 = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 
 def canonical_ip(text: str) -> str:
-    """Canonical text form (IPv6 compressed, lowercase). Raises ValueError."""
+    """Canonical text form (IPv6 compressed, lowercase) of an address given
+    as text. Raises ValueError, also for input that is not text, such as an
+    int or packed bytes."""
+    if not isinstance(text, str):
+        raise ValueError(f"address must be text, not {type(text).__name__}")
     text = text.strip()
-    if isinstance(text, str) and _CANONICAL_V4.fullmatch(text):
+    if _CANONICAL_V4.fullmatch(text):
         return text
     return str(ipaddress.ip_address(text))
 

@@ -1,5 +1,6 @@
 import ipaddress
 import random
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -131,6 +132,12 @@ class TestBlocklist:
         entries = read_blocklist(path)
         assert [e.cidr for e in entries] == ["192.0.2.0/24", "198.51.100.7/32"]
         assert all(e.list_id == "sample" for e in entries)
+
+    def test_netset_bad_entry_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sample.netset"
+        path.write_text("# comment\n192.0.2.0/24\n\nnot-a-net  # typo\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: 'not-a-net' "):
+            read_blocklist(path)
 
     def test_matches_equal_numpy_bruteforce(self):
         rng = random.Random(11)

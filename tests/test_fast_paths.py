@@ -150,8 +150,11 @@ def test_address_edge_cases(text):
 
 
 def test_address_non_text_as_before():
+    """ip_family hands non-text to `ipaddress` as before; canonical_ip, whose
+    callers all pass text, rejects it with a ValueError naming the type."""
     for value in (None, 167772161, 2 ** 40, b"\x01\x02\x03\x04", b"\x00" * 16):
-        assert outcome(canonical_ip, value) == outcome(reference_canonical_ip, value)
+        with pytest.raises(ValueError, match=f"^address must be text, not {type(value).__name__}$"):
+            canonical_ip(value)
         assert outcome(ip_family, value) == outcome(reference_ip_family, value)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backmap.flows import (DOWN, UP, Ecdf, FlowRecord, ServerIndex,
+from backmap.flows import (DOWN, UP, Ecdf, FlowAggregate, FlowRecord, ServerIndex,
                            activity_series, aggregate_flows, continent_attribution,
                            detect_scanners, line_contact_sets,
                            line_day_profiles, per_line_distribution, port_label,
@@ -37,7 +38,7 @@ def flow(ip="10.1.0.1", line="L1", port=8883, transport="tcp", direction=DOWN,
 def server(ip, pid="p1", country="DE", sharing="dedicated", token=None):
     return BackendServer(
         ip=ip, provider_id=pid, location=Location.of(country),
-        location_confidence="unanimous", prefix=f"{ip}/32", asn=64500,
+        location_confidence="unanimous", prefix=f"{ip}/{128 if ':' in ip else 32}", asn=64500,
         sharing=sharing, sources=frozenset({"tls-cert"}), region_token=token)
 
 
@@ -357,18 +358,22 @@ class TestFlowFileErrors:
         ("direction", "sideways", "bad direction 'sideways'"),
         ("transport", "sctp", "bad transport 'sctp'"),
         ("server_ip", "10.1.0.999", "field 'server_ip': "),
+        ("server_ip", 167837697, "field 'server_ip': address must be text, not int"),
         ("port", "https", "field 'port': "),
+        ("sampled_bytes", -1, "sampled_bytes and sampled_packets must be >= 0"),
     ])
     def test_jsonl_bad_value(self, tmp_path, name, value, message):
         path = self.write_jsonl(tmp_path / "flows.jsonl", **{name: value})
         with self.expect(path, re.escape(message)):
             list(read_flows(path))
 
-    def write_binary(self, path, offset, fmt, value):
-        """Two records; the second gets `value` packed at `offset` in it."""
+    def write_binary(self, path, *changes):
+        """Two records; the second gets each (offset, fmt, value) of
+        `changes` packed into it."""
         write_flows_binary(path, [flow(), flow(line="L2")])
         raw = bytearray(path.read_bytes())
-        struct.pack_into(fmt, raw, 8 + 64 + offset, value)
+        for offset, fmt, value in changes:
+            struct.pack_into(fmt, raw, 8 + 64 + offset, value)
         path.write_bytes(bytes(raw))
         return path
 
@@ -379,9 +384,26 @@ class TestFlowFileErrors:
         (24, "<B", 5, "server_ip: bad address family 5"),
     ])
     def test_binary_bad_value(self, tmp_path, offset, fmt, value, message):
-        path = self.write_binary(tmp_path / "flows.bmf", offset, fmt, value)
+        path = self.write_binary(tmp_path / "flows.bmf", (offset, fmt, value))
         with self.expect(path, message):
             list(read_flows(path))
+
+    @pytest.mark.parametrize("changes, message", [
+        (((57, "<I", 0), (44, "<B", 2), (43, "<B", 7)), "sampling_rate must be >= 1"),
+        (((44, "<B", 2), (43, "<B", 7)), "bad direction 2"),
+    ])
+    def test_binary_checks_run_in_order(self, tmp_path, changes, message):
+        """Rate, then direction, then transport, as the JSONL reader checks."""
+        path = self.write_binary(tmp_path / "flows.bmf", *changes)
+        with self.expect(path, message):
+            list(read_flows(path))
+
+    def test_record_is_a_plain_tuple(self):
+        rec = flow()
+        values = (to_epoch(T0), "L1", "10.1.0.1", 8883, "tcp", DOWN, 1500, 1, 1)
+        assert rec == values
+        ts, line, ip, port, transport, direction, sampled_bytes, packets, rate = rec
+        assert (rec.ts, rec.line_id, rec.server_ip, rec.sampling_rate) == (ts, line, ip, rate)
 
 
 ZONES = ("UTC", "Asia/Kolkata", "Asia/Kathmandu", "America/St_Johns",
@@ -441,3 +463,100 @@ def test_regional_series_uses_region_tokens():
              flow(ip="10.1.0.2", sampled_bytes=300)]
     series = regional_down_series(aggregate_flows(flows, idx), normalize=False)
     assert set(series) == {("p1", "us-east-1"), ("p1", "eu-west-1")}
+
+
+# --- aggregation against a record-by-record reference ---------------------------------
+
+
+def reference_aggregate(flows, index, tz_name="UTC", cert_ips=None):
+    """Every FlowAggregate field updated record by record, with no memo and
+    no rollup."""
+    agg = FlowAggregate(tz_name=tz_name)
+    cert_ips = cert_ips or set()
+    days = LocalDays(tz_name)
+    for f in flows:
+        pid = index.attribute(f.server_ip, f.server_port, f.transport)
+        if pid is None:
+            agg.unattributed_records += 1
+            continue
+        facts = index.facts[f.server_ip]
+        agg.attributed_records += 1
+        est = f.sampled_bytes * f.sampling_rate
+        hour = f.ts // 3600
+        down = f.direction == DOWN
+        if down:
+            agg.provider_hour_down[(pid, hour)] += est
+            agg.provider_down[pid] += est
+            agg.provider_region_hour_down[(pid, facts.token, hour)] += est
+        else:
+            agg.provider_hour_up[(pid, hour)] += est
+            agg.provider_up[pid] += est
+        agg.provider_hour_lines[(pid, hour)].add(f.line_id)
+        agg.provider_port_bytes[(pid, f.server_port, f.transport)] += est
+        agg.provider_contacted[(pid, facts.family)].add(f.server_ip)
+        agg.provider_lines_full[pid].add(f.line_id)
+        if f.server_ip in cert_ips:
+            agg.provider_lines_cert[pid].add(f.line_id)
+        agg.line_regions[f.line_id].add(facts.region)
+        agg.region_bytes[facts.region] += est
+        slot = agg.line_day.setdefault((f.line_id, days.date(f.ts)), [set(), {}, {}])
+        slot[0].add(f.server_ip)
+        for per, key in ((slot[1], pid), (slot[2], (f.server_port, f.transport))):
+            d, u = per.get(key, (0, 0))
+            per[key] = (d + est, u) if down else (d, u + est)
+    return agg
+
+
+def in_order(value):
+    """Dicts as their item lists, so key order is compared too."""
+    if isinstance(value, dict):
+        return [(key, in_order(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [in_order(v) for v in value]
+    return value
+
+
+EQUIVALENCE_SERVERS = (
+    server("10.1.0.1", token="eu-central-1"),
+    server("10.1.0.2", country="US"),
+    server("2001:db8::1", country="JP", token="ap-1"),
+    server("10.2.0.1", pid="google", country="US", token="us-east1"),
+    server("2001:db8::2", pid="google"),
+    server("10.3.0.1", pid="p3", country="BR", sharing="shared"),
+    server("2001:db8::3", pid="p3", country="US", sharing="shared", token="us-1"),
+)
+SERVER_IPS = [s.ip for s in EQUIVALENCE_SERVERS]
+
+equivalence_flows = st.lists(st.builds(
+    flow,
+    ip=st.sampled_from(SERVER_IPS + ["203.0.113.9", "2001:db8:ffff::9"]),
+    line=st.sampled_from(("L1", "L2", "L3", "L4")),
+    port=st.sampled_from((443, 8883, 80, 5683)),
+    transport=st.sampled_from(("tcp", "udp")),
+    direction=st.sampled_from((DOWN, UP)),
+    sampled_bytes=st.one_of(st.just(0), st.integers(0, 5000)),
+    sampled_packets=st.integers(0, 5),
+    rate=st.sampled_from((1, 10, 1000)),
+    hours=st.integers(0, 3 * 24 * 60).map(lambda minutes: minutes / 60),
+), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flows=equivalence_flows, include_shared=st.booleans(),
+       cert_ips=st.one_of(st.none(), st.sets(st.sampled_from(SERVER_IPS))),
+       tz=st.sampled_from(("UTC", "Asia/Kolkata")))
+def test_aggregate_matches_record_by_record_reference(catalog_profiles, flows,
+                                                      include_shared, cert_ips, tz):
+    """Same fields, same types, same keys in the same order, same counters:
+    a port-filtered provider (google), shared servers with include_shared
+    on and off, partial cert coverage, zero-byte records, both families,
+    unattributed addresses, and a zone whose midnight is at :30 UTC."""
+    google = next(p for p in catalog_profiles if p.provider_id == "google")
+    index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google},
+                        include_shared=include_shared)
+    got = aggregate_flows(flows, index, tz, cert_ips)
+    want = reference_aggregate(flows, index, tz, cert_ips)
+    for f in dataclasses.fields(FlowAggregate):
+        value = getattr(got, f.name)
+        assert type(value) is type(getattr(want, f.name)), f.name
+        assert in_order(value) == in_order(getattr(want, f.name)), f.name

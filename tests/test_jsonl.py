@@ -104,11 +104,12 @@ def test_export_row_without_a_field_is_quarantined_by_name(tmp_path, name):
 
 def test_export_row_with_a_wrong_json_type_is_quarantined(tmp_path):
     """A number where the address text belongs fails inside the record's
-    constructor with an AttributeError; the row is still quarantined."""
+    constructor with a ValueError that names the type; the row is still
+    quarantined."""
     read, _, _, good = EXPORT_ROWS["cert"]
     path = tmp_path / "cert.jsonl"
     path.write_text(f"{json.dumps({**good, 'ip': 3221225985})}\n{json.dumps(good)}\n")
     first, second = read(path)
     assert isinstance(first, MalformedRecord) and first.line_no == 1
-    assert "'int' object has no attribute 'strip'" in first.reason
+    assert "address must be text, not int" in first.reason
     assert isinstance(second, CertScanRecord)

@@ -340,6 +340,17 @@ class TestCli:
         assert result.exit_code == 1
         assert f"error: {events}:1: bad event kind 'meteor'" in result.output
 
+    def test_disrupt_blocklist_with_bad_entry_exits_1(self, completed_run, tmp_path):
+        config, _ = completed_run
+        netset = tmp_path / "bad.netset"
+        netset.write_text("# test\n192.0.2.0/24\nnot-a-net\n")
+        result = self.runner.invoke(main, [
+            "disrupt", "blocklist", "--servers", str(config.out_dir / "servers.jsonl"),
+            "--list", str(netset), "--out", str(tmp_path / "matches.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {netset}:3: 'not-a-net' does not appear to be" in result.output
+
     def test_discover_tls_target_without_port_exits_1(self, tmp_path, monkeypatch):
         import socket
 
