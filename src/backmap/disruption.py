@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .footprint import BackendServer
 from .ingest import StudyWindow
-from .netutil import PrefixIndex, parse_network
+from .netutil import PrefixIndex, network_range, parse_network
 from .timeutil import ensure_utc
 
 DEFAULT_BASELINE_DAYS = 7
@@ -199,22 +199,34 @@ def blocklist_check(
     return BlocklistReport(matches=tuple(matches), excluded_matches=tuple(excluded_only))
 
 
+def _text_lines(text: str) -> list[str]:
+    """Lines as a file opened in text mode splits them: at \\n, \\r\\n and \\r."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_blocklist(path: str | Path, list_id: str | None = None) -> list[BlocklistEntry]:
     """Parse the common netset/ipset convention: one address or CIDR per
     line, '#' comments. The list id defaults to the file stem. An entry
-    that is no network raises ValueError("<path>:<line>: ...")."""
+    that is no network, or a line that is not UTF-8, raises
+    ValueError("<path>:<line>: ...")."""
     path = Path(path)
     lid = list_id or path.stem
     entries: list[BlocklistEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                entries.append(BlocklistEntry(list_id=lid, cidr=line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from None
+    data = path.read_bytes()
+    try:
+        lines = _text_lines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        number = len(_text_lines(data[:exc.start].decode("utf-8")))
+        raise ValueError(f"{path}:{number}: not UTF-8: byte 0x{data[exc.start]:02x}: "
+                         f"{exc.reason}") from None
+    for number, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            entries.append(BlocklistEntry(list_id=lid, cidr=line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
     return entries
 
 
@@ -238,19 +250,26 @@ def routing_event_overlap(
     Prefix events hit servers whose announced prefix intersects the event
     prefix; AS events hit servers announced from that ASN.
     """
-    server_list = list(servers)
-    server_nets = [(parse_network(s.prefix), s) for s in server_list]
+    by_prefix: dict[str, list[BackendServer]] = defaultdict(list)
+    by_asn: dict[int, list[BackendServer]] = defaultdict(list)
+    for s in servers:
+        by_prefix[s.prefix].append(s)
+        by_asn[s.asn].append(s)
+    # (family, first, last) of each announced prefix: two blocks overlap
+    # exactly when their integer ranges in one family intersect
+    ranges = {prefix: network_range(prefix) for prefix in by_prefix}
     reports: list[EventOverlap] = []
     for event in events:
         if not study_window.overlaps(*event.window):
             continue
         hit: list[BackendServer] = []
         if event.prefix is not None:
-            enet = parse_network(event.prefix)
-            hit.extend(s for snet, s in server_nets
-                       if snet.version == enet.version and snet.overlaps(enet))
+            family, first, last = network_range(event.prefix)
+            for prefix, (f, lo, hi) in ranges.items():
+                if f == family and lo <= last and first <= hi:
+                    hit.extend(by_prefix[prefix])
         if event.asn is not None:
-            hit.extend(s for s in server_list if s.asn == event.asn)
+            hit.extend(by_asn.get(event.asn, ()))
         affected = sorted({s.ip for s in hit})
         providers = sorted({s.provider_id for s in hit})
         reports.append(EventOverlap(

@@ -9,16 +9,15 @@ text convention (multi-origin rows joined by underscores).
 
 from __future__ import annotations
 
-import ipaddress
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .catalog import DomainPattern, ProviderProfile, match_fqdn
 from .fusion import CandidateAddress
 from .geo import Location
-from .netutil import PrefixIndex, parse_network, truncate_prefix
+from .netutil import PrefixIndex, parse_network, prefix_contains, truncate_prefix
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
 
@@ -59,7 +58,7 @@ class BackendServer:
     def __post_init__(self) -> None:
         if self.asn <= 0:
             raise ValueError("asn must be positive")
-        if ipaddress.ip_address(self.ip) not in ipaddress.ip_network(self.prefix):
+        if not prefix_contains(self.prefix, self.ip):
             raise ValueError(f"prefix {self.prefix} does not contain {self.ip}")
         if self.sharing not in ("dedicated", "shared"):
             raise ValueError(f"bad sharing class {self.sharing!r}")
@@ -173,17 +172,19 @@ def map_prefix_asn(ip: str, table: PrefixTable) -> tuple[str, int, tuple[int, ..
 
 
 def diff_snapshots(
-    a: Mapping[tuple[str, str], CandidateAddress],
-    b: Mapping[tuple[str, str], CandidateAddress],
+    a: Collection[tuple[str, str]],
+    b: Collection[tuple[str, str]],
     date_a: str = "a",
     date_b: str = "b",
 ) -> dict[str, StabilityDiff]:
-    """Per-provider partition of two dated candidate snapshots."""
-    providers = {pid for pid, _ in a} | {pid for pid, _ in b}
+    """Per-provider partition of two dated snapshots, given as their
+    (provider, ip) keys; candidate mappings work as they are."""
+    by_provider: dict[str, tuple[set[str], set[str]]] = {}
+    for side, keys in enumerate((a, b)):
+        for pid, ip in keys:
+            by_provider.setdefault(pid, (set(), set()))[side].add(ip)
     out = {}
-    for pid in sorted(providers):
-        ips_a = {ip for p, ip in a if p == pid}
-        ips_b = {ip for p, ip in b if p == pid}
+    for pid, (ips_a, ips_b) in sorted(by_provider.items()):
         out[pid] = StabilityDiff(
             provider_id=pid, date_a=date_a, date_b=date_b,
             in_both=frozenset(ips_a & ips_b),

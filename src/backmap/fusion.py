@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn
 from .ingest import Observation
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import naming_fields, read_jsonl, text, texts, write_jsonl
 from .netutil import canonical_ip, ip_family, parse_network
 from .timeutil import fmt_iso, parse_iso
 
@@ -239,8 +239,16 @@ def _candidate(doc: dict) -> CandidateAddress:
     )
 
 
+_CANDIDATE_CHECKS = {
+    "provider_id": text, "ip": text, "sources": texts,
+    "first_seen": lambda v: parse_iso(text(v)), "last_seen": lambda v: parse_iso(text(v)),
+    "fqdns": texts,
+}
+
+
 def read_candidates(path: str | Path) -> dict[tuple[str, str], CandidateAddress]:
-    return {(c.provider_id, c.ip): c for c in read_jsonl(path, _candidate)}
+    return {(c.provider_id, c.ip): c
+            for c in read_jsonl(path, naming_fields(_candidate, _CANDIDATE_CHECKS))}
 
 
 def snapshot_filename(date: str) -> str:

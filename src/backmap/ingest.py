@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import naming_fields, read_jsonl, text, texts, write_jsonl
 from .netutil import canonical_ip, ip_family
 from .timeutil import UTC, ensure_utc, fmt_iso, from_epoch, parse_iso, to_epoch
 
@@ -589,8 +589,15 @@ def _resolution(doc: dict) -> ResolutionResult:
     )
 
 
+_RESOLUTION_CHECKS = {
+    "fqdn": text, "vantage_id": text,
+    "answers": lambda v: [canonical_ip(a) for a in texts(v)],
+    "resolved_at": from_epoch, "status": text,
+}
+
+
 def read_resolutions(path: str | Path) -> Iterator[ResolutionResult]:
-    return read_jsonl(path, _resolution)
+    return read_jsonl(path, naming_fields(_resolution, _RESOLUTION_CHECKS))
 
 
 def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> None:
@@ -611,8 +618,14 @@ def _observation(doc: dict) -> Observation:
     )
 
 
+_OBSERVATION_CHECKS = {
+    "provider_id": text, "fqdn": text, "ip": canonical_ip, "source": text,
+    "seen_at": lambda v: parse_iso(text(v)),
+}
+
+
 def read_observations(path: str | Path) -> Iterator[Observation]:
-    return read_jsonl(path, _observation)
+    return read_jsonl(path, naming_fields(_observation, _OBSERVATION_CHECKS))
 
 
 def write_observations(path: str | Path, observations: Iterable[Observation],

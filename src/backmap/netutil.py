@@ -15,6 +15,8 @@ Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 # also takes ints and packed bytes, which skip the shortcut)
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _CANONICAL_V4 = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+# such a quad, a slash and a prefix length 0-32 without leading zeros
+_CANONICAL_V4_NET = re.compile(rf"({_OCTET}(?:\.{_OCTET}){{3}})/(3[0-2]|[12][0-9]|[0-9])")
 
 
 def canonical_ip(text: str) -> str:
@@ -48,6 +50,35 @@ def parse_network(text: str) -> Network:
     """Parse an address or CIDR block; bare addresses become host routes."""
     text = text.strip()
     return ipaddress.ip_network(text, strict=False)
+
+
+def _v4_int(quad: str) -> int:
+    a, b, c, d = quad.split(".")
+    return int(a) << 24 | int(b) << 16 | int(c) << 8 | int(d)
+
+
+def network_range(text: str) -> tuple[int, int, int]:
+    """(family, first, last) integer bounds of `parse_network(text)`."""
+    m = _CANONICAL_V4_NET.fullmatch(text)
+    if m is not None:
+        host = (1 << 32 - int(m[2])) - 1
+        first = _v4_int(m[1]) & ~host
+        return 4, first, first | host
+    net = parse_network(text)
+    return net.version, int(net.network_address), int(net.broadcast_address)
+
+
+def prefix_contains(prefix: str, ip: str) -> bool:
+    """Whether the network `prefix` (strict: no host bits set) contains the
+    address `ip`. Raises ipaddress's ValueError for a bad prefix or address;
+    canonical IPv4 text is checked without building ipaddress objects."""
+    m = _CANONICAL_V4_NET.fullmatch(prefix)
+    if m is not None and _CANONICAL_V4.fullmatch(ip):
+        host = (1 << 32 - int(m[2])) - 1
+        network = _v4_int(m[1])
+        if not network & host:
+            return _v4_int(ip) & ~host == network
+    return ipaddress.ip_address(ip) in ipaddress.ip_network(prefix)
 
 
 class PrefixIndex(Generic[V]):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import yaml
 
@@ -29,11 +29,11 @@ from .footprint import (BackendServer, diff_snapshots, diversity_report, enrich_
 from .fusion import (CandidateAddress, build_reverse_index, classify_sharing, fuse,
                      read_candidates, snapshot_filename, write_candidates)
 from .geo import Location
-from .ingest import (StudyWindow, ingest_cert_scan, ingest_passive_dns,
+from .ingest import (Observation, StudyWindow, ingest_cert_scan, ingest_passive_dns,
                      observations_from_resolutions, read_cert_scan_export,
                      read_observations, read_pdns_export, read_resolutions,
                      write_observations)
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import integer, naming_fields, read_jsonl, text, texts, write_jsonl
 from .timeutil import fmt_iso, local_date, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
@@ -163,17 +163,71 @@ def _require_artifact(path: Path, run_first: str) -> Path:
 
 @dataclass
 class RunState:
-    """Artifacts shared between stages of one run."""
+    """Artifacts shared between stages of one run.
+
+    Each stage artifact is parsed at most once per run. The stage that
+    writes one hands it over in `held`, as the file's reader would return
+    it (same order, timestamps to the second), and later stages take it
+    from the accessor. A run that starts at a later stage reads each file
+    once; a missing file raises UpstreamMissingError.
+    """
 
     config: RunConfig
     profiles: list = field(default_factory=list)
     patterns: list = field(default_factory=list)
+    held: dict[str, Any] = field(default_factory=dict)
 
     def profiles_by_id(self) -> dict:
         return {p.provider_id: p for p in self.profiles}
 
     def patterns_by_id(self) -> dict:
         return {p.provider_id: p for p in self.patterns}
+
+    def _artifact(self, name: str, run_first: str) -> Path:
+        return _require_artifact(self.config.out_dir / name, run_first)
+
+    def _held_or(self, name: str, load: Callable[[], Any]) -> Any:
+        if name not in self.held:
+            self.held[name] = load()
+        return self.held[name]
+
+    def observations(self) -> list[Observation]:
+        """Fuse is their only reader, so the state lets them go."""
+        if "observations" in self.held:
+            return self.held.pop("observations")
+        return list(read_observations(self._artifact("observations.jsonl", "discover")))
+
+    def candidates(self) -> dict[tuple[str, str], CandidateAddress]:
+        return self._held_or("candidates", lambda: read_candidates(
+            self._artifact("candidates.jsonl", "fuse")))
+
+    def snapshots(self) -> list[tuple[str, frozenset[tuple[str, str]]]]:
+        """(date, (provider, ip) keys) of every dated snapshot file, by date;
+        the stability diff needs nothing else. Footprint is their only
+        reader, so the state lets them go."""
+        held = self.held.pop("snapshots", {})
+        snap_dir = self.config.out_dir / "snapshots"
+        if not snap_dir.exists():
+            return []
+        dates = sorted(p.name.split("candidates-")[1] for p in snap_dir.glob("candidates-*"))
+        return [(date, held[date] if date in held else
+                 frozenset(read_candidates(snap_dir / snapshot_filename(date))))
+                for date in dates]
+
+    def sharing(self) -> dict[tuple[str, str], str]:
+        return self._held_or("sharing", lambda: _read_sharing(
+            self._artifact("sharing.jsonl", "classify")))
+
+    def servers(self) -> list[BackendServer]:
+        return self._held_or("servers", lambda: read_servers(
+            self._artifact("servers.jsonl", "footprint")))
+
+
+def _as_read_back(obs: Observation) -> Observation:
+    """`obs` as its line in observations.jsonl reads back: to the second."""
+    if obs.seen_at.microsecond:
+        return replace(obs, seen_at=obs.seen_at.replace(microsecond=0))
+    return obs
 
 
 def _stage_discover(state: RunState) -> None:
@@ -194,15 +248,18 @@ def _stage_discover(state: RunState) -> None:
         observations.extend(result.observations)
     if not observations and not (cfg.certs or cfg.pdns or cfg.resolutions):
         raise UpstreamMissingError("certs/pdns/resolutions inputs", "discover")
-    write_observations(cfg.out_dir / "observations.jsonl", observations, sort=True)
+    observations.sort(key=Observation.sort_key)
+    write_observations(cfg.out_dir / "observations.jsonl", observations)
+    state.held["observations"] = [_as_read_back(obs) for obs in observations]
 
 
 def _stage_fuse(state: RunState) -> None:
     cfg = state.config
-    obs_path = _require_artifact(cfg.out_dir / "observations.jsonl", "discover")
-    observations = list(read_observations(obs_path))
-    candidates = fuse(observations)
+    observations = state.observations()
+    # in file order, as read_candidates returns them
+    candidates = dict(sorted(fuse(observations).items()))
     write_candidates(cfg.out_dir / "candidates.jsonl", candidates)
+    state.held["candidates"] = candidates
     reports.write_sources(cfg.out_dir / "fig3_sources.csv", candidates.values())
 
     # dated per-day snapshots for stability diffing
@@ -211,12 +268,14 @@ def _stage_fuse(state: RunState) -> None:
     by_day: dict[str, list] = {}
     for obs in observations:
         by_day.setdefault(local_date(obs.seen_at, cfg.timezone), []).append(obs)
-    index = {}
+    index, snapshots = {}, {}
     for date in sorted(by_day):
         day_candidates = fuse(by_day[date])
         path = snap_dir / snapshot_filename(date)
         write_candidates(path, day_candidates)
         index[date] = file_digest(path)
+        snapshots[date] = frozenset(day_candidates)
+    state.held["snapshots"] = snapshots
     with open(snap_dir / "index.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -228,10 +287,11 @@ def write_sharing(
     reverse: Mapping[str, set[str]],
     patterns: Sequence[DomainPattern],
     threshold: int,
-) -> None:
+) -> dict[tuple[str, str], str]:
     """One sharing row per candidate in (provider, ip) order. An IP with no
     reverse evidence at all stays dedicated but is marked `reverse_data:
-    false`, so reports can tell it from a measured zero."""
+    false`, so reports can tell it from a measured zero. Returns the rows'
+    verdicts as `_read_sharing` reads them back."""
     def row(pid: str, ip: str) -> dict:
         non_matching, matching, verdict = 0, 0, "dedicated"
         if ip in reverse:
@@ -246,24 +306,34 @@ def write_sharing(
             "reverse_data": ip in reverse,
         }
 
-    write_jsonl(path, (row(pid, ip) for pid, ip in sorted(candidates)))
+    rows = [row(pid, ip) for pid, ip in sorted(candidates)]
+    write_jsonl(path, rows)
+    return {(r["provider_id"], r["ip"]): r["verdict"] for r in rows}
 
 
 def _stage_classify(state: RunState) -> None:
     cfg = state.config
-    candidates = read_candidates(_require_artifact(cfg.out_dir / "candidates.jsonl", "fuse"))
+    candidates = state.candidates()
     reverse: dict[str, set[str]] = {}
     if cfg.pdns:
         reverse = build_reverse_index(read_pdns_export(cfg.pdns))
-    write_sharing(cfg.out_dir / "sharing.jsonl", candidates, reverse, state.patterns,
-                  cfg.sharing_threshold)
+    state.held["sharing"] = write_sharing(cfg.out_dir / "sharing.jsonl", candidates, reverse,
+                                          state.patterns, cfg.sharing_threshold)
+
+
+def _sharing_row(doc: dict) -> tuple[tuple[str, str], str]:
+    return (text(doc["provider_id"]), text(doc["ip"])), text(doc["verdict"])
 
 
 def _read_sharing(path: Path) -> dict[tuple[str, str], str]:
-    return dict(read_jsonl(path, lambda doc: ((doc["provider_id"], doc["ip"]), doc["verdict"])))
+    return dict(read_jsonl(path, naming_fields(_sharing_row, {
+        "provider_id": text, "ip": text, "verdict": text})))
 
 
-def write_servers(path: Path, servers: Iterable[BackendServer]) -> None:
+def write_servers(path: Path, servers: Iterable[BackendServer]) -> list[BackendServer]:
+    """One row per server in (provider, ip) order; returns the servers in
+    that order, as `read_servers` reads them back."""
+    rows = sorted(servers, key=lambda s: (s.provider_id, s.ip))
     write_jsonl(path, ({
         "ip": s.ip, "provider_id": s.provider_id,
         "country": s.location.country, "city": s.location.city,
@@ -271,7 +341,8 @@ def write_servers(path: Path, servers: Iterable[BackendServer]) -> None:
         "location_confidence": s.location_confidence,
         "prefix": s.prefix, "asn": s.asn, "sharing": s.sharing,
         "sources": sorted(s.sources), "region_token": s.region_token,
-    } for s in sorted(servers, key=lambda s: (s.provider_id, s.ip))))
+    } for s in rows))
+    return rows
 
 
 def _server(doc: dict) -> BackendServer:
@@ -285,20 +356,27 @@ def _server(doc: dict) -> BackendServer:
     )
 
 
+_SERVER_CHECKS = {
+    "ip": text, "provider_id": text, "country": text, "continent": text,
+    "location_confidence": text, "prefix": text, "asn": integer, "sharing": text,
+    "sources": texts,
+}
+
+
 def read_servers(path: Path) -> list[BackendServer]:
-    return list(read_jsonl(path, _server))
+    return list(read_jsonl(path, naming_fields(_server, _SERVER_CHECKS)))
 
 
 def _stage_footprint(state: RunState) -> None:
     cfg = state.config
-    candidates = read_candidates(_require_artifact(cfg.out_dir / "candidates.jsonl", "fuse"))
-    sharing = _read_sharing(_require_artifact(cfg.out_dir / "sharing.jsonl", "classify"))
+    candidates = state.candidates()
+    sharing = state.sharing()
     if not cfg.prefix2as:
         raise UpstreamMissingError("prefix2as table", "inputs")
     table = load_prefix_table(_require_artifact(cfg.prefix2as, "inputs"))
     servers, skipped = enrich_candidates(
         candidates, state.profiles_by_id(), state.patterns_by_id(), table, sharing)
-    write_servers(cfg.out_dir / "servers.jsonl", servers)
+    servers = state.held["servers"] = write_servers(cfg.out_dir / "servers.jsonl", servers)
     if skipped:
         write_jsonl(cfg.out_dir / "footprint_skipped.jsonl",
                     ({"provider_id": pid, "ip": ip, "reason": reason}
@@ -309,14 +387,10 @@ def _stage_footprint(state: RunState) -> None:
     reports.write_confidence_histogram(cfg.out_dir / "location_confidence.csv", servers)
 
     # stability: consecutive-day diffs over the dated snapshots
-    snap_dir = cfg.out_dir / "snapshots"
+    snapshots = state.snapshots()
     diffs = []
-    if snap_dir.exists():
-        dates = sorted(p.name.split("candidates-")[1] for p in snap_dir.glob("candidates-*"))
-        for a, b in zip(dates, dates[1:]):
-            snap_a = read_candidates(snap_dir / f"candidates-{a}")
-            snap_b = read_candidates(snap_dir / f"candidates-{b}")
-            diffs.extend(diff_snapshots(snap_a, snap_b, a, b).values())
+    for (a, keys_a), (b, keys_b) in zip(snapshots, snapshots[1:]):
+        diffs.extend(diff_snapshots(keys_a, keys_b, a, b).values())
     reports.write_stability(cfg.out_dir / "fig4_stability.csv", diffs)
 
 
@@ -357,8 +431,8 @@ def _stage_flows(state: RunState) -> None:
     if not cfg.flows:
         raise UpstreamMissingError("flow trace input", "inputs")
     flows_path = _require_artifact(cfg.flows, "inputs")
-    servers = read_servers(_require_artifact(cfg.out_dir / "servers.jsonl", "footprint"))
-    candidates = read_candidates(_require_artifact(cfg.out_dir / "candidates.jsonl", "fuse"))
+    servers = state.servers()
+    candidates = state.candidates()
     profiles_by_id = state.profiles_by_id()
     index = ServerIndex(servers, profiles_by_id, include_shared=cfg.include_shared)
     cert_ips = {ip for (pid, ip), cand in candidates.items() if "tls-cert" in cand.sources}

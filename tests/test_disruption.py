@@ -139,6 +139,24 @@ class TestBlocklist:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: 'not-a-net' "):
             read_blocklist(path)
 
+    def test_netset_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sample.netset"
+        path.write_bytes(b"192.0.2.0/24\n\xff\xfe\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not UTF-8: "
+                                             r"byte 0xff: invalid start byte$"):
+            read_blocklist(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_netset_lines_counted_as_text_mode_splits_them(self, tmp_path, newline):
+        path = tmp_path / "sample.netset"
+        path.write_bytes(newline.join(["# c", "192.0.2.0/24", "", "not-a-net"]).encode()
+                         + newline.encode() + b"\xff")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: not UTF-8"):
+            read_blocklist(path)
+        path.write_bytes(newline.join(["# c", "192.0.2.0/24", "", "not-a-net"]).encode())
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: 'not-a-net' "):
+            read_blocklist(path)
+
     def test_matches_equal_numpy_bruteforce(self):
         rng = random.Random(11)
         cidrs = []
@@ -208,3 +226,37 @@ class TestRoutingEvents:
         reports = routing_event_overlap(servers, events, SCAN)
         affected_counts = [len(r.affected_servers) for r in reports]
         assert affected_counts == [3, 3, 0]
+
+
+def v4_networks():
+    return st.builds(lambda value, length: ipaddress.ip_network((0x0A000000 + value, length),
+                                                                strict=False),
+                     st.integers(0, 0xFFFF), st.integers(8, 32))
+
+
+def v6_networks():
+    return st.builds(lambda value, length: ipaddress.ip_network(
+        (0x20010DB8 << 96 | value, length), strict=False),
+        st.integers(0, 0xFFFF), st.sampled_from([32, 64, 100, 112, 120, 127, 128]))
+
+
+NETWORKS = st.one_of(v4_networks(), v6_networks())
+
+
+@settings(max_examples=200, deadline=None)
+@given(server_nets=st.lists(NETWORKS, min_size=1, max_size=20),
+       event_nets=st.lists(NETWORKS, min_size=1, max_size=6))
+def test_prefix_overlap_agrees_with_ipaddress(server_nets, event_nets):
+    """Integer-range overlap against `ipaddress` overlaps, server by server."""
+    servers = [server(str(net[-1]), pid=f"p{i % 3}", prefix=str(net))
+               for i, net in enumerate(server_nets)]
+    window = (SCAN.start, SCAN.start + timedelta(hours=1))
+    events = [RoutingEvent(kind="hijack", prefix=str(net), window=window)
+              for net in event_nets]
+    reports = routing_event_overlap(servers, events, SCAN)
+    assert [r.event for r in reports] == events
+    for report, enet in zip(reports, event_nets):
+        hit = [s for s, snet in zip(servers, server_nets)
+               if snet.version == enet.version and snet.overlaps(enet)]
+        assert report.affected_servers == tuple(sorted({s.ip for s in hit}))
+        assert report.affected_providers == tuple(sorted({s.provider_id for s in hit}))

@@ -1,7 +1,8 @@
 """The parse and match fast paths against the general code they skip.
 
-`timeutil.parse_iso` and `netutil.canonical_ip`/`ip_family` take a shortcut
-for the one spelling this program writes; `ingest._match_name` and
+`timeutil.parse_iso`, `netutil.canonical_ip`/`ip_family` and
+`netutil.prefix_contains`/`network_range` take a shortcut for the one
+spelling this program writes; `ingest._match_name` and
 `fusion.classify_sharing` ask only the catalog patterns a name could match.
 Each must give what the general code gives, value for value and error for
 error. The general code is kept here as the reference.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from backmap import ingest
 from backmap.catalog import match_fqdn, normalize_fqdn
 from backmap.fusion import classify_sharing
-from backmap.netutil import canonical_ip, ip_family
+from backmap.netutil import canonical_ip, ip_family, network_range, prefix_contains
 from backmap.timeutil import UTC, ensure_utc, parse_iso
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -180,6 +181,69 @@ def address_texts(draw):
 @given(text=address_texts())
 def test_addresses_agree_with_ipaddress(text):
     assert_same_address(text)
+
+
+# --- prefixes --------------------------------------------------------------------
+
+
+def reference_prefix_contains(prefix, ip):
+    return ipaddress.ip_address(ip) in ipaddress.ip_network(prefix)
+
+
+def reference_network_range(text):
+    net = ipaddress.ip_network(text.strip(), strict=False)
+    return net.version, int(net.network_address), int(net.broadcast_address)
+
+
+def outcome_with_message(fn, *args):
+    """Like `outcome`, with the error message: callers match on it."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def assert_same_prefix(prefix, ip):
+    assert outcome_with_message(prefix_contains, prefix, ip) == \
+        outcome_with_message(reference_prefix_contains, prefix, ip), (prefix, ip)
+    assert outcome_with_message(network_range, prefix) == \
+        outcome_with_message(reference_network_range, prefix), prefix
+
+
+@pytest.mark.parametrize("prefix, ip", [
+    ("192.0.2.0/24", "192.0.2.7"), ("192.0.2.0/24", "192.0.3.7"),
+    ("0.0.0.0/0", "255.255.255.255"), ("10.0.0.1/32", "10.0.0.1"), ("10.0.0.1/32", "10.0.0.2"),
+    ("192.0.2.1/24", "192.0.2.7"),                       # host bits set
+    ("192.0.2.0/33", "192.0.2.7"), ("192.0.2.0/024", "192.0.2.7"), ("192.0.2.0/", "192.0.2.7"),
+    ("192.0.2.0/255.255.255.0", "192.0.2.7"), ("192.0.2.0", "192.0.2.0"),
+    (" 192.0.2.0/24", "192.0.2.7"), ("192.0.2.0/24", " 192.0.2.7"), ("192.0.2.0/24", "01.0.2.7"),
+    ("192.0.2.0/24", "999.0.2.7"), ("not-a-net", "192.0.2.7"), ("192.0.2.0/24", "not-an-ip"),
+    ("192.0.2.0/24", "2001:db8::1"), ("2001:db8::/64", "192.0.2.7"),
+    ("2001:db8::/64", "2001:db8::7"), ("2001:db8::/64", "2001:db9::7"),
+    ("2001:db8::1/64", "2001:db8::7"),
+])
+def test_prefix_edge_cases(prefix, ip):
+    assert_same_prefix(prefix, ip)
+
+
+@settings(max_examples=500, deadline=None)
+@given(address=st.integers(0, 2 ** 32 - 1), network=st.integers(0, 2 ** 32 - 1),
+       length=st.integers(0, 32), masked=st.booleans(), v6=st.booleans())
+def test_prefixes_agree_with_ipaddress(address, network, length, masked, v6):
+    """Canonical prefixes with and without host bits set, the address in or
+    out of them, and v6 prefixes the general code handles."""
+    host = (1 << 32 - length) - 1
+    if masked:
+        network &= ~host
+    if address % 3 == 0:
+        address = network | address & host
+    if v6:
+        prefix = f"{ipaddress.IPv6Address(network << 96)}/{length * 4}"
+        ip = str(ipaddress.IPv6Address(address << 96))
+    else:
+        prefix = f"{ipaddress.IPv4Address(network)}/{length}"
+        ip = str(ipaddress.IPv4Address(address))
+    assert_same_prefix(prefix, ip)
 
 
 # --- catalog name matching -----------------------------------------------------------

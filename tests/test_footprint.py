@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,3 +205,43 @@ class TestDiversity:
         assert second.asn_count >= first.asn_count
         assert second.v4_prefix_count >= first.v4_prefix_count
         assert second.country_count >= first.country_count
+
+
+def backend_server(ip, prefix):
+    return BackendServer(ip=ip, provider_id="p1", location=Location.of("DE"),
+                         location_confidence="unanimous", prefix=prefix, asn=64500,
+                         sharing="dedicated", sources=frozenset({"tls-cert"}))
+
+
+class TestBackendServerPrefixCheck:
+    """The containment check skips `ipaddress` for canonical IPv4 text and
+    keeps its messages for everything else."""
+
+    @pytest.mark.parametrize("ip, prefix", [
+        ("192.0.2.7", "192.0.2.0/24"), ("192.0.2.7", "192.0.2.7/32"), ("10.1.2.3", "0.0.0.0/0"),
+        ("2001:db8::7", "2001:db8::/64"),
+    ])
+    def test_address_inside_its_prefix(self, ip, prefix):
+        assert backend_server(ip, prefix).prefix == prefix
+
+    @pytest.mark.parametrize("ip, prefix", [
+        ("192.0.3.7", "192.0.2.0/24"), ("10.0.0.2", "10.0.0.1/32"),
+        ("2001:db9::7", "2001:db8::/64"), ("192.0.2.7", "2001:db8::/64"),
+        ("2001:db8::7", "0.0.0.0/0"),
+    ])
+    def test_address_outside_its_prefix(self, ip, prefix):
+        with pytest.raises(ValueError, match=rf"^prefix {re.escape(prefix)} does not contain "
+                                             rf"{re.escape(ip)}$"):
+            backend_server(ip, prefix)
+
+    @pytest.mark.parametrize("ip, prefix, message", [
+        ("192.0.2.7", "192.0.2.1/24", "192.0.2.1/24 has host bits set"),
+        ("2001:db8::7", "2001:db8::1/64", "2001:db8::1/64 has host bits set"),
+        ("192.0.2.7", "192.0.2.0/33",
+         "'192.0.2.0/33' does not appear to be an IPv4 or IPv6 network"),
+        ("192.0.2.7", "not-a-net", "'not-a-net' does not appear to be an IPv4 or IPv6 network"),
+        ("999.0.2.7", "192.0.2.0/24", "'999.0.2.7' does not appear to be an IPv4 or IPv6 address"),
+    ])
+    def test_bad_prefix_or_address_keeps_the_ipaddress_message(self, ip, prefix, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            backend_server(ip, prefix)

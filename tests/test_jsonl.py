@@ -80,6 +80,60 @@ def test_strict_readers_name_file_line_and_field(tmp_path, name, how):
         list(read(path))
 
 
+# (reader, field, wrong-typed value, the check's reason)
+WRONG_TYPES = [
+    ("resolutions", "resolved_at", "noon", "'str' object cannot be interpreted as an integer"),
+    ("resolutions", "resolved_at", 1e20, "timestamp out of range for platform time_t"),
+    ("resolutions", "answers", "192.0.2.1", "expected a list, not str"),
+    ("resolutions", "fqdn", 5, "expected text, not int"),
+    ("resolutions", "status", ["ok"], "expected text, not list"),
+    ("observations", "seen_at", "noon", "Invalid isoformat string: 'noon'"),
+    ("observations", "seen_at", 5, "expected text, not int"),
+    ("observations", "ip", 3221225985, "address must be text, not int"),
+    ("observations", "source", ["tls-cert"], "expected text, not list"),
+    ("candidates", "first_seen", "noon", "Invalid isoformat string: 'noon'"),
+    ("candidates", "sources", 5, "expected a list, not int"),
+    ("candidates", "fqdns", None, "expected a list, not NoneType"),
+    ("sharing", "provider_id", ["p1"], "expected text, not list"),
+    ("sharing", "verdict", 1, "expected text, not int"),
+    ("servers", "asn", "64500", "expected an integer, not str"),
+    ("servers", "country", 5, "expected text, not int"),
+    ("servers", "prefix", 5, "expected text, not int"),
+    ("servers", "ip", None, "expected text, not NoneType"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, reason", WRONG_TYPES)
+def test_wrong_typed_value_names_its_field(tmp_path, name, field, value, reason):
+    read, write, _ = STRICT_READERS[name]
+    path = tmp_path / f"{name}.jsonl"
+    write(path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), field: value})}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: field {field!r}: "
+                                         rf"{re.escape(reason)}$"):
+        list(read(path))
+
+
+# (reader, field, a well-typed value the record's constructor rejects, its reason)
+WRONG_VALUES = [
+    ("observations", "source", "carrier-pigeon", "bad source 'carrier-pigeon'"),
+    ("resolutions", "status", "lost", "bad status 'lost'"),
+    ("servers", "prefix", "198.51.100.0/24", "prefix 198.51.100.0/24 does not contain 192.0.2.2"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, reason", WRONG_VALUES)
+def test_well_typed_bad_value_keeps_the_record_s_reason(tmp_path, name, field, value, reason):
+    read, write, _ = STRICT_READERS[name]
+    path = tmp_path / f"{name}.jsonl"
+    write(path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), field: value})}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {re.escape(reason)}$"):
+        list(read(path))
+
+
 EXPORT_ROWS = {
     "pdns": (read_pdns_export, PassiveDnsRecord, "rdata",
              {"rrname": "a.p1.example", "rrtype": "A", "rdata": "192.0.2.1",

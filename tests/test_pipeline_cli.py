@@ -173,6 +173,145 @@ class TestRunPipeline:
         assert {s["ip"] for s in servers if s["sharing"] == "shared"} == shared_ips
 
 
+# artifact readers that stages call through backmap.pipeline
+ARTIFACT_READERS = ("read_observations", "read_candidates", "_read_sharing", "read_servers")
+
+
+def count_artifact_reads(monkeypatch) -> list[tuple[str, str]]:
+    """Wrap every artifact reader; the list fills with (reader, file name)."""
+    from backmap import pipeline
+
+    reads = []
+    for name in ARTIFACT_READERS:
+        def counting(path, _name=name, _read=getattr(pipeline, name)):
+            reads.append((_name, Path(path).name))
+            return _read(path)
+        monkeypatch.setattr(pipeline, name, counting)
+    return reads
+
+
+def tree_bytes(out_dir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def run_checking_handoff(config: RunConfig) -> None:
+    """Every stage in order on one RunState; after each, every artifact the
+    stage hands over equals what its file's reader returns, order included."""
+    from backmap import pipeline
+    from backmap.catalog import compile_catalog, load_catalog
+    from backmap.fusion import read_candidates
+    from backmap.ingest import read_observations
+
+    out = config.out_dir
+    out.mkdir(parents=True)
+    profiles = load_catalog(config.catalog)
+    state = pipeline.RunState(config=config, profiles=profiles,
+                              patterns=compile_catalog(profiles))
+    read_back = {
+        "discover": lambda: {
+            "observations": list(read_observations(out / "observations.jsonl"))},
+        "fuse": lambda: {
+            "candidates": read_candidates(out / "candidates.jsonl"),
+            "snapshots": {p.name.split("candidates-")[1]: frozenset(read_candidates(p))
+                          for p in (out / "snapshots").glob("candidates-*")}},
+        "classify": lambda: {"sharing": pipeline._read_sharing(out / "sharing.jsonl")},
+        "footprint": lambda: {"servers": pipeline.read_servers(out / "servers.jsonl")},
+    }
+    for stage in pipeline.STAGES:
+        pipeline._STAGE_FUNCS[stage](state)
+        for name, value in read_back.get(stage, dict)().items():
+            held = state.held[name]
+            assert held == value, name
+            if name != "snapshots" and isinstance(value, dict):
+                assert list(held) == list(value), name
+
+
+class TestArtifactHandoff:
+    """Within one run_pipeline call each stage artifact is parsed at most once."""
+
+    def test_full_run_reads_back_no_artifact(self, universe_dir, completed_run, tmp_path,
+                                             monkeypatch):
+        reads = count_artifact_reads(monkeypatch)
+        config = make_run_config(universe_dir, tmp_path / "out")
+        run_pipeline(config)
+        assert reads == []
+        assert tree_bytes(config.out_dir) == tree_bytes(completed_run[0].out_dir)
+
+    def test_footprint_alone_reads_each_file_once(self, universe_dir, completed_run,
+                                                   tmp_path, monkeypatch):
+        import shutil
+
+        config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
+        # a third day, so that the middle snapshot is in two diffs
+        snap_dir = out_dir / "snapshots"
+        shutil.copy(snap_dir / "candidates-2022-02-28", snap_dir / "candidates-2022-03-02")
+        snapshots = sorted(p.name for p in snap_dir.glob("candidates-*"))
+        assert len(snapshots) == 3
+        reads = count_artifact_reads(monkeypatch)
+        run_pipeline(make_run_config(universe_dir, out_dir), ["footprint"])
+        assert sorted(reads) == sorted(
+            [("_read_sharing", "sharing.jsonl"), ("read_candidates", "candidates.jsonl")]
+            + [("read_candidates", name) for name in snapshots])
+        pairs = [row.split(",")[1:3] for row in
+                 (out_dir / "fig4_stability.csv").read_text().splitlines()[1:]]
+        assert sorted(set(map(tuple, pairs))) == [("2022-02-28", "2022-03-01"),
+                                                  ("2022-03-01", "2022-03-02")]
+        after, before = tree_bytes(out_dir), tree_bytes(config.out_dir)
+        for changed in ("manifest.json", "fig4_stability.csv"):
+            after.pop(changed), before.pop(changed)
+        assert after.pop("snapshots/candidates-2022-03-02")
+        assert after == before
+
+    @pytest.mark.parametrize("artifact, run_first", [("sharing.jsonl", "classify"),
+                                                     ("candidates.jsonl", "fuse")])
+    def test_footprint_alone_without_an_artifact_errors(self, completed_run, tmp_path,
+                                                        artifact, run_first, universe_dir):
+        import shutil
+
+        out_dir = tmp_path / "out"
+        shutil.copytree(completed_run[0].out_dir, out_dir)
+        (out_dir / artifact).unlink()
+        with pytest.raises(UpstreamMissingError, match=run_first):
+            run_pipeline(make_run_config(universe_dir, out_dir), ["footprint"])
+
+    def test_one_call_per_stage_matches_one_full_call(self, universe_dir, completed_run,
+                                                       tmp_path):
+        from backmap.pipeline import STAGES
+
+        full_config, full_manifest = completed_run
+        config = make_run_config(universe_dir, tmp_path / "out")
+        for stage in STAGES:
+            manifest = run_pipeline(config, [stage])
+        assert manifest["outputs"] == full_manifest["outputs"]
+        assert manifest["inputs"] == full_manifest["inputs"]
+        staged, full = tree_bytes(config.out_dir), tree_bytes(full_config.out_dir)
+        staged.pop("manifest.json")
+        full.pop("manifest.json")
+        assert staged == full
+
+    def test_handed_over_artifacts_equal_their_files(self, universe_dir, tmp_path):
+        run_checking_handoff(make_run_config(universe_dir, tmp_path / "out"))
+
+    def test_sub_second_unsorted_observations_are_handed_over_as_read(self, universe_dir,
+                                                                       tmp_path):
+        """Resolutions at fractional epoch seconds, in reverse order: the
+        observations are handed over sorted and to the second."""
+        from dataclasses import replace
+
+        rows = [json.loads(line) for line in
+                (universe_dir / "resolutions.jsonl").read_text().splitlines()]
+        for i, row in enumerate(rows):
+            row["resolved_at"] += 0.25 + (i % 3) / 4
+        path = tmp_path / "resolutions.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in reversed(rows)))
+        config = replace(make_run_config(universe_dir, tmp_path / "out"),
+                         certs=None, pdns=None, resolutions=path)
+        run_checking_handoff(config)
+
+
 class TestPseudonyms:
     def test_pure_function_of_salt_and_id(self):
         groups = {"a": "top", "b": "top", "c": "cloud", "d": "other"}
@@ -350,6 +489,17 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert f"error: {netset}:3: 'not-a-net' does not appear to be" in result.output
+
+    def test_disrupt_blocklist_not_utf8_exits_1(self, completed_run, tmp_path):
+        config, _ = completed_run
+        netset = tmp_path / "bad.netset"
+        netset.write_bytes(b"192.0.2.0/24\n\xff\xfe\n")
+        result = self.runner.invoke(main, [
+            "disrupt", "blocklist", "--servers", str(config.out_dir / "servers.jsonl"),
+            "--list", str(netset), "--out", str(tmp_path / "matches.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {netset}:2: not UTF-8: byte 0xff" in result.output
 
     def test_discover_tls_target_without_port_exits_1(self, tmp_path, monkeypatch):
         import socket
