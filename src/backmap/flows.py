@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import ProviderProfile
 from .footprint import BackendServer
@@ -63,8 +63,8 @@ class FlowRecord(NamedTuple):
     """One sampled flow record.
 
     A plain tuple: the readers validate each record before they build it
-    (`_check` for JSONL, inline checks for `.bmf`), so building one runs no
-    code, and the engine unpacks it instead of looking up attributes.
+    (`_check` for JSONL, `_checked_keys` for `.bmf`), so building one runs
+    no code. The flow passes read a `.bmf` file as rows and build none.
     """
 
     ts: int  # epoch seconds
@@ -150,12 +150,47 @@ def line_contact_sets(
     backend_ips: set[str],
     tz_name: str = "UTC",
 ) -> dict[tuple[str, str], set[str]]:
-    """(line, local date) -> distinct backend server IPs contacted."""
-    date_of = LocalDays(tz_name).date
+    """(line, local date) -> distinct backend server IPs contacted.
+
+    Every row is checked (see `_row_source`); a line or address key is
+    decoded on its first sight only, and an address key is kept as its
+    backend IP, or "" for any other address.
+    """
+    batches, line_of, addr_of, skip = _row_source(flows)
+    days = LocalDays(tz_name)
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
-    for ts, line, ip, _port, _transport, _direction, _bytes, _packets, _rate in flows:
-        if ip in backend_ips:
-            out[(line, date_of(ts))].add(ip)
+    lines: dict = {}
+    backend: dict = {}
+    lines_get, backend_get = lines.get, backend.get
+
+    def first_sight(line_key, addr_key, proto: int, direction: int, rate: int) -> tuple:
+        line, ip = _checked_keys(line_key, addr_key, proto, direction, rate, line_of, addr_of)
+        line = lines[line_key] = _SKIP if line in skip else line
+        ip = backend[addr_key] = ip if ip in backend_ips else ""
+        return line, ip
+
+    day, start, end = "", 0, 0
+    today: dict = {}  # line key -> its contact set for `day`
+    today_get = today.get
+    try:
+        for rows in batches:
+            for ts, line_key, addr_key, _port, proto, direction, _bytes, _packets, rate in rows:
+                line = lines_get(line_key)
+                ip = backend_get(addr_key)
+                if (line is None or ip is None or rate < 1 or direction not in _DIRECTIONS
+                        or proto not in _TRANSPORTS):
+                    line, ip = first_sight(line_key, addr_key, proto, direction, rate)
+                if ip and line is not _SKIP:
+                    if not start <= ts < end:
+                        day, start, end = days.day(ts)
+                        today.clear()
+                    ips = today_get(line_key)
+                    if ips is None:
+                        ips = today[line_key] = out[(line, day)]
+                    ips.add(ip)
+    except ValueError:
+        _locate(flows)
+        raise
     return out
 
 
@@ -181,7 +216,11 @@ def scanner_line_ids(verdicts: Iterable[ScannerVerdict]) -> set[str]:
 
 def exclude_scanner_lines(
     flows: Iterable[FlowRecord], scanners: set[str],
-) -> Iterator[FlowRecord]:
+) -> Iterable[FlowRecord]:
+    """`flows` without the scanner lines' records. A FlowFile stays one, so
+    the flow passes still read its rows; they skip those lines by line key."""
+    if isinstance(flows, FlowFile):
+        return flows.excluding(scanners)
     return (f for f in flows if f[1] not in scanners)
 
 
@@ -269,21 +308,27 @@ def aggregate_flows(
     `cert_ips` marks servers discoverable from certificate scans alone and
     feeds the source-ablation numbers.
 
-    Attribution depends only on a record's (ip, port, transport), so it is
-    decided once per distinct triple. A record then updates three
-    accumulators: the downstream bytes per (provider, region token, hour)
-    or the upstream bytes per (provider, hour), the lines per (provider,
-    hour), and the [down, up] bytes per triple within its (line, local
-    day). Every other field is rolled up from those once at the end, in
-    the same key order a record-by-record pass would give.
+    Rows are checked as `line_contact_sets` checks them; the rows of lines
+    a FlowFile excludes are checked and skipped. Attribution depends only
+    on a row's (address, port, transport), so it is decided once per
+    distinct key triple. A row then updates three accumulators: the
+    downstream bytes per (provider, region token, hour) or the upstream
+    bytes per (provider, hour), the lines per (provider, hour), and the
+    [down, up] bytes per (line, local day, triple). Every other field is
+    rolled up from those once at the end, in the same key order a
+    record-by-record pass would give.
     """
+    batches, line_of, addr_of, skip = _row_source(flows)
     cert_ips = cert_ips or set()
-    date_of = LocalDays(tz_name).date
+    days = LocalDays(tz_name)
     attribute, facts = index.attribute, index.facts
-    triples: dict[tuple[str, int, str], tuple] = {}
     # (provider, ip, (port, transport), family, region, cert) per attributed
-    # triple, in first-record order; a triple's id is its position here
+    # triple, in first-row order; a triple's id is its position here
     attributions: list[tuple] = []
+    triples: dict[tuple, tuple] = {}  # (address key, port, proto) -> decide()
+    lines: dict = {}
+    addrs: dict = {}
+    lines_get, triples_get = lines.get, triples.get
 
     def decide(ip: str, port: int, transport: str) -> tuple:
         """(provider, region token, triple id), or () when unattributed."""
@@ -294,38 +339,73 @@ def aggregate_flows(
         attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
         return (pid, token, len(attributions) - 1)
 
-    triple_of = triples.get
+    def first_sight(line_key, addr_key, port: int, proto: int, direction: int,
+                    rate: int) -> tuple:
+        """(line, attribution) of a row the inline test let through; an
+        excluded line's rows get no attribution, so they decide nothing."""
+        line, ip = _checked_keys(line_key, addr_key, proto, direction, rate, line_of, addr_of)
+        line = lines[line_key] = _SKIP if line in skip else line
+        addrs[addr_key] = ip
+        if line is _SKIP:
+            return line, None
+        attribution = triples_get((addr_key, port, proto))
+        if attribution is None:
+            attribution = triples[(addr_key, port, proto)] = decide(ip, port, _TRANSPORTS[proto])
+        return line, attribution
+
     region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
     hour_up: dict[tuple[str, int], int] = defaultdict(int)
     hour_lines: dict[tuple[str, int], set[str]] = defaultdict(set)
     line_days: dict[tuple[str, str], dict[int, list[int]]] = {}
-    line_days_get = line_days.get
+    today: dict = {}  # line key -> its line_days slot for `day`
+    today_get = today.get
     attributed = unattributed = 0
-    for ts, line, ip, port, transport, direction, sampled_bytes, _packets, rate in flows:
-        attribution = triple_of((ip, port, transport))
-        if attribution is None:
-            attribution = triples[(ip, port, transport)] = decide(ip, port, transport)
-        if not attribution:
-            unattributed += 1
-            continue
-        pid, token, triple = attribution
-        attributed += 1
-        est = sampled_bytes * rate
-        hour = ts // 3600
-        day_key = (line, date_of(ts))
-        slot = line_days_get(day_key)
-        if slot is None:
-            slot = line_days[day_key] = {}
-        pair = slot.get(triple)
-        if pair is None:
-            pair = slot[triple] = [0, 0]
-        if direction == DOWN:
-            region_hour_down[(pid, token, hour)] += est
-            pair[0] += est
-        else:
-            hour_up[(pid, hour)] += est
-            pair[1] += est
-        hour_lines[(pid, hour)].add(line)
+    day, start, end = "", 0, 0
+    try:
+        for rows in batches:
+            for ts, line_key, addr_key, port, proto, direction, sampled_bytes, _packets, rate \
+                    in rows:
+                line = lines_get(line_key)
+                if line is _SKIP:
+                    if (addr_key not in addrs or rate < 1 or direction not in _DIRECTIONS
+                            or proto not in _TRANSPORTS):
+                        first_sight(line_key, addr_key, port, proto, direction, rate)
+                    continue
+                attribution = triples_get((addr_key, port, proto))
+                if (line is None or attribution is None or rate < 1
+                        or direction not in _DIRECTIONS):
+                    line, attribution = first_sight(line_key, addr_key, port, proto,
+                                                    direction, rate)
+                    if line is _SKIP:
+                        continue
+                if not attribution:
+                    unattributed += 1
+                    continue
+                pid, token, triple = attribution
+                attributed += 1
+                est = sampled_bytes * rate
+                hour = ts // 3600
+                if not start <= ts < end:
+                    day, start, end = days.day(ts)
+                    today.clear()
+                slot = today_get(line_key)
+                if slot is None:
+                    slot = today[line_key] = line_days.setdefault((line, day), {})
+                pair = slot.get(triple)
+                if pair is None:
+                    pair = slot[triple] = [0, 0]
+                pair[direction] += est
+                if direction:
+                    hour_up[(pid, hour)] += est
+                else:
+                    region_hour_down[(pid, token, hour)] += est
+                hour_lines[(pid, hour)].add(line)
+    except ValueError:
+        _locate(flows)
+        raise
+    # the key caches go before the rollup, where the pass holds the most
+    for cache in (lines, addrs, triples, today):
+        cache.clear()
 
     agg = FlowAggregate(tz_name=tz_name, provider_hour_up=hour_up,
                         provider_hour_lines=hour_lines,
@@ -766,15 +846,8 @@ def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
     return count
 
 
-def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
-    """Records of a `.bmf` file. Line ids and addresses repeat across
-    records, so each distinct raw value is decoded once. Bytes and packets
-    are unsigned in the format; the other checks of `_check` run inline."""
-    lines: dict[bytes, str] = {}
-    ips: dict[bytes, str] = {}
-    transports, directions = _TRANSPORTS.get, _DIRECTIONS.get
-    new = tuple.__new__
-    number = 0
+def _bmf_chunks(path: str | Path) -> Iterator[bytes]:
+    """The record bytes of a `.bmf` file, whole records at a time."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if header[:4] != _MAGIC:
@@ -785,35 +858,127 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
         while chunk := fh.read(size * 4096):
             if len(chunk) % size:
                 raise ValueError(f"{path}: truncated record")
-            for (ts, line_raw, ip_raw, port, proto, direction,
-                 sampled_bytes, sampled_packets, rate) in _REC.iter_unpack(chunk):
-                number += 1
+            yield chunk
+
+
+def _checked_keys(line_key, addr_key, proto, direction, rate: int,
+                  line_of: Callable, addr_of: Callable) -> tuple[str, str]:
+    """(line, ip) of a row, raising ValueError for its first bad field in the
+    order the readers check them: line, address, rate, direction, transport.
+    Bytes and packets are unsigned in `.bmf` and checked by `_check` in JSONL."""
+    line = line_of(line_key)
+    ip = addr_of(addr_key)
+    if rate < 1:
+        raise ValueError("sampling_rate must be >= 1")
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"bad direction {direction!r}")
+    if proto not in _TRANSPORTS:
+        raise ValueError(f"bad transport {proto!r}")
+    return line, ip
+
+
+def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
+    """Records of a `.bmf` file. Line ids and addresses repeat across
+    records, so each distinct raw value is decoded once."""
+    lines: dict[bytes, str] = {}
+    ips: dict[bytes, str] = {}
+    transports, directions = _TRANSPORTS.get, _DIRECTIONS.get
+    new = tuple.__new__
+    number = 0
+    for chunk in _bmf_chunks(path):
+        for (ts, line_raw, ip_raw, port, proto, direction,
+             sampled_bytes, sampled_packets, rate) in _REC.iter_unpack(chunk):
+            number += 1
+            line = lines.get(line_raw)
+            ip = ips.get(ip_raw)
+            transport = transports(proto)
+            direction_name = directions(direction)
+            if (line is None or ip is None or rate < 1 or direction_name is None
+                    or transport is None):
                 try:
-                    line = lines.get(line_raw)
-                    if line is None:
-                        line = lines[line_raw] = _unpack_line(line_raw)
-                    ip = ips.get(ip_raw)
-                    if ip is None:
-                        ip = ips[ip_raw] = _unpack_ip(ip_raw)
-                    if rate < 1:
-                        raise ValueError("sampling_rate must be >= 1")
-                    direction_name = directions(direction)
-                    if direction_name is None:
-                        raise ValueError(f"bad direction {direction!r}")
-                    transport = transports(proto)
-                    if transport is None:
-                        raise ValueError(f"bad transport {proto!r}")
-                    record = new(FlowRecord, (ts, line, ip, port, transport, direction_name,
-                                              sampled_bytes, sampled_packets, rate))
+                    line, ip = _checked_keys(line_raw, ip_raw, proto, direction, rate,
+                                             _unpack_line, _unpack_ip)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
-                yield record
+                lines[line_raw], ips[ip_raw] = line, ip
+            yield new(FlowRecord, (ts, line, ip, port, transport, direction_name,
+                                   sampled_bytes, sampled_packets, rate))
 
 
-def read_flows(path: str | Path) -> Iterator[FlowRecord]:
-    """Auto-detect the flow file format by magic bytes."""
+class FlowFile:
+    """A flow file, its format detected by its magic bytes.
+
+    Iterating it gives its FlowRecords. `line_contact_sets` and
+    `aggregate_flows` read a `.bmf` one as rows instead (`_row_source`).
+    `excluding` gives the same file without some lines' records; those are
+    still read and checked.
+    """
+
+    __slots__ = ("path", "binary", "skip_lines")
+
+    def __init__(self, path: str | Path, binary: bool,
+                 skip_lines: frozenset[str] = frozenset()) -> None:
+        self.path = path
+        self.binary = binary
+        self.skip_lines = skip_lines
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        records = read_flows_binary(self.path) if self.binary else read_flows_jsonl(self.path)
+        if self.skip_lines:
+            return (f for f in records if f[1] not in self.skip_lines)
+        return records
+
+    def excluding(self, lines: Iterable[str]) -> FlowFile:
+        return FlowFile(self.path, self.binary, self.skip_lines | frozenset(lines))
+
+
+def read_flows(path: str | Path) -> FlowFile:
+    """The flow file at `path`; iterate it for its FlowRecords."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == _MAGIC:
-        return read_flows_binary(path)
-    return read_flows_jsonl(path)
+    return FlowFile(path, magic == _MAGIC)
+
+
+# --- rows: what the flow passes loop over ---------------------------------------------
+
+# the line key of an excluded line
+_SKIP = object()
+
+
+def _as_is(key: str) -> str:
+    return key
+
+
+def _record_row(rec: FlowRecord) -> tuple:
+    """A record as a row. A transport or direction with no code stays a
+    name, so the row check names it as the JSONL reader does."""
+    ts, line, ip, port, transport, direction, sampled_bytes, sampled_packets, rate = rec
+    return (ts, line, ip, port, _TRANSPORT_CODES.get(transport, transport),
+            _DIRECTION_CODES.get(direction, direction), sampled_bytes, sampled_packets, rate)
+
+
+def _row_source(flows: Iterable[FlowRecord]) -> tuple:
+    """(batches of rows, line key decoder, address key decoder, lines to
+    skip) for one pass over `flows`.
+
+    A row is a 9-tuple in `.bmf` field order, with transport and direction
+    as codes. For a `.bmf` FlowFile the batches are `_REC.iter_unpack` over
+    its chunks, and the line and address keys are the raw 16- and 17-byte
+    fields, which the passes decode on first sight. Any other flows, JSONL
+    files included, come as one batch of records turned into rows, keyed by
+    their line and IP strings. The passes check every row with one inline
+    test and `_checked_keys` behind it, so the first bad record raises what
+    the record readers raise for it.
+    """
+    if isinstance(flows, FlowFile) and flows.binary:
+        return (map(_REC.iter_unpack, _bmf_chunks(flows.path)), _unpack_line, _unpack_ip,
+                flows.skip_lines)
+    return (map(_record_row, flows),), _as_is, _as_is, frozenset()
+
+
+def _locate(flows: Iterable[FlowRecord]) -> None:
+    """After a pass over a FlowFile failed, read it record by record: the
+    reader raises the same error for the same record, with its number."""
+    if isinstance(flows, FlowFile):
+        for _ in flows:
+            pass

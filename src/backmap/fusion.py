@@ -230,12 +230,13 @@ def write_candidates(path: str | Path,
 
 
 def _candidate(doc: dict) -> CandidateAddress:
+    # CandidateAddress checks no types, so the text fields are checked here
     return CandidateAddress(
-        ip=doc["ip"], provider_id=doc["provider_id"],
-        sources=frozenset(doc["sources"]),
+        ip=text(doc["ip"]), provider_id=text(doc["provider_id"]),
+        sources=frozenset(texts(doc["sources"])),
         first_seen=parse_iso(doc["first_seen"]),
         last_seen=parse_iso(doc["last_seen"]),
-        fqdns=frozenset(doc["fqdns"]),
+        fqdns=frozenset(texts(doc["fqdns"])),
     )
 
 

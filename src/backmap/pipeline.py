@@ -202,17 +202,15 @@ class RunState:
             self._artifact("candidates.jsonl", "fuse")))
 
     def snapshots(self) -> list[tuple[str, frozenset[tuple[str, str]]]]:
-        """(date, (provider, ip) keys) of every dated snapshot file, by date;
-        the stability diff needs nothing else. Footprint is their only
-        reader, so the state lets them go."""
-        held = self.held.pop("snapshots", {})
+        """(date, (provider, ip) keys) of every dated snapshot, by date; the
+        stability diff needs nothing else. Those fuse wrote in this run, or
+        else every snapshot file, which fuse left for its own dates only.
+        Footprint is their only reader, so the state lets them go."""
+        if "snapshots" in self.held:
+            return sorted(self.held.pop("snapshots").items())
         snap_dir = self.config.out_dir / "snapshots"
-        if not snap_dir.exists():
-            return []
-        dates = sorted(p.name.split("candidates-")[1] for p in snap_dir.glob("candidates-*"))
-        return [(date, held[date] if date in held else
-                 frozenset(read_candidates(snap_dir / snapshot_filename(date))))
-                for date in dates]
+        return [(path.name.split("candidates-")[1], frozenset(read_candidates(path)))
+                for path in sorted(snap_dir.glob("candidates-*"))]
 
     def sharing(self) -> dict[tuple[str, str], str]:
         return self._held_or("sharing", lambda: _read_sharing(
@@ -262,12 +260,15 @@ def _stage_fuse(state: RunState) -> None:
     state.held["candidates"] = candidates
     reports.write_sources(cfg.out_dir / "fig3_sources.csv", candidates.values())
 
-    # dated per-day snapshots for stability diffing
+    # dated per-day snapshots for stability diffing, of this run's days only
     snap_dir = cfg.out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     by_day: dict[str, list] = {}
     for obs in observations:
         by_day.setdefault(local_date(obs.seen_at, cfg.timezone), []).append(obs)
+    for path in snap_dir.glob("candidates-*"):
+        if path.name.split("candidates-")[1] not in by_day:
+            path.unlink()
     index, snapshots = {}, {}
     for date in sorted(by_day):
         day_candidates = fuse(by_day[date])
@@ -346,12 +347,14 @@ def write_servers(path: Path, servers: Iterable[BackendServer]) -> list[BackendS
 
 
 def _server(doc: dict) -> BackendServer:
+    # BackendServer checks the ip, prefix, asn and sharing values; the other
+    # text fields are checked here
     return BackendServer(
-        ip=doc["ip"], provider_id=doc["provider_id"],
+        ip=doc["ip"], provider_id=text(doc["provider_id"]),
         location=Location(doc["country"], doc.get("city"), doc["continent"]),
-        location_confidence=doc["location_confidence"],
+        location_confidence=text(doc["location_confidence"]),
         prefix=doc["prefix"], asn=doc["asn"], sharing=doc["sharing"],
-        sources=frozenset(doc["sources"]),
+        sources=frozenset(texts(doc["sources"])),
         region_token=doc.get("region_token"),
     )
 

@@ -79,12 +79,18 @@ class LocalDays:
     def date(self, ts: int) -> str:
         if self._start <= ts < self._end:
             return self._date
+        self._date, self._start, self._end = self.day(ts)
+        return self._date
+
+    def day(self, ts: int) -> tuple[str, int, int]:
+        """(date, start, end) of the local day of `ts`: every instant in
+        [start, end) has that date. A loop that keeps the bounds can test
+        them inline and call this only when the day changes."""
         day = datetime.fromtimestamp(ts, self._tz).date()
         following = day + timedelta(days=1)
         # both folds name the same instant for an ordinary midnight; for one
         # in a gap or fold, the later start and the earlier end keep the
         # bounds inside the day
-        self._start = max(self._midnight(day, 0), self._midnight(day, 1))
-        self._end = min(self._midnight(following, 0), self._midnight(following, 1))
-        self._date = day.isoformat()
-        return self._date
+        start = max(self._midnight(day, 0), self._midnight(day, 1))
+        end = min(self._midnight(following, 0), self._midnight(following, 1))
+        return day.isoformat(), start, end

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from backmap.flows import (DOWN, UP, Ecdf, FlowAggregate, FlowRecord, ServerIndex,
                            activity_series, aggregate_flows, continent_attribution,
-                           detect_scanners, line_contact_sets,
+                           detect_scanners, exclude_scanner_lines, line_contact_sets,
                            line_day_profiles, per_line_distribution, port_label,
                            port_mix, read_flows, read_flows_binary, region_class,
                            regional_down_series, scanner_line_ids, source_ablation,
@@ -398,6 +398,61 @@ class TestFlowFileErrors:
         with self.expect(path, message):
             list(read_flows(path))
 
+    def write_scanner_trace(self, path, *changes):
+        """Records 1-9 are scanner line S1's, one per backend IP and then
+        the first IP again; 10 and 11 are L1's and L2's. Each (record,
+        offset, fmt, value) of `changes` is packed into that record."""
+        flows = [flow(ip=f"10.1.0.{i}", line="S1", hours=i / 10) for i in range(1, 9)]
+        flows += [flow(line="S1", hours=1), flow(line="L1"), flow(line="L2", direction=UP)]
+        write_flows_binary(path, flows)
+        raw = bytearray(path.read_bytes())
+        for number, offset, fmt, value in changes:
+            struct.pack_into(fmt, raw, 8 + 64 * (number - 1) + offset, value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    def test_scanner_trace_finds_its_scanner(self, tmp_path, index):
+        from backmap.pipeline import analyze_flows
+
+        path = self.write_scanner_trace(tmp_path / "flows.bmf")
+        analysis = analyze_flows(path, index, 5)
+        assert scanner_line_ids(analysis.verdicts) == {"S1"}
+        assert analysis.agg.attributed_records == 2
+        assert [v.distinct_backend_ips for v in analysis.verdicts if v.is_scanner] == [8]
+
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (23, "<B", 0xFF, "line_id: 'ascii' codec can't decode byte 0xff in position 15: "
+                         "ordinal not in range(128)"),
+        (24, "<B", 5, "server_ip: bad address family 5"),
+        (57, "<I", 0, "sampling_rate must be >= 1"),
+        (44, "<B", 2, "bad direction 2"),
+        (43, "<B", 7, "bad transport 7"),
+    ])
+    @pytest.mark.parametrize("later", [(), ((11, 8, "<B", 0xFF),)], ids=["alone", "later"])
+    def test_first_bad_record_on_a_scanner_line(self, tmp_path, index, offset, fmt, value,
+                                                message, later):
+        """Record 9, on the scanner line and with a line and address seen
+        before, is the first bad one, alone or with record 11 bad in the
+        line field, which is checked first. Every pass names record 9, as
+        the record reader does: the contact-set pass, the aggregation pass
+        with S1 excluded or not, and the whole analysis."""
+        from backmap.pipeline import analyze_flows
+
+        path = self.write_scanner_trace(tmp_path / "flows.bmf", (9, offset, fmt, value),
+                                        *later)
+        runs = {
+            "read": lambda: list(read_flows(path)),
+            "contacts": lambda: line_contact_sets(read_flows(path), index.all_server_ips),
+            "aggregate": lambda: aggregate_flows(read_flows(path), index),
+            "aggregate without S1": lambda: aggregate_flows(
+                exclude_scanner_lines(read_flows(path), {"S1"}), index),
+            "analysis": lambda: analyze_flows(path, index, 5),
+        }
+        for name, run in runs.items():
+            with pytest.raises(ValueError) as error:
+                run()
+            assert str(error.value) == f"{path}:9: {message}", name
+
     def test_record_is_a_plain_tuple(self):
         rec = flow()
         values = (to_epoch(T0), "L1", "10.1.0.1", 8883, "tcp", DOWN, 1500, 1, 1)
@@ -560,3 +615,72 @@ def test_aggregate_matches_record_by_record_reference(catalog_profiles, flows,
         value = getattr(got, f.name)
         assert type(value) is type(getattr(want, f.name)), f.name
         assert in_order(value) == in_order(getattr(want, f.name)), f.name
+
+
+def reference_contacts(flows, backend_ips, tz_name):
+    out = {}
+    for f in flows:
+        if f.server_ip in backend_ips:
+            out.setdefault((f.line_id, local_date(from_epoch(f.ts), tz_name)), set()).add(
+                f.server_ip)
+    return out
+
+
+def records_analysis(flows, index, threshold, tz_name, cert_ips):
+    """What `analyze_flows` does to a trace, done to its records in memory."""
+    from backmap.pipeline import DEFAULT_SWEEP_THRESHOLDS, FlowAnalysis
+
+    contacts = line_contact_sets(flows, index.all_server_ips, tz_name)
+    verdicts = detect_scanners(contacts, threshold)
+    sweep = threshold_sweep(contacts, index.all_server_ips, DEFAULT_SWEEP_THRESHOLDS)
+    agg = aggregate_flows(exclude_scanner_lines(flows, scanner_line_ids(verdicts)), index,
+                          tz_name, cert_ips)
+    return FlowAnalysis(verdicts, sweep, agg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flows=equivalence_flows.map(lambda flows: flows + [
+           flow(ip=ip, line="S1", hours=i) for i, ip in enumerate(SERVER_IPS)]),
+       include_shared=st.booleans(),
+       cert_ips=st.one_of(st.none(), st.sets(st.sampled_from(SERVER_IPS))),
+       tz=st.sampled_from(("UTC", "Asia/Kolkata")), threshold=st.integers(0, 4))
+def test_analysis_is_the_same_from_bmf_jsonl_and_records(catalog_profiles, flows,
+                                                         include_shared, cert_ips, tz,
+                                                         threshold):
+    """A trace written as `.bmf` and as JSONL gives the analysis its records
+    give in memory, dict key order included: verdicts, sweep, contact sets
+    and every aggregate field, which also match the record-by-record
+    references with the scanner lines dropped. S1 contacts every server
+    within a day, so it is a scanner at any threshold under 5; the other
+    lines may be too."""
+    import tempfile
+    from pathlib import Path
+
+    from backmap.pipeline import analyze_flows
+
+    google = next(p for p in catalog_profiles if p.provider_id == "google")
+    index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google},
+                        include_shared=include_shared)
+    backend_ips = index.all_server_ips
+    want = records_analysis(flows, index, threshold, tz, cert_ips)
+    scanners = scanner_line_ids(want.verdicts)
+    assert "S1" in scanners
+    assert in_order(line_contact_sets(flows, backend_ips, tz)) == in_order(
+        reference_contacts(flows, backend_ips, tz))
+    reference = reference_aggregate([f for f in flows if f.line_id not in scanners], index,
+                                    tz, cert_ips)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"bmf": Path(tmp) / "flows.bmf", "jsonl": Path(tmp) / "flows.jsonl"}
+        write_flows_binary(paths["bmf"], flows)
+        write_flows_jsonl(paths["jsonl"], flows)
+        for name, path in paths.items():
+            got = analyze_flows(path, index, threshold, tz, cert_ips)
+            assert got.verdicts == want.verdicts, name
+            assert got.sweep == want.sweep, name
+            assert in_order(line_contact_sets(read_flows(path), backend_ips, tz)) == in_order(
+                line_contact_sets(flows, backend_ips, tz)), name
+            for f in dataclasses.fields(FlowAggregate):
+                value = getattr(got.agg, f.name)
+                for expected in (want.agg, reference):
+                    assert type(value) is type(getattr(expected, f.name)), (name, f.name)
+                    assert in_order(value) == in_order(getattr(expected, f.name)), (name, f.name)

@@ -100,6 +100,16 @@ WRONG_TYPES = [
     ("servers", "country", 5, "expected text, not int"),
     ("servers", "prefix", 5, "expected text, not int"),
     ("servers", "ip", None, "expected text, not NoneType"),
+    # values the records' constructors would keep
+    ("candidates", "sources", "tls-cert", "expected a list, not str"),
+    ("candidates", "fqdns", "a.p1.example", "expected a list, not str"),
+    ("candidates", "fqdns", ["a.p1.example", 5], "expected text, not int"),
+    ("candidates", "provider_id", 7, "expected text, not int"),
+    ("candidates", "ip", 3221225986, "expected text, not int"),
+    ("servers", "sources", "tls-cert", "expected a list, not str"),
+    ("servers", "sources", ["tls-cert", 5], "expected text, not int"),
+    ("servers", "provider_id", 7, "expected text, not int"),
+    ("servers", "location_confidence", 1, "expected text, not int"),
 ]
 
 

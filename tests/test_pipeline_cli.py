@@ -311,6 +311,70 @@ class TestArtifactHandoff:
                          certs=None, pdns=None, resolutions=path)
         run_checking_handoff(config)
 
+    @pytest.mark.parametrize("stages", [None, ["fuse", "classify", "footprint"]])
+    def test_rerun_with_a_shifted_window_keeps_only_its_own_days(
+            self, universe_dir, completed_run, tmp_path, stages):
+        """A rerun into a used out_dir leaves snapshots of its own days only,
+        so its stability diff and manifest match a fresh out_dir's; also
+        when fuse starts from the observations on disk."""
+        import shutil
+        from dataclasses import replace
+
+        shifted = StudyWindow(utc(2022, 3, 1), utc(2022, 3, 3))
+        runs = {}
+        for name in ("reused", "fresh"):
+            out_dir = tmp_path / name
+            if name == "reused":
+                shutil.copytree(completed_run[0].out_dir, out_dir)
+            config = replace(make_run_config(universe_dir, out_dir), window=shifted)
+            if stages:
+                run_pipeline(config, ["discover"])
+            manifest = run_pipeline(config, stages)
+            runs[name] = (sorted(p.name for p in (out_dir / "snapshots").iterdir()),
+                          (out_dir / "fig4_stability.csv").read_bytes(),
+                          {k: v for k, v in manifest["outputs"].items()
+                           if k.startswith("snapshots/")})
+        assert runs["reused"] == runs["fresh"]
+        assert runs["fresh"][0] == ["candidates-2022-03-01", "index.json"]
+
+
+class TestTracerContract:
+    """The benchmark's tracer wraps functions at the names `backmap.pipeline`
+    binds and feeds the flow passes plain record iterators; the traced
+    flows stage must write what the untraced one writes."""
+
+    def test_traced_flows_stage_writes_the_untraced_artifacts(self, universe_dir,
+                                                              completed_run, tmp_path,
+                                                              monkeypatch):
+        import shutil
+
+        from backmap import flows, pipeline
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        for name in ("layers", "tracer"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        import layers
+        from tracer import Tracer
+
+        trees = {}
+        for traced in (False, True):
+            out_dir = tmp_path / f"traced-{traced}"
+            shutil.copytree(completed_run[0].out_dir, out_dir)
+            tracer = Tracer("contract")
+            if traced:
+                layers.instrument(tracer, layers.Manifest(completed_run[0].catalog))
+            try:
+                run_pipeline(make_run_config(universe_dir, out_dir), ["flows"])
+            finally:
+                tracer.restore()
+            trees[traced] = tree_bytes(out_dir)
+        assert trees[True] == trees[False]
+        assert tracer.counts["flows.read_flows.passes"] == 2
+        assert tracer.counts["flows.aggregate_records_in"] > 0
+        assert pipeline.read_flows is flows.read_flows
+        assert pipeline.aggregate_flows is flows.aggregate_flows
+
 
 class TestPseudonyms:
     def test_pure_function_of_salt_and_id(self):
