@@ -182,7 +182,7 @@ def line_contact_sets(
                     line, ip = first_sight(line_key, addr_key, proto, direction, rate)
                 if ip and line is not _SKIP:
                     if not start <= ts < end:
-                        day, start, end = days.day(ts)
+                        day, start, end = _day(days, ts)
                         today.clear()
                     ips = today_get(line_key)
                     if ips is None:
@@ -386,7 +386,7 @@ def aggregate_flows(
                 est = sampled_bytes * rate
                 hour = ts // 3600
                 if not start <= ts < end:
-                    day, start, end = days.day(ts)
+                    day, start, end = _day(days, ts)
                     today.clear()
                 slot = today_get(line_key)
                 if slot is None:
@@ -760,9 +760,17 @@ _JSON_FIELDS = (
 )
 
 
+def _check_ts(ts: int) -> None:
+    """Raise ValueError for epoch seconds that some timezone gives no local
+    day (see LocalDays.MIN_TS)."""
+    if not LocalDays.MIN_TS <= ts <= LocalDays.MAX_TS:
+        raise ValueError(f"field 'ts': {ts} is out of range")
+
+
 def _check(rec: FlowRecord) -> None:
     """Raise ValueError for a record whose values no flow can have."""
-    _ts, _line, _ip, _port, transport, direction, sampled_bytes, sampled_packets, rate = rec
+    ts, _line, _ip, _port, transport, direction, sampled_bytes, sampled_packets, rate = rec
+    _check_ts(ts)
     if rate < 1:
         raise ValueError("sampling_rate must be >= 1")
     if sampled_bytes < 0 or sampled_packets < 0:
@@ -884,6 +892,7 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
     ips: dict[bytes, str] = {}
     transports, directions = _TRANSPORTS.get, _DIRECTIONS.get
     new = tuple.__new__
+    max_ts = LocalDays.MAX_TS  # ts is unsigned, so never below LocalDays.MIN_TS
     number = 0
     for chunk in _bmf_chunks(path):
         for (ts, line_raw, ip_raw, port, proto, direction,
@@ -894,8 +903,9 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
             transport = transports(proto)
             direction_name = directions(direction)
             if (line is None or ip is None or rate < 1 or direction_name is None
-                    or transport is None):
+                    or transport is None or ts > max_ts):
                 try:
+                    _check_ts(ts)
                     line, ip = _checked_keys(line_raw, ip_raw, proto, direction, rate,
                                              _unpack_line, _unpack_ip)
                 except ValueError as exc:
@@ -974,6 +984,13 @@ def _row_source(flows: Iterable[FlowRecord]) -> tuple:
         return (map(_REC.iter_unpack, _bmf_chunks(flows.path)), _unpack_line, _unpack_ip,
                 flows.skip_lines)
     return (map(_record_row, flows),), _as_is, _as_is, frozenset()
+
+
+def _day(days: LocalDays, ts: int) -> tuple[str, int, int]:
+    """`days.day(ts)` for a ts the record readers accept; for any other, the
+    ValueError they raise, which `_locate` gives its record."""
+    _check_ts(ts)
+    return days.day(ts)
 
 
 def _locate(flows: Iterable[FlowRecord]) -> None:

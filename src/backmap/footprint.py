@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .catalog import DomainPattern, ProviderProfile, match_fqdn
+# names are matched through ingest.NameMatches; `match_fqdn` stays bound here
+# because perfbench/layers.py wraps it at this name
+from .catalog import DomainPattern, ProviderProfile, match_fqdn  # noqa: F401
 from .fusion import CandidateAddress
 from .geo import Location
+from .ingest import NameMatches, name_matches
 from .netutil import PrefixIndex, parse_network, prefix_contains, truncate_prefix
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
@@ -228,10 +231,20 @@ def diversity_report(servers: Iterable[BackendServer]) -> dict[str, DiversityRow
     }
 
 
+def _region_token(matches: NameMatches, pid: str, fqdns: Iterable[str]) -> str | None:
+    """The region token of the first name, in sorted order, that the
+    provider's own pattern matches with one."""
+    for fqdn in sorted(fqdns):
+        for result in matches[fqdn]:
+            if result.provider_id == pid and result.region_token:
+                return result.region_token
+    return None
+
+
 def enrich_candidates(
     candidates: Mapping[tuple[str, str], CandidateAddress],
     profiles_by_id: Mapping[str, ProviderProfile],
-    patterns_by_id: Mapping[str, DomainPattern],
+    patterns: Sequence[DomainPattern] | NameMatches,
     table: PrefixTable,
     sharing: Mapping[tuple[str, str], str],
     hints: Mapping[str, Sequence[LocationHint]] | None = None,
@@ -240,19 +253,16 @@ def enrich_candidates(
 
     Returns (servers, skipped) where skipped rows carry (provider, ip,
     reason: unrouted|unlocatable). Region tokens are re-extracted from the
-    candidate's matched FQDNs via the provider's own pattern.
+    candidate's matched FQDNs via the provider's own pattern; `patterns`
+    may be the run's NameMatches, which has matched them already.
     """
     hints = hints or {}
+    matches = name_matches(patterns)
     servers: list[BackendServer] = []
     skipped: list[tuple[str, str, str]] = []
     for (pid, ip), cand in sorted(candidates.items()):
         profile = profiles_by_id[pid]
-        token = None
-        for fqdn in sorted(cand.fqdns):
-            result = match_fqdn(patterns_by_id[pid], fqdn)
-            if result.matched and result.region_token:
-                token = result.region_token
-                break
+        token = _region_token(matches, pid, cand.fqdns)
         try:
             prefix, asn, _ = map_prefix_asn(ip, table)
         except UnroutedError:

@@ -14,11 +14,13 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import DomainPattern, match_fqdn, normalize_fqdn
-from .ingest import Observation
+# names are matched through ingest.NameMatches; `match_fqdn` stays bound here
+# because perfbench/layers.py wraps it at this name
+from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
+from .ingest import NameMatches, Observation, name_matches
 from .jsonl import naming_fields, read_jsonl, text, texts, write_jsonl
 from .netutil import canonical_ip, ip_family, parse_network
-from .timeutil import fmt_iso, parse_iso
+from .timeutil import fmt_iso_memo, parse_iso
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
 
@@ -148,23 +150,22 @@ def classify_sharing(
     ip: str,
     provider_id: str,
     reverse_index: Mapping[str, Iterable[str]],
-    patterns: Sequence[DomainPattern],
+    patterns: Sequence[DomainPattern] | NameMatches,
     threshold: int = 2,
 ) -> SharingVerdict:
     """Count distinct reverse names (compared after `normalize_fqdn`) that
     match no provider pattern; shared iff the count strictly exceeds the
-    threshold."""
+    threshold. `patterns` may be a NameMatches over the catalog's patterns,
+    so that the calls of one run match each distinct name once."""
     ip = canonical_ip(ip)
     if ip not in reverse_index:
         raise ReverseIndexMissError(f"no reverse data for {ip}")
+    matches = name_matches(patterns)
     non_matching = 0
     matching = 0
     for name in {normalize_fqdn(n) for n in reverse_index[ip]}:
-        # match_fqdn normalises `name` again and matches only names ending
-        # with a pattern's tails; an empty name still reaches it and raises
-        tested = normalize_fqdn(name)
-        if any(match_fqdn(p, name).matched for p in patterns
-               if not name or tested.endswith(p.tails)):
+        # match_fqdn normalises `name` again; an empty name raises
+        if matches[name]:
             matching += 1
         else:
             non_matching += 1
@@ -221,10 +222,11 @@ def validate_against_ground_truth(
 def write_candidates(path: str | Path,
                      candidates: Mapping[tuple[str, str], CandidateAddress]) -> None:
     """Dated snapshot file, one line per (provider, ip), byte-stable order."""
+    iso = fmt_iso_memo()  # the candidates share a few distinct instants
     write_jsonl(path, ({
         "provider_id": c.provider_id, "ip": c.ip,
         "sources": sorted(c.sources),
-        "first_seen": fmt_iso(c.first_seen), "last_seen": fmt_iso(c.last_seen),
+        "first_seen": iso(c.first_seen), "last_seen": iso(c.last_seen),
         "fqdns": sorted(c.fqdns),
     } for _, c in sorted(candidates.items())))
 

@@ -26,13 +26,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .catalog import DomainPattern, match_fqdn, normalize_fqdn
+from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
 from .jsonl import naming_fields, read_jsonl, text, texts, write_jsonl
 from .netutil import canonical_ip, ip_family
-from .timeutil import UTC, ensure_utc, fmt_iso, from_epoch, parse_iso, to_epoch
+from .timeutil import (UTC, ensure_utc, fmt_iso_memo, from_epoch, from_epoch_memo, parse_iso,
+                       to_epoch)
 
 SOURCES = ("tls-cert", "passive-dns", "active-dns")
 
@@ -170,7 +172,35 @@ class IngestResult:
         return iter(self.observations)
 
 
-def _match_name(patterns: Sequence[DomainPattern], name: str):
+class NameMatches(dict):
+    """The matches of each name against one list of patterns, worked out on
+    first lookup: `matches[name]` is the tuple of matched MatchResults of
+    `match_fqdn(pattern, name)`, in pattern order. One memo serves a call
+    or a whole run; it stays bound to its own patterns.
+    """
+
+    def __init__(self, patterns: Sequence[DomainPattern]) -> None:
+        super().__init__()
+        self.patterns = patterns
+
+    def __missing__(self, name: str) -> tuple[MatchResult, ...]:
+        # match_fqdn matches only names that end with a pattern's tails, and
+        # rejects an empty one, so only those patterns need asking
+        normalized = normalize_fqdn(name)
+        found = self[name] = tuple(
+            result for pattern in self.patterns
+            if not name or normalized.endswith(pattern.tails)
+            if (result := match_fqdn(pattern, name)).matched)
+        return found
+
+
+def name_matches(patterns: Sequence[DomainPattern] | NameMatches) -> NameMatches:
+    """`patterns` as a NameMatches: itself if it is one, so that callers can
+    share one memo, or else a new one over them."""
+    return patterns if isinstance(patterns, NameMatches) else NameMatches(patterns)
+
+
+def _match_name(patterns: Sequence[DomainPattern] | NameMatches, name: str):
     """All pattern matches for a (possibly wildcard) certificate/DNS name.
 
     A leading ``*.`` is treated as a single-label wildcard: the star is
@@ -178,26 +208,21 @@ def _match_name(patterns: Sequence[DomainPattern], name: str):
     """
     wildcard = name.startswith("*.")
     probe = "wildcardprobe" + name[1:] if wildcard else name
-    # match_fqdn matches only names that end with a pattern's tails, and
-    # rejects an empty one, so only those patterns need asking
-    normalized = normalize_fqdn(probe)
-    out = []
-    for pattern in patterns:
-        if not probe or normalized.endswith(pattern.tails):
-            result = match_fqdn(pattern, probe)
-            if result.matched:
-                out.append((result, wildcard))
-    return out
+    return [(result, wildcard) for result in name_matches(patterns)[probe]]
 
 
 def ingest_cert_scan(
     stream: Iterable[CertScanRecord | MalformedRecord],
-    patterns: Sequence[DomainPattern],
+    patterns: Sequence[DomainPattern] | NameMatches,
     window: StudyWindow,
     strict: bool = False,
 ) -> IngestResult:
     """One observation per matching name of every certificate whose validity
-    overlaps the window and whose scan observation falls inside it."""
+    overlaps the window and whose scan observation falls inside it.
+
+    `patterns` may be a NameMatches over the catalog's patterns, so that the
+    ingesters of one run match each distinct name once between them."""
+    memo = name_matches(patterns)
     stats = IngestStats()
     observations: list[Observation] = []
     for record in stream:
@@ -211,7 +236,7 @@ def ingest_cert_scan(
             stats.skipped_window += 1
             continue
         for name in record.names:
-            matches = _match_name(patterns, name)
+            matches = _match_name(memo, name)
             if not matches:
                 stats.unmatched_names += 1
                 continue
@@ -230,12 +255,13 @@ def ingest_cert_scan(
 
 def ingest_passive_dns(
     stream: Iterable[PassiveDnsRecord | MalformedRecord],
-    patterns: Sequence[DomainPattern],
+    patterns: Sequence[DomainPattern] | NameMatches,
     window: StudyWindow,
     strict: bool = False,
 ) -> IngestResult:
     """Observations from A/AAAA rows whose [first_seen, last_seen] range
     overlaps the window. seen_at is the first in-window instant."""
+    memo = name_matches(patterns)
     stats = IngestStats()
     observations: list[Observation] = []
     for record in stream:
@@ -250,7 +276,7 @@ def ingest_passive_dns(
         if not window.overlaps(record.first_seen, record.last_seen):
             stats.skipped_window += 1
             continue
-        matches = _match_name(patterns, record.rrname)
+        matches = _match_name(memo, record.rrname)
         if not matches:
             stats.unmatched_names += 1
             continue
@@ -270,10 +296,11 @@ def ingest_passive_dns(
 
 def observations_from_resolutions(
     results: Iterable[ResolutionResult],
-    patterns: Sequence[DomainPattern],
+    patterns: Sequence[DomainPattern] | NameMatches,
     window: StudyWindow,
 ) -> IngestResult:
     """Active-DNS observations from resolver answers inside the window."""
+    memo = name_matches(patterns)
     stats = IngestStats()
     observations: list[Observation] = []
     for res in results:
@@ -282,7 +309,7 @@ def observations_from_resolutions(
         if not window.contains(res.resolved_at):
             stats.skipped_window += 1
             continue
-        matches = _match_name(patterns, res.fqdn)
+        matches = _match_name(memo, res.fqdn)
         if not matches:
             stats.unmatched_names += 1
             continue
@@ -535,19 +562,20 @@ def collect_tls(
 # --- file formats -------------------------------------------------------------
 
 
-def _cert_record(doc: dict) -> CertScanRecord:
+def _cert_record(doc: dict, epoch: Callable) -> CertScanRecord:
     return CertScanRecord(
         ip=doc["ip"],
         port=int(doc["port"]),
         names=tuple(doc["names"]),
-        not_before=from_epoch(doc["validity"]["start"]),
-        not_after=from_epoch(doc["validity"]["end"]),
-        observed_at=from_epoch(doc["observed_at"]),
+        not_before=epoch(doc["validity"]["start"]),
+        not_after=epoch(doc["validity"]["end"]),
+        observed_at=epoch(doc["observed_at"]),
     )
 
 
 def read_cert_scan_export(path: str | Path) -> Iterator[CertScanRecord | MalformedRecord]:
-    return read_jsonl(path, _cert_record, MalformedRecord)
+    # an export repeats a few distinct epochs, so each is converted once
+    return read_jsonl(path, partial(_cert_record, epoch=from_epoch_memo()), MalformedRecord)
 
 
 def write_cert_scan_export(path: str | Path, records: Iterable[CertScanRecord]) -> None:
@@ -558,18 +586,18 @@ def write_cert_scan_export(path: str | Path, records: Iterable[CertScanRecord]) 
     } for r in records))
 
 
-def _pdns_record(doc: dict) -> PassiveDnsRecord:
+def _pdns_record(doc: dict, epoch: Callable) -> PassiveDnsRecord:
     return PassiveDnsRecord(
         rrname=doc["rrname"],
         rrtype=doc["rrtype"],
         rdata=doc["rdata"],
-        first_seen=from_epoch(doc["time_first"]),
-        last_seen=from_epoch(doc["time_last"]),
+        first_seen=epoch(doc["time_first"]),
+        last_seen=epoch(doc["time_last"]),
     )
 
 
 def read_pdns_export(path: str | Path) -> Iterator[PassiveDnsRecord | MalformedRecord]:
-    return read_jsonl(path, _pdns_record, MalformedRecord)
+    return read_jsonl(path, partial(_pdns_record, epoch=from_epoch_memo()), MalformedRecord)
 
 
 def write_pdns_export(path: str | Path, records: Iterable[PassiveDnsRecord]) -> None:
@@ -579,12 +607,12 @@ def write_pdns_export(path: str | Path, records: Iterable[PassiveDnsRecord]) -> 
     } for r in records))
 
 
-def _resolution(doc: dict) -> ResolutionResult:
+def _resolution(doc: dict, epoch: Callable) -> ResolutionResult:
     return ResolutionResult(
         fqdn=doc["fqdn"],
         vantage_id=doc["vantage_id"],
         answers=tuple(doc["answers"]),
-        resolved_at=from_epoch(doc["resolved_at"]),
+        resolved_at=epoch(doc["resolved_at"]),
         status=doc["status"],
     )
 
@@ -597,7 +625,8 @@ _RESOLUTION_CHECKS = {
 
 
 def read_resolutions(path: str | Path) -> Iterator[ResolutionResult]:
-    return read_jsonl(path, naming_fields(_resolution, _RESOLUTION_CHECKS))
+    return read_jsonl(path, naming_fields(partial(_resolution, epoch=from_epoch_memo()),
+                                          _RESOLUTION_CHECKS))
 
 
 def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> None:
@@ -633,8 +662,9 @@ def write_observations(path: str | Path, observations: Iterable[Observation],
     rows = list(observations)
     if sort:
         rows.sort(key=Observation.sort_key)
+    iso = fmt_iso_memo()  # the rows share a few distinct seen_at instants
     write_jsonl(path, ({
         "provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
-        "source": o.source, "seen_at": fmt_iso(o.seen_at),
+        "source": o.source, "seen_at": iso(o.seen_at),
         "wildcard": o.wildcard,
     } for o in rows))

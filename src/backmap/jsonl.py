@@ -81,6 +81,13 @@ def text(value: object) -> str:
     return value
 
 
+def optional_text(value: object) -> str | None:
+    """`value` if it is a JSON string or null."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected text or null, not {type(value).__name__}")
+    return value
+
+
 def texts(value: object) -> list[str]:
     """`value` if it is a JSON list of strings."""
     if not isinstance(value, list):

@@ -39,7 +39,12 @@ def ip_family(ip: str) -> int:
 
 
 def truncate_prefix(ip: str, v4_bits: int = 24, v6_bits: int = 56) -> str:
-    """Covering prefix of an address at the per-family aggregation width."""
+    """Covering prefix of an address at the per-family aggregation width.
+    Canonical IPv4 text is masked without building ipaddress objects."""
+    if (type(v4_bits) is int and 0 <= v4_bits <= 32 and isinstance(ip, str)
+            and _CANONICAL_V4.fullmatch(ip)):
+        network = _v4_int(ip) & ~((1 << 32 - v4_bits) - 1)
+        return f"{_v4_text(network)}/{v4_bits}"
     addr = ipaddress.ip_address(ip)
     bits = v4_bits if addr.version == 4 else v6_bits
     net = ipaddress.ip_network(f"{addr}/{bits}", strict=False)
@@ -55,6 +60,10 @@ def parse_network(text: str) -> Network:
 def _v4_int(quad: str) -> int:
     a, b, c, d = quad.split(".")
     return int(a) << 24 | int(b) << 16 | int(c) << 8 | int(d)
+
+
+def _v4_text(value: int) -> str:
+    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
 
 
 def network_range(text: str) -> tuple[int, int, int]:
@@ -111,11 +120,15 @@ class PrefixIndex(Generic[V]):
         return self._bucket(net).setdefault(int(net.network_address), default)
 
     def containing(self, ip: str) -> list[V]:
-        """Values of every indexed network that contains `ip`, longest first."""
-        addr = ipaddress.ip_address(ip)
-        value = int(addr)
+        """Values of every indexed network that contains `ip`, longest first.
+        Canonical IPv4 text is read without building an ipaddress object."""
+        if isinstance(ip, str) and _CANONICAL_V4.fullmatch(ip):
+            family, value = 4, _v4_int(ip)
+        else:
+            addr = ipaddress.ip_address(ip)
+            family, value = addr.version, int(addr)
         hits = []
-        for shift, bucket in self._levels[addr.version]:
+        for shift, bucket in self._levels[family]:
             hit = bucket.get(value >> shift << shift)
             if hit is not None:
                 hits.append(hit)

@@ -29,12 +29,13 @@ from .footprint import (BackendServer, diff_snapshots, diversity_report, enrich_
 from .fusion import (CandidateAddress, build_reverse_index, classify_sharing, fuse,
                      read_candidates, snapshot_filename, write_candidates)
 from .geo import Location
-from .ingest import (Observation, StudyWindow, ingest_cert_scan, ingest_passive_dns,
-                     observations_from_resolutions, read_cert_scan_export,
-                     read_observations, read_pdns_export, read_resolutions,
-                     write_observations)
-from .jsonl import integer, naming_fields, read_jsonl, text, texts, write_jsonl
-from .timeutil import fmt_iso, local_date, parse_iso
+from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
+                     ingest_passive_dns, name_matches, observations_from_resolutions,
+                     read_cert_scan_export, read_observations, read_pdns_export,
+                     read_resolutions, write_observations)
+from .jsonl import (integer, naming_fields, optional_text, read_jsonl, text, texts,
+                    write_jsonl)
+from .timeutil import fmt_iso, local_date_memo, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
 
@@ -169,19 +170,22 @@ class RunState:
     writes one hands it over in `held`, as the file's reader would return
     it (same order, timestamps to the second), and later stages take it
     from the accessor. A run that starts at a later stage reads each file
-    once; a missing file raises UpstreamMissingError.
+    once; a missing file raises UpstreamMissingError. `matches` memoizes
+    the catalog matches of every name the run's stages look up, so each
+    distinct name is matched once per run.
     """
 
     config: RunConfig
     profiles: list = field(default_factory=list)
     patterns: list = field(default_factory=list)
     held: dict[str, Any] = field(default_factory=dict)
+    matches: NameMatches = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.matches = NameMatches(self.patterns)
 
     def profiles_by_id(self) -> dict:
         return {p.provider_id: p for p in self.profiles}
-
-    def patterns_by_id(self) -> dict:
-        return {p.provider_id: p for p in self.patterns}
 
     def _artifact(self, name: str, run_first: str) -> Path:
         return _require_artifact(self.config.out_dir / name, run_first)
@@ -220,6 +224,17 @@ class RunState:
         return self._held_or("servers", lambda: read_servers(
             self._artifact("servers.jsonl", "footprint")))
 
+    def reverse_index(self) -> dict[str, set[str]]:
+        """rdata -> rrnames of the passive-DNS export (`build_reverse_index`):
+        the one discover built from the records it parsed, or else one read
+        from the export, or none without one. Classify is its only reader,
+        so the state lets it go."""
+        if "reverse_index" in self.held:
+            return self.held.pop("reverse_index")
+        if not self.config.pdns:
+            return {}
+        return build_reverse_index(read_pdns_export(self.config.pdns))
+
 
 def _as_read_back(obs: Observation) -> Observation:
     """`obs` as its line in observations.jsonl reads back: to the second."""
@@ -233,16 +248,19 @@ def _stage_discover(state: RunState) -> None:
     observations = []
     if cfg.certs:
         result = ingest_cert_scan(read_cert_scan_export(_require_artifact(cfg.certs, "inputs")),
-                                  state.patterns, cfg.window)
+                                  state.matches, cfg.window)
         observations.extend(result.observations)
     if cfg.pdns:
-        result = ingest_passive_dns(read_pdns_export(_require_artifact(cfg.pdns, "inputs")),
-                                    state.patterns, cfg.window)
+        # the records go once to ingest and once to classify's reverse index
+        records = list(read_pdns_export(_require_artifact(cfg.pdns, "inputs")))
+        result = ingest_passive_dns(records, state.matches, cfg.window)
         observations.extend(result.observations)
+        state.held["reverse_index"] = build_reverse_index(records)
+        del records
     if cfg.resolutions:
         result = observations_from_resolutions(
             read_resolutions(_require_artifact(cfg.resolutions, "inputs")),
-            state.patterns, cfg.window)
+            state.matches, cfg.window)
         observations.extend(result.observations)
     if not observations and not (cfg.certs or cfg.pdns or cfg.resolutions):
         raise UpstreamMissingError("certs/pdns/resolutions inputs", "discover")
@@ -264,8 +282,9 @@ def _stage_fuse(state: RunState) -> None:
     snap_dir = cfg.out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     by_day: dict[str, list] = {}
+    day_of = local_date_memo(cfg.timezone)  # a few distinct instants
     for obs in observations:
-        by_day.setdefault(local_date(obs.seen_at, cfg.timezone), []).append(obs)
+        by_day.setdefault(day_of(obs.seen_at), []).append(obs)
     for path in snap_dir.glob("candidates-*"):
         if path.name.split("candidates-")[1] not in by_day:
             path.unlink()
@@ -286,17 +305,19 @@ def write_sharing(
     path: Path,
     candidates: Mapping[tuple[str, str], CandidateAddress],
     reverse: Mapping[str, set[str]],
-    patterns: Sequence[DomainPattern],
+    patterns: Sequence[DomainPattern] | NameMatches,
     threshold: int,
 ) -> dict[tuple[str, str], str]:
     """One sharing row per candidate in (provider, ip) order. An IP with no
     reverse evidence at all stays dedicated but is marked `reverse_data:
     false`, so reports can tell it from a measured zero. Returns the rows'
     verdicts as `_read_sharing` reads them back."""
+    matches = name_matches(patterns)  # one memo across the candidates
+
     def row(pid: str, ip: str) -> dict:
         non_matching, matching, verdict = 0, 0, "dedicated"
         if ip in reverse:
-            v = classify_sharing(ip, pid, reverse, patterns, threshold)
+            v = classify_sharing(ip, pid, reverse, matches, threshold)
             non_matching, matching, verdict = (v.non_matching_domain_count,
                                                v.matching_domain_count, v.verdict)
         return {
@@ -315,11 +336,9 @@ def write_sharing(
 def _stage_classify(state: RunState) -> None:
     cfg = state.config
     candidates = state.candidates()
-    reverse: dict[str, set[str]] = {}
-    if cfg.pdns:
-        reverse = build_reverse_index(read_pdns_export(cfg.pdns))
-    state.held["sharing"] = write_sharing(cfg.out_dir / "sharing.jsonl", candidates, reverse,
-                                          state.patterns, cfg.sharing_threshold)
+    state.held["sharing"] = write_sharing(cfg.out_dir / "sharing.jsonl", candidates,
+                                          state.reverse_index(), state.matches,
+                                          cfg.sharing_threshold)
 
 
 def _sharing_row(doc: dict) -> tuple[tuple[str, str], str]:
@@ -351,18 +370,18 @@ def _server(doc: dict) -> BackendServer:
     # text fields are checked here
     return BackendServer(
         ip=doc["ip"], provider_id=text(doc["provider_id"]),
-        location=Location(doc["country"], doc.get("city"), doc["continent"]),
+        location=Location(doc["country"], optional_text(doc.get("city")), doc["continent"]),
         location_confidence=text(doc["location_confidence"]),
         prefix=doc["prefix"], asn=doc["asn"], sharing=doc["sharing"],
         sources=frozenset(texts(doc["sources"])),
-        region_token=doc.get("region_token"),
+        region_token=optional_text(doc.get("region_token")),
     )
 
 
 _SERVER_CHECKS = {
-    "ip": text, "provider_id": text, "country": text, "continent": text,
-    "location_confidence": text, "prefix": text, "asn": integer, "sharing": text,
-    "sources": texts,
+    "ip": text, "provider_id": text, "country": text, "city": optional_text,
+    "continent": text, "location_confidence": text, "prefix": text, "asn": integer,
+    "sharing": text, "sources": texts, "region_token": optional_text,
 }
 
 
@@ -378,7 +397,8 @@ def _stage_footprint(state: RunState) -> None:
         raise UpstreamMissingError("prefix2as table", "inputs")
     table = load_prefix_table(_require_artifact(cfg.prefix2as, "inputs"))
     servers, skipped = enrich_candidates(
-        candidates, state.profiles_by_id(), state.patterns_by_id(), table, sharing)
+        candidates, state.profiles_by_id(), state.matches, table, sharing)
+    state.matches.clear()  # no later stage matches names
     servers = state.held["servers"] = write_servers(cfg.out_dir / "servers.jsonl", servers)
     if skipped:
         write_jsonl(cfg.out_dir / "footprint_skipped.jsonl",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime, time, timedelta, timezone
+from typing import Callable
 from zoneinfo import ZoneInfo
 
 UTC = timezone.utc
@@ -57,6 +58,50 @@ def local_date(dt: datetime, tz_name: str) -> str:
     return ensure_utc(dt).astimezone(ZoneInfo(tz_name)).strftime("%Y-%m-%d")
 
 
+# Memos for one call's or one run's timestamps, which repeat a few distinct
+# values thousands of times. A memo keys only values whose equality is
+# exact: two datetimes that differ only in `fold` under one zone compare and
+# hash equal yet name different instants, so only UTC ones are kept; of
+# epoch values only ints are, so anything else fails as `from_epoch` fails.
+
+
+def _utc_memo(convert: Callable[[datetime], str]) -> Callable[[datetime], str]:
+    memo: dict[datetime, str] = {}
+
+    def converted(dt: datetime) -> str:
+        if dt.tzinfo is not UTC:
+            return convert(dt)
+        text = memo.get(dt)
+        if text is None:
+            text = memo[dt] = convert(dt)
+        return text
+    return converted
+
+
+def fmt_iso_memo() -> Callable[[datetime], str]:
+    """`fmt_iso`, formatting each distinct UTC datetime once."""
+    return _utc_memo(fmt_iso)
+
+
+def local_date_memo(tz_name: str) -> Callable[[datetime], str]:
+    """`local_date` in one timezone, converting each distinct UTC instant once."""
+    return _utc_memo(lambda dt: local_date(dt, tz_name))
+
+
+def from_epoch_memo() -> Callable[[int | float], datetime]:
+    """`from_epoch`, converting each distinct int once."""
+    memo: dict[int, datetime] = {}
+
+    def converted(seconds: int | float) -> datetime:
+        if type(seconds) is not int:
+            return from_epoch(seconds)
+        dt = memo.get(seconds)
+        if dt is None:
+            dt = memo[seconds] = from_epoch(seconds)
+        return dt
+    return converted
+
+
 class LocalDays:
     """Local calendar date (YYYY-MM-DD) of epoch seconds in one timezone.
 
@@ -67,6 +112,11 @@ class LocalDays:
     midnight falls in a DST gap or fold, the bounds shrink to the part of
     the day that is certain; instants outside them are converted afresh.
     """
+
+    # every epoch second from MIN_TS to MAX_TS has a local day, and a day
+    # after it, in every zone (offsets stay within a day of UTC)
+    MIN_TS = int(datetime(1, 1, 2, tzinfo=UTC).timestamp())
+    MAX_TS = int(datetime(9999, 12, 30, tzinfo=UTC).timestamp()) - 1
 
     def __init__(self, tz_name: str) -> None:
         self._tz = ZoneInfo(tz_name)

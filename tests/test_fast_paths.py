@@ -1,17 +1,20 @@
 """The parse and match fast paths against the general code they skip.
 
-`timeutil.parse_iso`, `netutil.canonical_ip`/`ip_family` and
-`netutil.prefix_contains`/`network_range` take a shortcut for the one
-spelling this program writes; `ingest._match_name` and
-`fusion.classify_sharing` ask only the catalog patterns a name could match.
-Each must give what the general code gives, value for value and error for
-error. The general code is kept here as the reference.
+`timeutil.parse_iso`, `netutil.canonical_ip`/`ip_family`,
+`netutil.prefix_contains`/`network_range`/`truncate_prefix` and
+`PrefixIndex.containing` take a shortcut for the one spelling this program
+writes; `ingest._match_name` and `fusion.classify_sharing` ask only the
+catalog patterns a name could match; `ingest.NameMatches` and the
+`timeutil` memos answer a repeated value from memory. Each must give what
+the general code gives, value for value and error for error. The general
+code is kept here as the reference.
 """
 
 import ipaddress
 import string
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 import yaml
@@ -20,9 +23,12 @@ from hypothesis import strategies as st
 
 from backmap import ingest
 from backmap.catalog import match_fqdn, normalize_fqdn
+from backmap.footprint import _region_token
 from backmap.fusion import classify_sharing
-from backmap.netutil import canonical_ip, ip_family, network_range, prefix_contains
-from backmap.timeutil import UTC, ensure_utc, parse_iso
+from backmap.netutil import (PrefixIndex, canonical_ip, ip_family, network_range,
+                             prefix_contains, truncate_prefix)
+from backmap.timeutil import (UTC, ensure_utc, fmt_iso, fmt_iso_memo, from_epoch,
+                              from_epoch_memo, local_date, local_date_memo, parse_iso)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -347,3 +353,198 @@ def test_match_name_asks_only_patterns_with_the_name_s_suffix(catalog_patterns,
     assert [r.provider_id for r, _ in ingest._match_name(catalog_patterns, "*.iot.sap")] \
         == ["sap"]
     assert asked == ["sap"]
+
+
+# --- memos -----------------------------------------------------------------------
+# Each memo must give, for every value of a call or run, what the helper it
+# remembers gives for that value alone: repeats, equal instants in different
+# zones and the two New York 01:30s of 2022-11-06 (fold 0 and 1, which
+# compare and hash equal) included.
+
+NEW_YORK = ZoneInfo("America/New_York")
+MEMO_ZONES = ("America/New_York", "America/Regina", "Asia/Kolkata", "Europe/Berlin", "UTC")
+
+
+def repeated(values, rnd):
+    """`values` twice, the second time shuffled, so that a memo answers
+    repeats in and out of their first order."""
+    again = list(values)
+    rnd.shuffle(again)
+    return list(values) + again
+
+
+@st.composite
+def memo_datetimes(draw):
+    """Around the 2022-11-06 New York fold: UTC instants, New York wall times
+    of either fold, other zones' wall times, a UTC instant seen from
+    another zone, other fixed offsets and naive values."""
+    wall = draw(st.datetimes(datetime(2022, 11, 5, 20), datetime(2022, 11, 6, 8)))
+    zone = ZoneInfo(draw(st.sampled_from(MEMO_ZONES)))
+    how = draw(st.sampled_from(["utc", "wall", "fold", "seen-from", "offset", "naive"]))
+    if how == "utc":
+        return wall.replace(tzinfo=UTC)
+    if how == "wall":
+        return wall.replace(tzinfo=zone)
+    if how == "fold":
+        return wall.replace(tzinfo=NEW_YORK, fold=draw(st.sampled_from([0, 1])))
+    if how == "seen-from":
+        return wall.replace(tzinfo=UTC).astimezone(zone)
+    if how == "offset":
+        return wall.replace(tzinfo=timezone(timedelta(hours=draw(st.integers(-12, 14)))))
+    return wall
+
+
+def assert_memo_agrees(memo, helper, values):
+    assert [outcome_with_message(memo, v) for v in values] == \
+        [outcome_with_message(helper, v) for v in values], values
+
+
+def test_fmt_iso_memo_keeps_the_two_new_york_01_30s_apart():
+    first = datetime(2022, 11, 6, 1, 30, tzinfo=NEW_YORK)
+    second = first.replace(fold=1)
+    assert first == second and hash(first) == hash(second)
+    iso = fmt_iso_memo()
+    assert [iso(first), iso(second)] == ["2022-11-06T05:30:00Z", "2022-11-06T06:30:00Z"]
+    dated = local_date_memo("America/Regina")  # UTC-6 all year
+    assert [dated(first), dated(second)] == ["2022-11-05", "2022-11-06"]
+    assert [dated(first.astimezone(UTC)), dated(second.astimezone(UTC))] == \
+        ["2022-11-05", "2022-11-06"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(memo_datetimes(), max_size=12), rnd=st.randoms())
+def test_fmt_iso_memo_agrees_with_fmt_iso(values, rnd):
+    assert_memo_agrees(fmt_iso_memo(), fmt_iso, repeated(values, rnd))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(memo_datetimes(), max_size=12), tz=st.sampled_from(MEMO_ZONES),
+       rnd=st.randoms())
+def test_local_date_memo_agrees_with_local_date(values, tz, rnd):
+    assert_memo_agrees(local_date_memo(tz), lambda dt: local_date(dt, tz),
+                       repeated(values, rnd))
+
+
+EPOCH_VALUES = st.one_of(
+    st.integers(1_600_000_000, 1_600_000_005),          # a few distinct ints, repeated
+    st.integers(1_600_000_000, 1_600_000_005).map(float),  # floats equal to them
+    st.floats(1.6e9, 1.6e9 + 5), st.booleans(),
+    st.integers(-2 ** 70, 2 ** 70),                      # out of range too
+    st.sampled_from([float("nan"), float("inf"), None, "1600000000", [1], 2 ** 63]),
+)
+
+
+def same_epoch_outcome(fn, value):
+    got = outcome_with_message(fn, value)
+    if got[0] == "value":
+        return "value", got[1].isoformat(), got[1].tzinfo, got[1].fold
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(EPOCH_VALUES, max_size=12), rnd=st.randoms())
+def test_from_epoch_memo_agrees_with_from_epoch(values, rnd):
+    memo = from_epoch_memo()
+    values = repeated(values, rnd)
+    assert [same_epoch_outcome(memo, v) for v in values] == \
+        [same_epoch_outcome(from_epoch, v) for v in values], values
+
+
+def reference_region_token(patterns_by_id, pid, fqdns):
+    """enrich_candidates' token before the memo: the provider's own pattern
+    asked name by name."""
+    for fqdn in sorted(fqdns):
+        result = match_fqdn(patterns_by_id[pid], fqdn)
+        if result.matched and result.region_token:
+            return result.region_token
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(probe_names(), max_size=8), rnd=st.randoms())
+def test_one_name_memo_matches_each_name_as_alone(catalog_patterns, names, rnd):
+    """One memo across the ingesters' names, then sharing and enrichment
+    over the same memo, each against its un-memoized form."""
+    memo = ingest.NameMatches(catalog_patterns)
+    names = repeated(names, rnd)
+    for name in names:
+        assert outcome(lambda n: ingest._match_name(memo, n), name) == \
+            outcome(lambda n: reference_match_name(catalog_patterns, n), name), name
+    ips = [f"192.0.2.{i}" for i in range(3)]
+    reverse = {ip: names[i::3] for i, ip in enumerate(ips)}
+    for ip in ips:
+        got = outcome(lambda r: classify_sharing(ip, "p", r, memo, 2), reverse)
+        want = outcome(lambda r: reference_counts(r[ip], catalog_patterns), reverse)
+        if got[0] == "value" == want[0]:
+            got = ("value", (got[1].matching_domain_count, got[1].non_matching_domain_count))
+        assert got == want, reverse[ip]
+    by_id = {p.provider_id: p for p in catalog_patterns}
+    for pid in sorted(by_id):
+        assert outcome(lambda f: _region_token(memo, pid, f), names) == \
+            outcome(lambda f: reference_region_token(by_id, pid, f), names), (pid, names)
+
+
+def test_a_name_memo_stays_with_its_patterns(catalog_patterns):
+    sap = [p for p in catalog_patterns if p.provider_id == "sap"]
+    everyone, only_sap = ingest.NameMatches(catalog_patterns), ingest.NameMatches(sap)
+    name = "dev.iot.us-east-1.amazonaws.com"
+    assert [r.provider_id for r in everyone[name]] == ["amazon"]
+    assert only_sap[name] == ()
+    assert ingest.name_matches(everyone) is everyone
+    assert ingest.name_matches(sap) is not only_sap
+
+
+# --- prefix truncation and lookups ----------------------------------------------------
+
+
+def reference_truncate_prefix(ip, v4_bits=24, v6_bits=56):
+    addr = ipaddress.ip_address(ip)
+    bits = v4_bits if addr.version == 4 else v6_bits
+    return str(ipaddress.ip_network(f"{addr}/{bits}", strict=False))
+
+
+def assert_same_truncation(ip, *bits):
+    assert outcome_with_message(truncate_prefix, ip, *bits) == \
+        outcome_with_message(reference_truncate_prefix, ip, *bits), (ip, bits)
+
+
+@pytest.mark.parametrize("ip, bits", [
+    ("192.0.2.77", ()), ("192.0.2.77", (0,)), ("192.0.2.77", (32,)), ("192.0.2.77", (33,)),
+    ("192.0.2.77", (-1,)), ("192.0.2.77", ("24",)), ("192.0.2.77", (True,)),
+    ("255.255.255.255", (1,)), ("01.0.2.77", ()), (" 192.0.2.77", ()), ("192.0.2.256", ()),
+    ("2001:db8::1", ()), ("2001:DB8::1", (24, 64)), ("::ffff:192.0.2.77", ()),
+    (3221226061, ()), (b"\xc0\x00\x02\x4d", ()), ("", ()),
+])
+def test_truncate_prefix_edge_cases(ip, bits):
+    assert_same_truncation(ip, *bits)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ip=st.one_of(st.ip_addresses(v=4).map(str), st.ip_addresses(v=6).map(str),
+                    address_texts()),
+       v4_bits=st.integers(-1, 33), v6_bits=st.integers(0, 128))
+def test_truncate_prefix_agrees_with_ipaddress(ip, v4_bits, v6_bits):
+    assert_same_truncation(ip, v4_bits, v6_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks=st.lists(st.tuples(st.ip_addresses(v=4), st.integers(8, 32)), max_size=8),
+       queries=st.lists(st.one_of(st.ip_addresses(v=4).map(str), address_texts()),
+                        max_size=8))
+def test_prefix_index_agrees_with_ipaddress(networks, queries):
+    """Lookups of canonical IPv4 text skip ipaddress; every other query goes
+    through it, so the hits and the errors are the general code's."""
+    index, nets = PrefixIndex(), []
+    for address, length in networks:
+        net = ipaddress.ip_network(f"{address}/{length}", strict=False)
+        index[net] = str(net)
+        nets.append(net)
+
+    def reference(ip):
+        addr = ipaddress.ip_address(ip)
+        return [str(n) for n in sorted(set(nets), key=lambda n: -n.prefixlen)
+                if n.version == addr.version and addr in n]
+
+    for ip in queries + [str(n.network_address) for n in nets]:
+        assert outcome_with_message(index.containing, ip) == \
+            outcome_with_message(reference, ip), ip

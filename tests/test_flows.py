@@ -453,6 +453,44 @@ class TestFlowFileErrors:
                 run()
             assert str(error.value) == f"{path}:9: {message}", name
 
+    TS_OUT_OF_RANGE = [2 ** 64 - 1,            # beyond the platform's time_t
+                       LocalDays.MAX_TS + 1]    # past 9999-12-29 UTC, no day in +14:00
+
+    def ts_runs(self, path, index):
+        from backmap.pipeline import analyze_flows
+
+        return {
+            "read": lambda: list(read_flows(path)),
+            "contacts": lambda: line_contact_sets(read_flows(path), index.all_server_ips),
+            "aggregate": lambda: aggregate_flows(read_flows(path), index),
+            "analysis": lambda: analyze_flows(path, index, 5),
+        }
+
+    @pytest.mark.parametrize("ts", TS_OUT_OF_RANGE)
+    def test_binary_ts_without_a_local_date(self, tmp_path, index, ts):
+        """Record 2 is a backend flow whose ts has no local date: the reader
+        and every pass name its file, record and field."""
+        path = self.write_binary(tmp_path / "flows.bmf", (0, "<Q", ts))
+        for name, run in self.ts_runs(path, index).items():
+            with pytest.raises(ValueError) as error:
+                run()
+            assert str(error.value) == f"{path}:2: field 'ts': {ts} is out of range", name
+
+    @pytest.mark.parametrize("ts", TS_OUT_OF_RANGE + [LocalDays.MIN_TS - 1, -2 ** 63])
+    def test_jsonl_ts_without_a_local_date(self, tmp_path, index, ts):
+        path = self.write_jsonl(tmp_path / "flows.jsonl", ts=ts)
+        for name, run in self.ts_runs(path, index).items():
+            with pytest.raises(ValueError) as error:
+                run()
+            assert str(error.value) == f"{path}:2: field 'ts': {ts} is out of range", name
+
+    @pytest.mark.parametrize("ts", TS_OUT_OF_RANGE)
+    def test_record_ts_without_a_local_date(self, index, ts):
+        flows = [flow(), flow()._replace(ts=ts)]
+        for run in (lambda: contacts(flows, index), lambda: aggregate_flows(flows, index)):
+            with pytest.raises(ValueError, match=rf"^field 'ts': {ts} is out of range$"):
+                run()
+
     def test_record_is_a_plain_tuple(self):
         rec = flow()
         values = (to_epoch(T0), "L1", "10.1.0.1", 8883, "tcp", DOWN, 1500, 1, 1)
@@ -488,6 +526,15 @@ class TestLocalDay:
         days = LocalDays(tz)
         for ts in range(to_epoch(utc(2022, 1, 1)), to_epoch(utc(2023, 1, 1)), 900):
             assert days.date(ts) == local_date(from_epoch(ts), tz), ts
+
+    def test_every_zone_dates_the_ends_of_the_range_readers_accept(self):
+        from zoneinfo import available_timezones
+
+        for tz in sorted(available_timezones()):
+            days = LocalDays(tz)
+            for ts in (LocalDays.MIN_TS, LocalDays.MAX_TS):
+                _date, start, end = days.day(ts)
+                assert start <= ts < end, (tz, ts)
 
 
 FIRST, LAST = to_epoch(utc(2020, 1, 1)), to_epoch(utc(2025, 1, 1)) - 1

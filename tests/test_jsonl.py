@@ -110,6 +110,8 @@ WRONG_TYPES = [
     ("servers", "sources", ["tls-cert", 5], "expected text, not int"),
     ("servers", "provider_id", 7, "expected text, not int"),
     ("servers", "location_confidence", 1, "expected text, not int"),
+    ("servers", "city", 5, "expected text or null, not int"),
+    ("servers", "region_token", ["eu"], "expected text or null, not list"),
 ]
 
 

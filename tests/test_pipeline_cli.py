@@ -173,16 +173,18 @@ class TestRunPipeline:
         assert {s["ip"] for s in servers if s["sharing"] == "shared"} == shared_ips
 
 
-# artifact readers that stages call through backmap.pipeline
+# artifact and export readers that stages call through backmap.pipeline
 ARTIFACT_READERS = ("read_observations", "read_candidates", "_read_sharing", "read_servers")
+EXPORT_READERS = ("read_cert_scan_export", "read_pdns_export", "read_resolutions")
 
 
 def count_artifact_reads(monkeypatch) -> list[tuple[str, str]]:
-    """Wrap every artifact reader; the list fills with (reader, file name)."""
+    """Wrap every artifact and export reader; the list fills with (reader,
+    file name)."""
     from backmap import pipeline
 
     reads = []
-    for name in ARTIFACT_READERS:
+    for name in ARTIFACT_READERS + EXPORT_READERS:
         def counting(path, _name=name, _read=getattr(pipeline, name)):
             reads.append((_name, Path(path).name))
             return _read(path)
@@ -200,8 +202,8 @@ def run_checking_handoff(config: RunConfig) -> None:
     stage hands over equals what its file's reader returns, order included."""
     from backmap import pipeline
     from backmap.catalog import compile_catalog, load_catalog
-    from backmap.fusion import read_candidates
-    from backmap.ingest import read_observations
+    from backmap.fusion import build_reverse_index, read_candidates
+    from backmap.ingest import read_observations, read_pdns_export
 
     out = config.out_dir
     out.mkdir(parents=True)
@@ -210,7 +212,9 @@ def run_checking_handoff(config: RunConfig) -> None:
                               patterns=compile_catalog(profiles))
     read_back = {
         "discover": lambda: {
-            "observations": list(read_observations(out / "observations.jsonl"))},
+            "observations": list(read_observations(out / "observations.jsonl")),
+            **({"reverse_index": build_reverse_index(read_pdns_export(config.pdns))}
+               if config.pdns else {})},
         "fuse": lambda: {
             "candidates": read_candidates(out / "candidates.jsonl"),
             "snapshots": {p.name.split("candidates-")[1]: frozenset(read_candidates(p))
@@ -232,11 +236,29 @@ class TestArtifactHandoff:
 
     def test_full_run_reads_back_no_artifact(self, universe_dir, completed_run, tmp_path,
                                              monkeypatch):
+        """No artifact is read back, and each export is read once: classify
+        takes the reverse index that discover built."""
         reads = count_artifact_reads(monkeypatch)
         config = make_run_config(universe_dir, tmp_path / "out")
         run_pipeline(config)
-        assert reads == []
+        assert reads == [("read_cert_scan_export", "certs.jsonl"),
+                         ("read_pdns_export", "pdns.jsonl"),
+                         ("read_resolutions", "resolutions.jsonl")]
         assert tree_bytes(config.out_dir) == tree_bytes(completed_run[0].out_dir)
+
+    def test_classify_alone_reads_the_pdns_export_once(self, universe_dir, completed_run,
+                                                      tmp_path, monkeypatch):
+        import shutil
+
+        out_dir = tmp_path / "out"
+        shutil.copytree(completed_run[0].out_dir, out_dir)
+        reads = count_artifact_reads(monkeypatch)
+        run_pipeline(make_run_config(universe_dir, out_dir), ["classify"])
+        assert sorted(reads) == [("read_candidates", "candidates.jsonl"),
+                                 ("read_pdns_export", "pdns.jsonl")]
+        after, before = tree_bytes(out_dir), tree_bytes(completed_run[0].out_dir)
+        after.pop("manifest.json"), before.pop("manifest.json")
+        assert after == before
 
     def test_footprint_alone_reads_each_file_once(self, universe_dir, completed_run,
                                                    tmp_path, monkeypatch):
@@ -311,6 +333,34 @@ class TestArtifactHandoff:
                          certs=None, pdns=None, resolutions=path)
         run_checking_handoff(config)
 
+    def test_reverse_index_keeps_the_rows_ingest_skips(self, universe_dir, tmp_path):
+        """Discover hands classify the index of every parsed passive-DNS
+        row: also a CNAME and an A row outside the window, which ingest
+        skips, and not a malformed line."""
+        from dataclasses import replace
+
+        from backmap.fusion import build_reverse_index
+        from backmap.ingest import read_pdns_export
+
+        path = tmp_path / "pdns.jsonl"
+        before = int(WINDOW.start.timestamp()) - 86400
+        extra = [{"rrname": "alias.example.org", "rrtype": "CNAME",
+                  "rdata": "target.example.org", "time_first": before, "time_last": before},
+                 {"rrname": "old.example.org", "rrtype": "A", "rdata": "198.51.100.9",
+                  "time_first": before, "time_last": before}]
+        path.write_text((universe_dir / "pdns.jsonl").read_text()
+                        + "".join(json.dumps(row) + "\n" for row in extra) + "{not json\n")
+        config = replace(make_run_config(universe_dir, tmp_path / "out"), pdns=path)
+        run_checking_handoff(config)
+        index = build_reverse_index(read_pdns_export(path))
+        assert index["target.example.org"] == {"alias.example.org"}
+        assert index["198.51.100.9"] == {"old.example.org"}
+        staged = replace(config, out_dir=tmp_path / "staged")
+        for stage in ("discover", "fuse", "classify"):
+            run_pipeline(staged, [stage])
+        assert (staged.out_dir / "sharing.jsonl").read_bytes() == \
+            (config.out_dir / "sharing.jsonl").read_bytes()
+
     @pytest.mark.parametrize("stages", [None, ["fuse", "classify", "footprint"]])
     def test_rerun_with_a_shifted_window_keeps_only_its_own_days(
             self, universe_dir, completed_run, tmp_path, stages):
@@ -374,6 +424,48 @@ class TestTracerContract:
         assert tracer.counts["flows.aggregate_records_in"] > 0
         assert pipeline.read_flows is flows.read_flows
         assert pipeline.aggregate_flows is flows.aggregate_flows
+
+
+    def test_traced_discovery_stages_write_the_untraced_artifacts(self, universe_dir,
+                                                                  tmp_path, monkeypatch):
+        """discover, fuse, classify and footprint, one call per stage as the
+        traced job makes them: the instrumented run writes what the plain one
+        writes. `instrument` looks every wrapped name up, so a name that is
+        no longer bound where the tracer expects it fails here."""
+        from backmap import catalog, footprint, fusion, ingest, pipeline
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        for name in ("layers", "tracer"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        import layers
+        from tracer import Tracer
+
+        stages = ["discover", "fuse", "classify", "footprint"]
+        trees = {}
+        for traced in (False, True):
+            config = make_run_config(universe_dir, tmp_path / f"traced-{traced}")
+            tracer = Tracer("contract")
+            if traced:
+                layers.instrument(tracer, layers.Manifest(config.catalog))
+            try:
+                for stage in stages:
+                    run_pipeline(config, [stage])
+            finally:
+                tracer.restore()
+            trees[traced] = tree_bytes(config.out_dir)
+        assert trees[True] == trees[False]
+        assert tracer.hot["catalog.match_fqdn"][1] > 0
+        for counter in ("ingest.records_in", "ingest.observations_out",
+                        "fusion.observations_in", "fusion.candidates_read"):
+            assert tracer.counts[counter] > 0, counter
+        spans = {span[1] for span in tracer.spans}
+        for name in ("ingest.read_pdns_export", "fusion.build_reverse_index",
+                     "fusion.classify_sharing", "footprint.enrich_candidates"):
+            assert name in spans or name in tracer.hot, name
+        for module in (ingest, fusion, footprint):
+            assert module.match_fqdn is catalog.match_fqdn
+        assert pipeline.read_pdns_export is ingest.read_pdns_export
 
 
 class TestPseudonyms:
@@ -509,6 +601,34 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert f"error: {flows}:3: missing field 'sampling_rate'" in result.output
+
+    def test_run_with_flow_ts_out_of_range_exits_1(self, universe_dir, completed_run,
+                                                   tmp_path):
+        """A backend flow whose ts has no local date: both commands name the
+        file, the record and the field."""
+        import shutil
+        import struct
+
+        config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
+        backend = {json.loads(line)["ip"]
+                   for line in (out_dir / "servers.jsonl").read_text().splitlines()}
+        number = next(n for n, rec in enumerate(read_flows(universe_dir / "flows.bmf"), 1)
+                      if rec.server_ip in backend)
+        flows = tmp_path / "flows.bmf"
+        raw = bytearray((universe_dir / "flows.bmf").read_bytes())
+        struct.pack_into("<Q", raw, 8 + 64 * (number - 1), 2 ** 64 - 1)
+        flows.write_bytes(bytes(raw))
+        message = f"error: {flows}:{number}: field 'ts': {2 ** 64 - 1} is out of range"
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir, flows)
+        for args in (["run", "--config", str(run_yaml), "--stages", "flows"],
+                     ["flows", "sweep", "--flows", str(flows), "--servers",
+                      str(out_dir / "servers.jsonl"), "--out", str(tmp_path / "sweep.csv")]):
+            result = self.runner.invoke(main, args)
+            assert isinstance(result.exception, SystemExit), args[0]
+            assert result.exit_code == 1, args[0]
+            assert message in result.output, args[0]
 
     def test_run_with_bad_observation_exits_1(self, universe_dir, completed_run, tmp_path):
         import shutil
