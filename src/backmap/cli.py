@@ -9,23 +9,21 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from . import reports
 from .catalog import CatalogError, compile_catalog, load_catalog
-from .disruption import (BlocklistIndex, RoutingEvent, blocklist_check, outage_scan,
-                         read_blocklist, routing_event_overlap)
-from .flows import (ServerIndex, line_contact_sets, read_flows, regional_down_series,
-                    threshold_sweep)
+from .disruption import (BlocklistIndex, RoutingEvent, blocklist_check, read_blocklist,
+                         routing_event_overlap)
 from .fusion import fuse, read_candidates, write_candidates
 from .ingest import (IngestError, ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
                      ingest_cert_scan, ingest_passive_dns, read_cert_scan_export,
                      read_observations, read_pdns_export, resolve_active,
                      write_cert_scan_export, write_observations, write_resolutions)
-from .pipeline import (DEFAULT_SWEEP_THRESHOLDS, RunConfig, UpstreamMissingError,
-                       analyze_flows, load_run_config, read_servers, run_pipeline,
-                       write_sharing)
+from .pipeline import (RunConfig, UpstreamMissingError, load_run_config, outage_findings,
+                       read_servers, run_pipeline, write_sharing)
 from .jsonl import read_jsonl, write_jsonl
 from .timeutil import fmt_iso, parse_iso
 
@@ -47,15 +45,24 @@ def _parse_window(text: str) -> StudyWindow:
         _fail(EXIT_VALIDATION, f"bad window {text!r} (want START..END ISO-8601): {exc}")
 
 
+def _load_config(config_path: str, out_dir: str | None = None) -> RunConfig:
+    try:
+        return load_run_config(config_path, {"out_dir": Path(out_dir)} if out_dir else {})
+    except (ValueError, OSError) as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+
+
 def _run_stages(config_path: str, out_dir: str | None,
                 stages: list[str] | None) -> tuple[RunConfig, dict]:
     """Load a run config and run `stages` of it, mapping errors to exit codes."""
+    config = _load_config(config_path, out_dir)
+    return config, _pipeline_call(run_pipeline, config, stages)
+
+
+def _pipeline_call(func: Callable, *args):
+    """`func(*args)`, mapping the pipeline's errors to exit codes."""
     try:
-        config = load_run_config(config_path, {"out_dir": Path(out_dir)} if out_dir else {})
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    try:
-        return config, run_pipeline(config, stages)
+        return func(*args)
     except UpstreamMissingError as exc:
         _fail(EXIT_UPSTREAM, str(exc))
     except ValueError as exc:  # CatalogError included
@@ -288,51 +295,6 @@ def flows_analyze(out_dir, config_path):
     click.echo("flow reports written")
 
 
-@flows.command("sweep")
-@click.option("--flows", "flows_path", required=True, type=click.Path())
-@click.option("--servers", "servers_path", required=True, type=click.Path())
-@click.option("--thresholds", default=",".join(map(str, DEFAULT_SWEEP_THRESHOLDS)),
-              show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def flows_sweep(flows_path, servers_path, thresholds, out_path):
-    """Scanner-threshold sweep: visibility and removed lines per threshold."""
-    if not Path(servers_path).exists():
-        _fail(EXIT_UPSTREAM, f"missing servers {servers_path}; run 'footprint' first")
-    backend_ips = ServerIndex(read_servers(Path(servers_path))).all_server_ips
-    try:
-        points = threshold_sweep(line_contact_sets(read_flows(flows_path), backend_ips),
-                                 backend_ips, [int(t) for t in thresholds.split(",")])
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    reports.write_sweep(Path(out_path), points)
-    click.echo(f"{len(points)} sweep points")
-
-
-@flows.command("ablate")
-@click.option("--flows", "flows_path", required=True, type=click.Path())
-@click.option("--servers", "servers_path", required=True, type=click.Path())
-@click.option("--candidates", "cand_path", required=True, type=click.Path())
-@click.option("--scanner-threshold", default=100, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def flows_ablate(flows_path, servers_path, cand_path, scanner_threshold, out_path):
-    """Per-provider active-line loss when only TLS-discovered servers count."""
-    from .flows import source_ablation
-
-    for path, stage in ((servers_path, "footprint"), (cand_path, "fuse")):
-        if not Path(path).exists():
-            _fail(EXIT_UPSTREAM, f"missing {path}; run '{stage}' first")
-    index = ServerIndex(read_servers(Path(servers_path)))
-    candidates = read_candidates(cand_path)
-    cert_ips = {ip for (pid, ip), c in candidates.items() if "tls-cert" in c.sources}
-    try:
-        agg = analyze_flows(Path(flows_path), index, scanner_threshold, cert_ips=cert_ips).agg
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    rows = [[pid, f"{pct:.6f}"] for pid, pct in sorted(source_ablation(agg).items())]
-    reports.write_table(Path(out_path), ["provider", "decrease_pct"], rows)
-    click.echo(f"{len(rows)} providers")
-
-
 # --- disrupt ----------------------------------------------------------------------
 
 
@@ -342,25 +304,13 @@ def disrupt() -> None:
 
 
 @disrupt.command("outage")
-@click.option("--flows", "flows_path", required=True, type=click.Path())
-@click.option("--servers", "servers_path", required=True, type=click.Path())
-@click.option("--window", "window_text", required=True, help="scan window START..END")
-@click.option("--baseline-days", default=7, show_default=True)
-@click.option("--sustain-hours", default=2, show_default=True)
-@click.option("--scanner-threshold", default=100, show_default=True)
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-def disrupt_outage(flows_path, servers_path, window_text, baseline_days,
-                   sustain_hours, scanner_threshold, out_path):
-    """Flag sustained regional drops below the previous-week minimum."""
-    if not Path(servers_path).exists():
-        _fail(EXIT_UPSTREAM, f"missing servers {servers_path}; run 'footprint' first")
-    window = _parse_window(window_text)
-    index = ServerIndex(read_servers(Path(servers_path)))
-    try:
-        agg = analyze_flows(Path(flows_path), index, scanner_threshold).agg
-        findings = outage_scan(regional_down_series(agg), window, baseline_days, sustain_hours)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+def disrupt_outage(config_path, out_path):
+    """Flag sustained regional drops below the previous-week minimum, as the
+    flows stage does, from the config's trace and its out_dir's servers and
+    candidates."""
+    findings = _pipeline_call(outage_findings, _load_config(config_path))
     write_jsonl(out_path, ({
         "provider_id": f.provider_id, "region": f.region,
         "start": fmt_iso(f.window[0]), "end": fmt_iso(f.window[1]),

@@ -158,13 +158,16 @@ def line_contact_sets(
     """
     batches, line_of, addr_of, skip = _row_source(flows)
     days = LocalDays(tz_name)
+    max_ts = LocalDays.MAX_TS  # a row's ts is never below MIN_TS (see `_row_source`)
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
     lines: dict = {}
     backend: dict = {}
     lines_get, backend_get = lines.get, backend.get
 
-    def first_sight(line_key, addr_key, proto: int, direction: int, rate: int) -> tuple:
-        line, ip = _checked_keys(line_key, addr_key, proto, direction, rate, line_of, addr_of)
+    def first_sight(ts: int, line_key, addr_key, proto: int, direction: int,
+                    rate: int) -> tuple:
+        line, ip = _checked_keys(ts, line_key, addr_key, proto, direction, rate,
+                                 line_of, addr_of)
         line = lines[line_key] = _SKIP if line in skip else line
         ip = backend[addr_key] = ip if ip in backend_ips else ""
         return line, ip
@@ -178,11 +181,11 @@ def line_contact_sets(
                 line = lines_get(line_key)
                 ip = backend_get(addr_key)
                 if (line is None or ip is None or rate < 1 or direction not in _DIRECTIONS
-                        or proto not in _TRANSPORTS):
-                    line, ip = first_sight(line_key, addr_key, proto, direction, rate)
+                        or proto not in _TRANSPORTS or ts > max_ts):
+                    line, ip = first_sight(ts, line_key, addr_key, proto, direction, rate)
                 if ip and line is not _SKIP:
                     if not start <= ts < end:
-                        day, start, end = _day(days, ts)
+                        day, start, end = days.day(ts)
                         today.clear()
                     ips = today_get(line_key)
                     if ips is None:
@@ -321,6 +324,7 @@ def aggregate_flows(
     batches, line_of, addr_of, skip = _row_source(flows)
     cert_ips = cert_ips or set()
     days = LocalDays(tz_name)
+    max_ts = LocalDays.MAX_TS  # as in `line_contact_sets`
     attribute, facts = index.attribute, index.facts
     # (provider, ip, (port, transport), family, region, cert) per attributed
     # triple, in first-row order; a triple's id is its position here
@@ -339,11 +343,12 @@ def aggregate_flows(
         attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
         return (pid, token, len(attributions) - 1)
 
-    def first_sight(line_key, addr_key, port: int, proto: int, direction: int,
+    def first_sight(ts: int, line_key, addr_key, port: int, proto: int, direction: int,
                     rate: int) -> tuple:
         """(line, attribution) of a row the inline test let through; an
         excluded line's rows get no attribution, so they decide nothing."""
-        line, ip = _checked_keys(line_key, addr_key, proto, direction, rate, line_of, addr_of)
+        line, ip = _checked_keys(ts, line_key, addr_key, proto, direction, rate,
+                                 line_of, addr_of)
         line = lines[line_key] = _SKIP if line in skip else line
         addrs[addr_key] = ip
         if line is _SKIP:
@@ -368,13 +373,13 @@ def aggregate_flows(
                 line = lines_get(line_key)
                 if line is _SKIP:
                     if (addr_key not in addrs or rate < 1 or direction not in _DIRECTIONS
-                            or proto not in _TRANSPORTS):
-                        first_sight(line_key, addr_key, port, proto, direction, rate)
+                            or proto not in _TRANSPORTS or ts > max_ts):
+                        first_sight(ts, line_key, addr_key, port, proto, direction, rate)
                     continue
                 attribution = triples_get((addr_key, port, proto))
                 if (line is None or attribution is None or rate < 1
-                        or direction not in _DIRECTIONS):
-                    line, attribution = first_sight(line_key, addr_key, port, proto,
+                        or direction not in _DIRECTIONS or ts > max_ts):
+                    line, attribution = first_sight(ts, line_key, addr_key, port, proto,
                                                     direction, rate)
                     if line is _SKIP:
                         continue
@@ -386,7 +391,7 @@ def aggregate_flows(
                 est = sampled_bytes * rate
                 hour = ts // 3600
                 if not start <= ts < end:
-                    day, start, end = _day(days, ts)
+                    day, start, end = days.day(ts)
                     today.clear()
                 slot = today_get(line_key)
                 if slot is None:
@@ -869,11 +874,13 @@ def _bmf_chunks(path: str | Path) -> Iterator[bytes]:
             yield chunk
 
 
-def _checked_keys(line_key, addr_key, proto, direction, rate: int,
+def _checked_keys(ts: int, line_key, addr_key, proto, direction, rate: int,
                   line_of: Callable, addr_of: Callable) -> tuple[str, str]:
     """(line, ip) of a row, raising ValueError for its first bad field in the
-    order the readers check them: line, address, rate, direction, transport.
-    Bytes and packets are unsigned in `.bmf` and checked by `_check` in JSONL."""
+    order the readers check them: ts, line, address, rate, direction,
+    transport. Bytes and packets are unsigned in `.bmf` and checked by
+    `_check` in JSONL."""
+    _check_ts(ts)
     line = line_of(line_key)
     ip = addr_of(addr_key)
     if rate < 1:
@@ -905,8 +912,7 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
             if (line is None or ip is None or rate < 1 or direction_name is None
                     or transport is None or ts > max_ts):
                 try:
-                    _check_ts(ts)
-                    line, ip = _checked_keys(line_raw, ip_raw, proto, direction, rate,
+                    line, ip = _checked_keys(ts, line_raw, ip_raw, proto, direction, rate,
                                              _unpack_line, _unpack_ip)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
@@ -978,19 +984,14 @@ def _row_source(flows: Iterable[FlowRecord]) -> tuple:
     files included, come as one batch of records turned into rows, keyed by
     their line and IP strings. The passes check every row with one inline
     test and `_checked_keys` behind it, so the first bad record raises what
-    the record readers raise for it.
+    the record readers raise for it. The test checks `ts` against
+    LocalDays.MAX_TS only: a `.bmf` ts is unsigned, the JSONL reader checks
+    the whole range, and code that builds records is trusted.
     """
     if isinstance(flows, FlowFile) and flows.binary:
         return (map(_REC.iter_unpack, _bmf_chunks(flows.path)), _unpack_line, _unpack_ip,
                 flows.skip_lines)
     return (map(_record_row, flows),), _as_is, _as_is, frozenset()
-
-
-def _day(days: LocalDays, ts: int) -> tuple[str, int, int]:
-    """`days.day(ts)` for a ts the record readers accept; for any other, the
-    ValueError they raise, which `_locate` gives its record."""
-    _check_ts(ts)
-    return days.day(ts)
 
 
 def _locate(flows: Iterable[FlowRecord]) -> None:

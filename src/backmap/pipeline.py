@@ -20,7 +20,7 @@ import yaml
 
 from . import reports
 from .catalog import DomainPattern, compile_catalog, load_catalog
-from .disruption import outage_scan
+from .disruption import OutageFinding, outage_scan
 from .flows import (FlowAggregate, ScannerVerdict, ServerIndex, SweepPoint, aggregate_flows,
                     detect_scanners, exclude_scanner_lines, line_contact_sets, read_flows,
                     regional_down_series, scanner_line_ids, threshold_sweep)
@@ -449,38 +449,60 @@ def analyze_flows(
     return FlowAnalysis(verdicts, sweep, agg)
 
 
-def _stage_flows(state: RunState) -> None:
+def run_flow_analysis(state: RunState) -> tuple[ServerIndex, FlowAnalysis]:
+    """The run's server index and `analyze_flows` over its trace. The index
+    takes the catalog's profiles (so each provider's dedicated-port filter)
+    and the config's `include_shared`; the analysis takes its scanner
+    threshold and timezone, and marks the servers certificate scans found.
+    The flows stage and `backmap disrupt outage` both start here."""
     cfg = state.config
     if not cfg.flows:
         raise UpstreamMissingError("flow trace input", "inputs")
     flows_path = _require_artifact(cfg.flows, "inputs")
-    servers = state.servers()
-    candidates = state.candidates()
-    profiles_by_id = state.profiles_by_id()
-    index = ServerIndex(servers, profiles_by_id, include_shared=cfg.include_shared)
-    cert_ips = {ip for (pid, ip), cand in candidates.items() if "tls-cert" in cand.sources}
+    index = ServerIndex(state.servers(), state.profiles_by_id(),
+                        include_shared=cfg.include_shared)
+    cert_ips = {ip for (pid, ip), cand in state.candidates().items()
+                if "tls-cert" in cand.sources}
+    return index, analyze_flows(flows_path, index, cfg.scanner_threshold, cfg.timezone,
+                                cert_ips)
 
-    analysis = analyze_flows(flows_path, index, cfg.scanner_threshold, cfg.timezone, cert_ips)
+
+def scan_outages(config: RunConfig, series: Mapping) -> list[OutageFinding]:
+    """`outage_scan` over the regional series whose baseline week is fully
+    covered; any other series is skipped (the scan itself refuses partial
+    baselines)."""
+    baseline_start = config.window.start - timedelta(days=config.baseline_days)
+    eligible = {}
+    for key, points in series.items():
+        covered = sum(1 for ts, _ in points if baseline_start <= ts < config.window.start)
+        if covered >= config.baseline_days * 24:
+            eligible[key] = points
+    return outage_scan(eligible, config.window, config.baseline_days,
+                       config.sustain_hours) if eligible else []
+
+
+def outage_findings(config: RunConfig) -> list[OutageFinding]:
+    """The findings the flows stage flags in fig13_outage.csv, from the
+    config's trace and the servers and candidates in its out_dir. Writes
+    nothing."""
+    state = RunState(config=config, profiles=load_catalog(config.catalog))
+    _index, analysis = run_flow_analysis(state)
+    return scan_outages(config, regional_down_series(analysis.agg))
+
+
+def _stage_flows(state: RunState) -> None:
+    cfg = state.config
+    index, analysis = run_flow_analysis(state)
     write_jsonl(cfg.out_dir / "scanners.jsonl", ({
         "line_id": v.line_id, "date": v.date,
         "distinct_backend_ips": v.distinct_backend_ips,
         "threshold_used": v.threshold_used,
     } for v in analysis.verdicts if v.is_scanner))
     reports.write_sweep(cfg.out_dir / "fig5_sweep.csv", analysis.sweep)
-    reports.emit_flow_reports(cfg.out_dir, analysis.agg, index, profiles_by_id)
-
-    # outage scan over regional series; series without a complete baseline
-    # week are skipped (the scan itself refuses partial baselines)
+    reports.emit_flow_reports(cfg.out_dir, analysis.agg, index, state.profiles_by_id())
     series = regional_down_series(analysis.agg)
-    baseline_start = cfg.window.start - timedelta(days=cfg.baseline_days)
-    eligible = {}
-    for key, points in series.items():
-        covered = sum(1 for ts, _ in points if baseline_start <= ts < cfg.window.start)
-        if covered >= cfg.baseline_days * 24:
-            eligible[key] = points
-    findings = outage_scan(eligible, cfg.window, cfg.baseline_days,
-                           cfg.sustain_hours) if eligible else []
-    reports.write_outage(cfg.out_dir / "fig13_outage.csv", series, findings, cfg.window)
+    reports.write_outage(cfg.out_dir / "fig13_outage.csv", series,
+                         scan_outages(cfg, series), cfg.window)
 
 
 def _stage_report(state: RunState) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import socket
 import struct
 from datetime import date, datetime, time, timedelta
 from zoneinfo import ZoneInfo
@@ -427,6 +428,7 @@ class TestFlowFileErrors:
         (57, "<I", 0, "sampling_rate must be >= 1"),
         (44, "<B", 2, "bad direction 2"),
         (43, "<B", 7, "bad transport 7"),
+        (0, "<Q", 2 ** 64 - 1, f"field 'ts': {2 ** 64 - 1} is out of range"),
     ])
     @pytest.mark.parametrize("later", [(), ((11, 8, "<B", 0xFF),)], ids=["alone", "later"])
     def test_first_bad_record_on_a_scanner_line(self, tmp_path, index, offset, fmt, value,
@@ -468,13 +470,17 @@ class TestFlowFileErrors:
 
     @pytest.mark.parametrize("ts", TS_OUT_OF_RANGE)
     def test_binary_ts_without_a_local_date(self, tmp_path, index, ts):
-        """Record 2 is a backend flow whose ts has no local date: the reader
-        and every pass name its file, record and field."""
-        path = self.write_binary(tmp_path / "flows.bmf", (0, "<Q", ts))
-        for name, run in self.ts_runs(path, index).items():
-            with pytest.raises(ValueError) as error:
-                run()
-            assert str(error.value) == f"{path}:2: field 'ts': {ts} is out of range", name
+        """Record 2 is a flow whose ts has no local date, to a backend server
+        or to an address no server has: the reader and every pass name its
+        file, record and field."""
+        for address in ("10.1.0.1", "203.0.113.9"):
+            path = self.write_binary(tmp_path / "flows.bmf", (0, "<Q", ts),
+                                     (25, "4s", socket.inet_aton(address)))
+            for name, run in self.ts_runs(path, index).items():
+                with pytest.raises(ValueError) as error:
+                    run()
+                assert str(error.value) == f"{path}:2: field 'ts': {ts} is out of range", \
+                    (address, name)
 
     @pytest.mark.parametrize("ts", TS_OUT_OF_RANGE + [LocalDays.MIN_TS - 1, -2 ** 63])
     def test_jsonl_ts_without_a_local_date(self, tmp_path, index, ts):
@@ -486,10 +492,11 @@ class TestFlowFileErrors:
 
     @pytest.mark.parametrize("ts", TS_OUT_OF_RANGE)
     def test_record_ts_without_a_local_date(self, index, ts):
-        flows = [flow(), flow()._replace(ts=ts)]
-        for run in (lambda: contacts(flows, index), lambda: aggregate_flows(flows, index)):
-            with pytest.raises(ValueError, match=rf"^field 'ts': {ts} is out of range$"):
-                run()
+        for address in ("10.1.0.1", "203.0.113.9"):
+            flows = [flow(), flow(ip=address)._replace(ts=ts)]
+            for run in (lambda: contacts(flows, index), lambda: aggregate_flows(flows, index)):
+                with pytest.raises(ValueError, match=rf"^field 'ts': {ts} is out of range$"):
+                    run()
 
     def test_record_is_a_plain_tuple(self):
         rec = flow()

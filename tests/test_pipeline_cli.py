@@ -79,7 +79,7 @@ def make_run_config(universe_dir: Path, out_dir: Path) -> RunConfig:
 
 
 def write_run_yaml(path: Path, universe_dir: Path, out_dir: Path,
-                   flows: Path | None = None) -> Path:
+                   flows: Path | None = None, **settings) -> Path:
     path.write_text(yaml.safe_dump({
         "catalog": str(universe_dir / "catalog.yaml"),
         "certs": str(universe_dir / "certs.jsonl"),
@@ -90,6 +90,7 @@ def write_run_yaml(path: Path, universe_dir: Path, out_dir: Path,
         "out_dir": str(out_dir),
         "scanner_threshold": 10,
         "window": {"start": "2022-02-28T00:00:00Z", "end": "2022-03-02T00:00:00Z"},
+        **settings,
     }))
     return path
 
@@ -160,6 +161,12 @@ class TestRunPipeline:
             sums[kind] = sums.get(kind, 0.0) + float(share_pct)
         for kind in ("line_category", "traffic", "servers"):
             assert abs(sums[kind] - 100.0) <= 0.01, (kind, sums[kind])
+
+    def test_sni_only_provider_loses_every_line_in_fig7(self, completed_run):
+        config, _ = completed_run
+        rows = dict(line.split(",") for line in
+                    (config.out_dir / "fig7_ablation.csv").read_text().splitlines()[1:])
+        assert float(rows["p02"]) == 100.0  # no certificate scan finds p02's servers
 
     def test_shared_servers_excluded_from_attribution(self, completed_run):
         config, _ = completed_run
@@ -595,18 +602,25 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert f"error: {flows}:3: missing field 'sampling_rate'" in result.output
-        result = self.runner.invoke(main, [
-            "flows", "sweep", "--flows", str(flows),
-            "--servers", str(out_dir / "servers.jsonl"), "--out", str(tmp_path / "sweep.csv")])
+        outage = ["disrupt", "outage", "--config", str(run_yaml),
+                  "--out", str(tmp_path / "findings.jsonl")]
+        result = self.runner.invoke(main, outage)
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert f"error: {flows}:3: missing field 'sampling_rate'" in result.output
+        (out_dir / "servers.jsonl").unlink()
+        result = self.runner.invoke(main, outage)
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 3
+        assert f"{out_dir / 'servers.jsonl'}; run the 'footprint' stage first" in result.output
 
     def test_run_with_flow_ts_out_of_range_exits_1(self, universe_dir, completed_run,
                                                    tmp_path):
-        """A backend flow whose ts has no local date: both commands name the
-        file, the record and the field."""
+        """A flow whose ts has no local date, to the first backend flow's
+        address or to one no server has: both commands name the file, the
+        record and the field."""
         import shutil
+        import socket
         import struct
 
         config, _ = completed_run
@@ -616,19 +630,24 @@ class TestCli:
                    for line in (out_dir / "servers.jsonl").read_text().splitlines()}
         number = next(n for n, rec in enumerate(read_flows(universe_dir / "flows.bmf"), 1)
                       if rec.server_ip in backend)
-        flows = tmp_path / "flows.bmf"
-        raw = bytearray((universe_dir / "flows.bmf").read_bytes())
-        struct.pack_into("<Q", raw, 8 + 64 * (number - 1), 2 ** 64 - 1)
-        flows.write_bytes(bytes(raw))
-        message = f"error: {flows}:{number}: field 'ts': {2 ** 64 - 1} is out of range"
-        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir, flows)
-        for args in (["run", "--config", str(run_yaml), "--stages", "flows"],
-                     ["flows", "sweep", "--flows", str(flows), "--servers",
-                      str(out_dir / "servers.jsonl"), "--out", str(tmp_path / "sweep.csv")]):
-            result = self.runner.invoke(main, args)
-            assert isinstance(result.exception, SystemExit), args[0]
-            assert result.exit_code == 1, args[0]
-            assert message in result.output, args[0]
+        offset = 8 + 64 * (number - 1)
+        assert "203.0.113.9" not in backend
+        for address in (None, "203.0.113.9"):
+            flows = tmp_path / "flows.bmf"
+            raw = bytearray((universe_dir / "flows.bmf").read_bytes())
+            struct.pack_into("<Q", raw, offset, 2 ** 64 - 1)
+            if address:
+                struct.pack_into("<B16s", raw, offset + 24, 4, socket.inet_aton(address))
+            flows.write_bytes(bytes(raw))
+            message = f"error: {flows}:{number}: field 'ts': {2 ** 64 - 1} is out of range"
+            run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir, flows)
+            for args in (["run", "--config", str(run_yaml), "--stages", "flows"],
+                         ["disrupt", "outage", "--config", str(run_yaml),
+                          "--out", str(tmp_path / "findings.jsonl")]):
+                result = self.runner.invoke(main, args)
+                assert isinstance(result.exception, SystemExit), (address, args[0])
+                assert result.exit_code == 1, (address, args[0])
+                assert message in result.output, (address, args[0])
 
     def test_run_with_bad_observation_exits_1(self, universe_dir, completed_run, tmp_path):
         import shutil
@@ -741,42 +760,35 @@ class TestCli:
         doc = json.loads(oracle_path.read_text())
         assert doc["candidates"]
 
-    def test_flows_sweep_and_ablate_cli(self, universe_dir, completed_run, tmp_path):
-        config, _ = completed_run
-        out_dir = config.out_dir
-        result = self.runner.invoke(main, [
-            "flows", "sweep", "--flows", str(universe_dir / "flows.bmf"),
-            "--servers", str(out_dir / "servers.jsonl"),
-            "--thresholds", "5,10,50", "--out", str(tmp_path / "sweep.csv")])
+    def disrupt_outage(self, run_yaml: Path, out: Path) -> list[dict]:
+        result = self.runner.invoke(main, ["disrupt", "outage", "--config", str(run_yaml),
+                                           "--out", str(out)])
         assert result.exit_code == 0, result.output
-        header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
-        assert header == "threshold,visibility_pct,scanner_lines"
-        result = self.runner.invoke(main, [
-            "flows", "ablate", "--flows", str(universe_dir / "flows.bmf"),
-            "--servers", str(out_dir / "servers.jsonl"),
-            "--candidates", str(out_dir / "candidates.jsonl"),
-            "--scanner-threshold", "10", "--out", str(tmp_path / "ablate.csv")])
-        assert result.exit_code == 0, result.output
-        rows = dict(line.split(",") for line in
-                    (tmp_path / "ablate.csv").read_text().splitlines()[1:])
-        assert float(rows["p02"]) == 100.0  # SNI-only provider loses every line
-        # no dedicated-port providers and a UTC day: the CLI and the flows stage agree
-        assert (tmp_path / "ablate.csv").read_bytes() == \
-            (out_dir / "fig7_ablation.csv").read_bytes()
+        return [json.loads(line) for line in out.read_text().splitlines()]
 
     def test_disrupt_outage_and_routing_cli(self, universe_dir, completed_run, tmp_path):
+        """The findings cover exactly the hours fig13_outage.csv flags, with
+        its baseline."""
+        from datetime import timedelta
+
+        from backmap.timeutil import fmt_iso, parse_iso
+
         config, _ = completed_run
         out_dir = config.out_dir
-        result = self.runner.invoke(main, [
-            "disrupt", "outage", "--flows", str(universe_dir / "flows.bmf"),
-            "--servers", str(out_dir / "servers.jsonl"),
-            "--window", "2022-02-28T00:00:00Z..2022-03-02T00:00:00Z",
-            "--scanner-threshold", "10",
-            "--out", str(tmp_path / "findings.jsonl")])
-        assert result.exit_code == 0, result.output
-        findings = [json.loads(line) for line in
-                    (tmp_path / "findings.jsonl").read_text().splitlines()]
-        assert any(f["region"] == "us-east-1" for f in findings)
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir)
+        findings = self.disrupt_outage(run_yaml, tmp_path / "findings.jsonl")
+        flagged = {}
+        for finding in findings:
+            hour, end = parse_iso(finding["start"]), parse_iso(finding["end"])
+            while hour <= end:
+                flagged[(finding["provider_id"], finding["region"], fmt_iso(hour))] = \
+                    finding["min_baseline"]
+                hour += timedelta(hours=1)
+        rows = (out_dir / "fig13_outage.csv").read_text().splitlines()[1:]
+        assert flagged == {(pid, region, hour): float(baseline)
+                           for pid, region, hour, _down, baseline, flag in
+                           (row.split(",") for row in rows) if flag == "1"}
+        assert [(f["provider_id"], f["region"]) for f in findings] == [("p01", "us-east-1")]
 
         events = tmp_path / "events.jsonl"
         events.write_text(json.dumps({
@@ -789,6 +801,36 @@ class TestCli:
             "--out", str(tmp_path / "overlap.jsonl")])
         assert result.exit_code == 0, result.output
         assert "1 with overlap" in result.output
+
+    def test_disrupt_outage_skips_a_series_without_a_baseline_week(
+            self, universe_dir, completed_run, tmp_path):
+        """The trace starts 7 days before the window: with an 8-day baseline
+        no series has one, and `disrupt outage` skips each, as the flows
+        stage does, instead of failing."""
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir,
+                                  completed_run[0].out_dir, baseline_days=8)
+        assert self.disrupt_outage(run_yaml, tmp_path / "findings.jsonl") == []
+
+    def test_disrupt_outage_follows_the_run_s_port_filter_and_timezone(
+            self, universe_dir, tmp_path):
+        """p01 attributes only a port its flows never use, in a zone whose
+        offset is not a whole hour: the flows stage gives p01 no series, and
+        `disrupt outage` finds no outage either."""
+        catalog = yaml.safe_load((universe_dir / "catalog.yaml").read_text())
+        p01 = next(p for p in catalog["providers"] if p["provider_id"] == "p01")
+        p01["documented_protocols"].append(
+            {"name": "mqtt-1883-tcp", "port": 1883, "transport": "tcp"})
+        p01["dedicated_protocols"] = ["mqtt-1883-tcp"]
+        (tmp_path / "catalog.yaml").write_text(yaml.safe_dump(catalog, sort_keys=False))
+        out_dir = tmp_path / "out"
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir,
+                                  catalog=str(tmp_path / "catalog.yaml"),
+                                  timezone="Asia/Kolkata")
+        result = self.runner.invoke(main, ["run", "--config", str(run_yaml)])
+        assert result.exit_code == 0, result.output
+        rows = (out_dir / "fig13_outage.csv").read_text().splitlines()[1:]
+        assert rows and not [row for row in rows if row.startswith("p01,")]
+        assert self.disrupt_outage(run_yaml, tmp_path / "findings.jsonl") == []
 
     def test_discover_resolve_cli(self, dns_server_factory, tmp_path):
         server = dns_server_factory({"a.example": ["192.0.2.1"]})
@@ -857,3 +899,30 @@ def test_runtime_imports_leave_numpy_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_readme_cli_block_names_every_command():
+    """Each `backmap ...` line of README's CLI block names a registered
+    command, and each registered command has a line there."""
+    import click
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    documented = set()
+    for line in block.splitlines():
+        if line.startswith("backmap "):
+            words = line.split()
+            command = main.commands.get(words[1])
+            assert command is not None, line
+            if isinstance(command, click.Group):
+                assert words[2] in command.commands, line
+                documented.add(f"{words[1]} {words[2]}")
+            else:
+                documented.add(words[1])
+    registered = set()
+    for name, command in main.commands.items():
+        if isinstance(command, click.Group):
+            registered.update(f"{name} {sub}" for sub in command.commands)
+        else:
+            registered.add(name)
+    assert documented == registered
