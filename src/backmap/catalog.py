@@ -36,6 +36,8 @@ _POSIX_CLASSES = {
 
 _LABEL_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]*[a-z0-9_])?$")
 
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml: same documents, faster
+
 
 class CatalogError(ValueError):
     """Catalog file failed to parse or validate. Message carries the locus."""
@@ -341,7 +343,7 @@ def load_catalog(path: str | Path) -> list[ProviderProfile]:
     except OSError as exc:
         raise CatalogError(f"{path}: cannot read catalog: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise CatalogError(f"{path}: parse error: {exc}") from exc
     if doc is None:

@@ -18,9 +18,8 @@ from .catalog import CatalogError, compile_catalog, load_catalog
 from .disruption import (BlocklistIndex, RoutingEvent, blocklist_check, read_blocklist,
                          routing_event_overlap)
 from .fusion import fuse, read_candidates, write_candidates
-from .ingest import (IngestError, ResolverEndpoint, StudyWindow, TlsTarget, collect_tls,
-                     ingest_cert_scan, ingest_passive_dns, read_cert_scan_export,
-                     read_observations, read_pdns_export, resolve_active,
+from .ingest import (IngestError, StudyWindow, ingest_cert_scan, ingest_passive_dns,
+                     read_cert_scan_export, read_observations, read_pdns_export,
                      write_cert_scan_export, write_observations, write_resolutions)
 from .pipeline import (RunConfig, UpstreamMissingError, load_run_config, outage_findings,
                        read_servers, run_pipeline, write_sharing)
@@ -171,6 +170,8 @@ def discover_pdns(in_path, catalog_path, window_text, out_path, sorted_out, stri
 @click.option("--out", "out_path", required=True, type=click.Path())
 def discover_resolve(fqdn_file, vantages, pacing, unsafe_fast, timeout, qtypes, out_path):
     """Resolve FQDNs against every vantage, pacing queries per resolver."""
+    from .active import ResolverEndpoint, resolve_active
+
     if not Path(fqdn_file).exists():
         _fail(EXIT_IO, f"no such file: {fqdn_file}")
     endpoints = []
@@ -204,6 +205,8 @@ def discover_resolve(fqdn_file, vantages, pacing, unsafe_fast, timeout, qtypes, 
 @click.option("--out", "out_path", required=True, type=click.Path())
 def discover_tls(targets_file, timeout, max_inflight, out_path):
     """Collect TLS certificates from supplied targets (one try per target)."""
+    from .active import TlsTarget, collect_tls
+
     if not Path(targets_file).exists():
         _fail(EXIT_IO, f"no such file: {targets_file}")
     try:
@@ -250,8 +253,9 @@ def classify_cmd(cand_path, pdns_path, catalog_path, threshold, out_path):
     if not Path(cand_path).exists():
         _fail(EXIT_UPSTREAM, f"missing candidates {cand_path}; run 'fuse' first")
     patterns = _load_patterns(catalog_path)
-    reverse = build_reverse_index(read_pdns_export(pdns_path))
-    write_sharing(Path(out_path), read_candidates(cand_path), reverse, patterns, threshold)
+    _pipeline_call(lambda: write_sharing(
+        Path(out_path), read_candidates(cand_path),
+        build_reverse_index(read_pdns_export(pdns_path)), patterns, threshold))
     click.echo("classified")
 
 
@@ -458,7 +462,7 @@ def report_cmd(figure_id, out_dir, anonymize, salt, catalog_path, out_path):
     if anonymize:
         if not catalog_path:
             _fail(EXIT_VALIDATION, "--anonymize needs --catalog for provider groups")
-        profiles = load_catalog(catalog_path)
+        profiles = _pipeline_call(load_catalog, catalog_path)
         mapping = reports.pseudonymize([p.provider_id for p in profiles], salt,
                                        {p.provider_id: p.group for p in profiles})
         text = reports.anonymize_table(text, mapping)

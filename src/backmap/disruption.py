@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .footprint import BackendServer
 from .ingest import StudyWindow
-from .netutil import PrefixIndex, network_range, parse_network
+from .netutil import PrefixIndex, network_range, parse_prefix
 from .timeutil import ensure_utc
 
 DEFAULT_BASELINE_DAYS = 7
@@ -45,7 +45,7 @@ class BlocklistEntry:
     cidr: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cidr", str(parse_network(self.cidr)))
+        object.__setattr__(self, "cidr", parse_prefix(self.cidr)[3])
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class RoutingEvent:
         if self.prefix is None and self.asn is None:
             raise ValueError("event needs a prefix or an asn")
         if self.prefix is not None:
-            object.__setattr__(self, "prefix", str(parse_network(self.prefix)))
+            object.__setattr__(self, "prefix", parse_prefix(self.prefix)[3])
 
 
 HourlySeries = Sequence[tuple[datetime, float]]
@@ -148,7 +148,7 @@ class BlocklistIndex:
     def __init__(self, entries: Iterable[BlocklistEntry]) -> None:
         self._index: PrefixIndex[set[str]] = PrefixIndex()
         for entry in entries:
-            self._index.setdefault(parse_network(entry.cidr), set()).add(entry.list_id)
+            self._index.insert(entry.cidr, lambda _, ids, lid=entry.list_id: {lid, *(ids or ())})
 
     def matches(self, ip: str) -> set[str]:
         """All list ids with a block containing the address."""

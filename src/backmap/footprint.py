@@ -20,7 +20,7 @@ from .catalog import DomainPattern, ProviderProfile, match_fqdn  # noqa: F401
 from .fusion import CandidateAddress
 from .geo import Location
 from .ingest import NameMatches, name_matches
-from .netutil import PrefixIndex, parse_network, prefix_contains, truncate_prefix
+from .netutil import PrefixIndex, ip_family, prefix_contains, truncate_prefix
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
 
@@ -137,8 +137,8 @@ class PrefixTable:
         self._index: PrefixIndex[RouteEntry] = PrefixIndex()
 
     def add(self, prefix: str, origins: Sequence[int]) -> None:
-        net = parse_network(prefix)
-        self._index[net] = RouteEntry(prefix=str(net), origins=tuple(sorted(set(origins))))
+        origins = tuple(sorted(set(origins)))
+        self._index.insert(prefix, lambda text, _: RouteEntry(prefix=text, origins=origins))
 
     def lookup(self, ip: str) -> RouteEntry:
         hits = self._index.containing(ip)
@@ -160,8 +160,18 @@ def load_prefix_table(path: str | Path) -> PrefixTable:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
             prefix, length, asn_field = parts
-            origins = [int(a) for a in asn_field.split("_")]
-            table.add(f"{prefix}/{int(length)}", origins)
+            try:
+                origins = [int(a) for a in asn_field.split("_")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: field 'asn': {exc}") from None
+            try:
+                table.add(f"{prefix}/{int(length)}", origins)
+            except ValueError as exc:
+                try:  # the address alone tells a bad address from a bad length
+                    ip_family(prefix)
+                except ValueError as bad:
+                    raise ValueError(f"{path}:{line_no}: field 'prefix': {bad}") from None
+                raise ValueError(f"{path}:{line_no}: field 'length': {exc}") from None
     return table
 
 

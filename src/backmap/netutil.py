@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from typing import Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 V = TypeVar("V")
-Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
 # a dotted quad exactly as `str(IPv4Address)` writes it: ASCII octets 0-255
 # without leading zeros, which `ipaddress` would return unchanged (`ip_family`
@@ -51,7 +50,7 @@ def truncate_prefix(ip: str, v4_bits: int = 24, v6_bits: int = 56) -> str:
     return str(net)
 
 
-def parse_network(text: str) -> Network:
+def parse_network(text: str) -> ipaddress.IPv4Network | ipaddress.IPv6Network:
     """Parse an address or CIDR block; bare addresses become host routes."""
     text = text.strip()
     return ipaddress.ip_network(text, strict=False)
@@ -66,15 +65,26 @@ def _v4_text(value: int) -> str:
     return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
 
 
+def parse_prefix(text: str) -> tuple[int, int, int, str]:
+    """(family, prefix length, network integer, canonical text) of
+    `parse_network(text)`. Canonical IPv4 text is read without ipaddress;
+    every other form, and every error, is parse_network's."""
+    m = _CANONICAL_V4_NET.fullmatch(text) if isinstance(text, str) else None
+    if m is not None:
+        length = int(m[2])
+        address = _v4_int(m[1])
+        network = address & ~((1 << 32 - length) - 1)
+        if network != address:
+            text = f"{_v4_text(network)}/{length}"
+        return 4, length, network, text
+    net = parse_network(text)
+    return net.version, net.prefixlen, int(net.network_address), str(net)
+
+
 def network_range(text: str) -> tuple[int, int, int]:
     """(family, first, last) integer bounds of `parse_network(text)`."""
-    m = _CANONICAL_V4_NET.fullmatch(text)
-    if m is not None:
-        host = (1 << 32 - int(m[2])) - 1
-        first = _v4_int(m[1]) & ~host
-        return 4, first, first | host
-    net = parse_network(text)
-    return net.version, int(net.network_address), int(net.broadcast_address)
+    family, length, first, _ = parse_prefix(text)
+    return family, first, first | (1 << (32 if family == 4 else 128) - length) - 1
 
 
 def prefix_contains(prefix: str, ip: str) -> bool:
@@ -102,22 +112,17 @@ class PrefixIndex(Generic[V]):
         # per family: (shift, bucket) pairs, longest prefix (smallest shift) first
         self._levels: dict[int, list[tuple[int, dict[int, V]]]] = {4: [], 6: []}
 
-    def _bucket(self, net: Network) -> dict[int, V]:
-        key = (net.version, net.prefixlen)
-        bucket = self._buckets.get(key)
+    def insert(self, prefix: str, value: Callable[[str, V | None], V]) -> None:
+        """Store `value(text, old)` for the network `prefix`: text is its
+        canonical form (`parse_prefix`), old the value stored so far or None."""
+        family, length, network, text = parse_prefix(prefix)
+        bucket = self._buckets.get((family, length))
         if bucket is None:
-            bucket = self._buckets[key] = {}
-            levels = self._levels[net.version]
-            levels.append((net.max_prefixlen - net.prefixlen, bucket))
+            bucket = self._buckets[family, length] = {}
+            levels = self._levels[family]
+            levels.append(((32 if family == 4 else 128) - length, bucket))
             levels.sort(key=lambda level: level[0])
-        return bucket
-
-    def __setitem__(self, net: Network, value: V) -> None:
-        self._bucket(net)[int(net.network_address)] = value
-
-    def setdefault(self, net: Network, default: V) -> V:
-        """The value stored for `net`, storing `default` first if it has none."""
-        return self._bucket(net).setdefault(int(net.network_address), default)
+        bucket[network] = value(text, bucket.get(network))
 
     def containing(self, ip: str) -> list[V]:
         """Values of every indexed network that contains `ip`, longest first.

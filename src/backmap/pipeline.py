@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import yaml
 
 from . import reports
-from .catalog import DomainPattern, compile_catalog, load_catalog
+from .catalog import YAML_LOADER, DomainPattern, compile_catalog, load_catalog
 from .disruption import OutageFinding, outage_scan
 from .flows import (FlowAggregate, ScannerVerdict, ServerIndex, SweepPoint, aggregate_flows,
                     detect_scanners, exclude_scanner_lines, line_contact_sets, read_flows,
@@ -104,7 +104,12 @@ class RunConfig:
 def load_run_config(path: str | Path, overrides: Mapping[str, object] | None = None) -> RunConfig:
     """Config file plus CLI overrides; explicit flags win over file values."""
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        try:
+            doc = yaml.load(fh, Loader=YAML_LOADER) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: parse error: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a mapping")
     base = Path(path).parent
 
     def resolve(key: str) -> Path | None:

@@ -1,17 +1,21 @@
 """The parse and match fast paths against the general code they skip.
 
 `timeutil.parse_iso`, `netutil.canonical_ip`/`ip_family`,
-`netutil.prefix_contains`/`network_range`/`truncate_prefix` and
-`PrefixIndex.containing` take a shortcut for the one spelling this program
-writes; `ingest._match_name` and `fusion.classify_sharing` ask only the
-catalog patterns a name could match; `ingest.NameMatches` and the
-`timeutil` memos answer a repeated value from memory. Each must give what
+`netutil.prefix_contains`/`network_range`/`truncate_prefix`,
+`PrefixIndex.containing` and the prefix table and blocklist inserts take a
+shortcut for the one spelling this program writes; `ingest._match_name` and
+`fusion.classify_sharing` ask only the catalog patterns a name could match;
+`ingest.NameMatches` and the `timeutil` memos answer a repeated value from
+memory; catalogs are parsed by libyaml's loader where PyYAML has it. Each must give what
 the general code gives, value for value and error for error. The general
 code is kept here as the reference.
 """
 
+import importlib.util
 import ipaddress
 import string
+import sys
+import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -21,12 +25,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backmap import ingest
-from backmap.catalog import match_fqdn, normalize_fqdn
-from backmap.footprint import _region_token
+from backmap import catalog, ingest
+from backmap.catalog import (default_catalog_path, load_default_catalog, match_fqdn,
+                             normalize_fqdn)
+from backmap.disruption import BlocklistEntry, BlocklistIndex
+from backmap.footprint import PrefixTable, RouteEntry, UnroutedError, _region_token
 from backmap.fusion import classify_sharing
 from backmap.netutil import (PrefixIndex, canonical_ip, ip_family, network_range,
                              prefix_contains, truncate_prefix)
+from backmap.synth import write_synthetic_catalog
 from backmap.timeutil import (UTC, ensure_utc, fmt_iso, fmt_iso_memo, from_epoch,
                               from_epoch_memo, local_date, local_date_memo, parse_iso)
 
@@ -537,7 +544,7 @@ def test_prefix_index_agrees_with_ipaddress(networks, queries):
     index, nets = PrefixIndex(), []
     for address, length in networks:
         net = ipaddress.ip_network(f"{address}/{length}", strict=False)
-        index[net] = str(net)
+        index.insert(f"{address}/{length}", lambda text, _: text)
         nets.append(net)
 
     def reference(ip):
@@ -548,3 +555,129 @@ def test_prefix_index_agrees_with_ipaddress(networks, queries):
     for ip in queries + [str(n.network_address) for n in nets]:
         assert outcome_with_message(index.containing, ip) == \
             outcome_with_message(reference, ip), ip
+
+
+# --- prefix tables and blocklists ---------------------------------------------------------
+
+
+def reference_network(text):
+    """The network `parse_network` gives: stripped text, host bits masked."""
+    return ipaddress.ip_network(text.strip(), strict=False)
+
+
+@st.composite
+def prefix_texts(draw):
+    """Networks with and without host bits, /0 and full-length ones, in both
+    families, and the same text made non-canonical or broken."""
+    v6 = draw(st.booleans())
+    bits = 128 if v6 else 32
+    length = draw(st.sampled_from([0, bits]) | st.integers(0, bits))
+    address = draw(st.integers(0, 2 ** bits - 1))
+    if draw(st.booleans()):
+        address &= ~((1 << bits - length) - 1)
+    text = f"{(ipaddress.IPv6Address if v6 else ipaddress.IPv4Address)(address)}/{length}"
+    spell = draw(st.sampled_from([
+        lambda t: t, lambda t: t, lambda t: t, lambda t: f" {t}\t",
+        lambda t: "0" + t, lambda t: t.upper(), lambda t: t.split("/")[0],
+        lambda t: t.replace("/", "/0"), lambda t: t.replace("/", "/1"),
+        lambda t: t + "/8", lambda t: t.replace(".", "..", 1),
+    ]))
+    return draw(st.sampled_from([spell(text)] * 6 + [
+        "010.0.0.0/8", " 10.0.0.0/8 ", "10.0.0.0/255.0.0.0", "10.0.0.0/33", "::/129",
+        "0.0.0.0/0", "::/0", "10.0.0.0/", "", "not-a-net"]))
+
+
+def queries_for(networks):
+    """Every network's first and last address, in and out of the others."""
+    return [str(a) for n in networks for a in (n.network_address, n.broadcast_address)]
+
+
+QUERIES = st.lists(st.one_of(st.ip_addresses(v=4).map(str), st.ip_addresses(v=6).map(str),
+                             address_texts()), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(prefix_texts(), st.lists(st.integers(1, 9), min_size=1,
+                                                         max_size=3)), max_size=8),
+       queries=QUERIES)
+def test_prefix_table_agrees_with_ipaddress(rows, queries):
+    """Stored prefix text, longest-prefix lookups and the errors of `add` and
+    `lookup` are those of a table built from ipaddress networks, where a
+    later row for a network replaces an earlier one."""
+    table, routes = PrefixTable(), {}
+    for text, origins in rows:
+        want = outcome_with_message(reference_network, text)
+        if want[0] == "raises":
+            assert outcome_with_message(table.add, text, origins) == want, text
+            continue
+        table.add(text, origins)
+        routes[want[1]] = tuple(sorted(set(origins)))
+
+    def reference_lookup(ip):
+        addr = ipaddress.ip_address(ip)
+        hits = [n for n in routes if n.version == addr.version and addr in n]
+        if not hits:
+            raise UnroutedError(f"unrouted: no covering prefix for {ip}")
+        best = max(hits, key=lambda n: n.prefixlen)
+        return RouteEntry(prefix=str(best), origins=routes[best])
+
+    for ip in queries + queries_for(routes):
+        assert outcome_with_message(table.lookup, ip) == \
+            outcome_with_message(reference_lookup, ip), ip
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), prefix_texts()), max_size=8),
+       queries=QUERIES)
+def test_blocklist_index_agrees_with_ipaddress(rows, queries):
+    """Each entry's CIDR text and error, and the lists whose blocks contain
+    an address, are those of ipaddress networks."""
+    entries, blocks = [], []
+    for list_id, text in rows:
+        got = outcome_with_message(lambda t: BlocklistEntry(list_id, t), text)
+        want = outcome_with_message(reference_network, text)
+        if want[0] == "raises":
+            assert got == want, text
+            continue
+        assert got[1].cidr == str(want[1]), text
+        entries.append(got[1])
+        blocks.append((list_id, want[1]))
+    index = BlocklistIndex(entries)
+
+    def reference_matches(ip):
+        addr = ipaddress.ip_address(ip)
+        return {lid for lid, n in blocks if n.version == addr.version and addr in n}
+
+    for ip in queries + queries_for(n for _, n in blocks):
+        assert outcome_with_message(index.matches, ip) == \
+            outcome_with_message(reference_matches, ip), ip
+
+
+# --- YAML loader --------------------------------------------------------------------------
+
+
+def test_catalogs_load_alike_under_both_loaders(tmp_path, monkeypatch):
+    """The bundled catalog and a fixture catalog as synth writes it give
+    equal profiles under libyaml's loader and the pure-Python SafeLoader."""
+    synthetic = tmp_path / "catalog.yaml"
+    write_synthetic_catalog(synthetic, [p for p in load_default_catalog()
+                                        if p.region_grammar and p.region_grammar.tokens])
+    paths = [default_catalog_path(), synthetic]
+    fast = [catalog.load_catalog(path) for path in paths]
+    monkeypatch.setattr(catalog, "YAML_LOADER", yaml.SafeLoader)
+    assert [catalog.load_catalog(path) for path in paths] == fast
+
+
+def test_catalog_loads_with_a_yaml_built_without_libyaml(monkeypatch):
+    """With no CSafeLoader, a fresh copy of the catalog module falls back to
+    SafeLoader and loads the bundled catalog as the module in use does."""
+    no_libyaml = types.ModuleType("yaml")
+    no_libyaml.__dict__.update((k, v) for k, v in vars(yaml).items() if k != "CSafeLoader")
+    monkeypatch.setitem(sys.modules, "yaml", no_libyaml)
+    spec = importlib.util.spec_from_file_location("backmap._catalog_without_libyaml",
+                                                  catalog.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, copy)
+    spec.loader.exec_module(copy)
+    assert copy.YAML_LOADER is yaml.SafeLoader
+    assert repr(copy.load_catalog(default_catalog_path())) == repr(load_default_catalog())

@@ -107,6 +107,21 @@ class TestPrefixTable:
         assert prefix == "2001:db8::/32"
         assert map_prefix_asn("::a05:505", table) == ("::a00:0/104", 64999, (64999,))
 
+    @pytest.mark.parametrize("row, field, reason", [
+        ("10.0.0.300\t24\t1", "prefix",
+         "'10.0.0.300' does not appear to be an IPv4 or IPv6 address"),
+        ("10.0.0.0\t33\t1", "length",
+         "'10.0.0.0/33' does not appear to be an IPv4 or IPv6 network"),
+        ("10.0.0.0\tx\t1", "length", "invalid literal for int() with base 10: 'x'"),
+        ("10.0.0.0\t8\tAS1", "asn", "invalid literal for int() with base 10: 'AS1'"),
+    ])
+    def test_bad_row_names_its_file_line_and_field(self, tmp_path, row, field, reason):
+        path = tmp_path / "prefix2as.tsv"
+        path.write_text(f"# header\n10.0.0.0\t8\t1\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            load_prefix_table(path)
+        assert str(err.value) == f"{path}:3: field '{field}': {reason}"
+
     def test_bruteforce_agreement_on_fixture_table(self, tmp_path):
         import ipaddress
         import random

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backmap.active import ResolverEndpoint, TlsTarget, collect_tls, resolve_active
 from backmap.ingest import (CertScanRecord, IngestError, MalformedRecord,
-                            PassiveDnsRecord, ResolutionResult, ResolverEndpoint,
-                            StudyWindow, TlsTarget, collect_tls, ingest_cert_scan,
-                            ingest_passive_dns, observations_from_resolutions,
-                            read_cert_scan_export, read_pdns_export, resolve_active,
-                            write_cert_scan_export, write_observations, read_observations)
+                            PassiveDnsRecord, ResolutionResult, StudyWindow,
+                            ingest_cert_scan, ingest_passive_dns,
+                            observations_from_resolutions, read_cert_scan_export,
+                            read_pdns_export, write_cert_scan_export, write_observations,
+                            read_observations)
 from backmap.timeutil import utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 7))

@@ -738,6 +738,42 @@ class TestCli:
         assert "p01" not in result.output
         assert "O" in result.output
 
+    def test_report_anonymize_with_a_catalog_that_does_not_parse_exits_1(self, completed_run,
+                                                                          tmp_path):
+        config, _ = completed_run
+        bad = tmp_path / "catalog.yaml"
+        bad.write_text("providers: [\n")
+        result = self.runner.invoke(main, [
+            "report", "fig6_visibility", "--from", str(config.out_dir),
+            "--anonymize", "--catalog", str(bad)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {bad}: parse error: " in result.output
+
+    def test_classify_with_a_missing_pdns_file_exits_2(self, universe_dir, completed_run,
+                                                       tmp_path):
+        config, _ = completed_run
+        missing = tmp_path / "nope.jsonl"
+        result = self.runner.invoke(main, [
+            "classify", "--candidates", str(config.out_dir / "candidates.jsonl"),
+            "--pdns", str(missing), "--catalog", str(universe_dir / "catalog.yaml"),
+            "--out", str(tmp_path / "sharing.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        assert str(missing) in result.output
+
+    @pytest.mark.parametrize("text, reason", [
+        ("window: [\n", "parse error: "),
+        ("- catalog: catalog.yaml\n", "top level must be a mapping"),
+    ])
+    def test_run_with_a_config_that_is_no_mapping_exits_1(self, tmp_path, text, reason):
+        run_yaml = tmp_path / "run.yaml"
+        run_yaml.write_text(text)
+        result = self.runner.invoke(main, ["run", "--config", str(run_yaml)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {run_yaml}: {reason}" in result.output
+
     def test_synth_generate_and_oracle(self, tmp_path):
         config_path = tmp_path / "universe.yaml"
         config_path.write_text(yaml.safe_dump({
@@ -899,6 +935,17 @@ def test_runtime_imports_leave_numpy_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_runtime_imports_leave_the_live_probe_modules_out():
+    """`ssl` and the thread pool serve only the live probes in `backmap.active`,
+    which the pipeline and the CLI's module level never import."""
+    src = Path(backmap.__file__).resolve().parents[1]
+    code = ("import sys, backmap.pipeline, backmap.cli; "
+            "print(sorted({'ssl', 'concurrent.futures', 'backmap.active'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_readme_cli_block_names_every_command():
