@@ -33,8 +33,9 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import ProviderProfile
 from .footprint import BackendServer
@@ -53,6 +54,11 @@ _MAGIC = b"BMFL"
 # the family byte and the address are read as one 17-byte field, so one dict
 # lookup decodes both
 _REC = struct.Struct("<Q16s17sHBBQII3x")
+# the fields each flow pass reads of a record: the contact sets (ts, line,
+# key), aggregation also (direction, sampled_bytes, sampling_rate). The key
+# is the family, address, port and transport bytes as one 20-byte field.
+_CONTACT_ROW = struct.Struct("<Q16s20s20x")
+_AGGREGATE_ROW = struct.Struct("<Q16s20sBQ4xI3x")
 _TRANSPORT_CODES = {"tcp": 6, "udp": 17}
 _TRANSPORTS = {code: name for name, code in _TRANSPORT_CODES.items()}
 _DIRECTION_CODES = {DOWN: 0, UP: 1}
@@ -152,24 +158,30 @@ def line_contact_sets(
 ) -> dict[tuple[str, str], set[str]]:
     """(line, local date) -> distinct backend server IPs contacted.
 
-    Every row is checked (see `_row_source`); a line or address key is
+    Rows come from `_row_source`, already checked. A line or address key is
     decoded on its first sight only, and an address key is kept as its
     backend IP, or "" for any other address.
     """
-    batches, line_of, addr_of, skip = _row_source(flows)
+    batches, line_of, key_of, skip = _row_source(flows, _CONTACT_ROW)
     days = LocalDays(tz_name)
-    max_ts = LocalDays.MAX_TS  # a row's ts is never below MIN_TS (see `_row_source`)
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
-    lines: dict = {}
-    backend: dict = {}
+    lines: dict = {}  # line key -> line; an excluded line is never stored
+    backend: dict = {}  # address key -> its backend IP, or ""
     lines_get, backend_get = lines.get, backend.get
 
-    def first_sight(ts: int, line_key, addr_key, proto: int, direction: int,
-                    rate: int) -> tuple:
-        line, ip = _checked_keys(ts, line_key, addr_key, proto, direction, rate,
-                                 line_of, addr_of)
-        line = lines[line_key] = _SKIP if line in skip else line
-        ip = backend[addr_key] = ip if ip in backend_ips else ""
+    def first_sight(line_key, key) -> tuple:
+        """(line, ip) of a row with a key not stored yet; an excluded
+        line's rows are decoded and get no IP."""
+        ip = backend_get(key)
+        if ip is None:
+            ip = key_of(key)[0]
+            ip = backend[key] = ip if ip in backend_ips else ""
+        line = lines_get(line_key)
+        if line is None:
+            line = line_of(line_key)
+            if line in skip:
+                return line, ""
+            lines[line_key] = line
         return line, ip
 
     day, start, end = "", 0, 0
@@ -177,13 +189,12 @@ def line_contact_sets(
     today_get = today.get
     try:
         for rows in batches:
-            for ts, line_key, addr_key, _port, proto, direction, _bytes, _packets, rate in rows:
+            for ts, line_key, key in rows:
                 line = lines_get(line_key)
-                ip = backend_get(addr_key)
-                if (line is None or ip is None or rate < 1 or direction not in _DIRECTIONS
-                        or proto not in _TRANSPORTS or ts > max_ts):
-                    line, ip = first_sight(ts, line_key, addr_key, proto, direction, rate)
-                if ip and line is not _SKIP:
+                ip = backend_get(key)
+                if line is None or ip is None:
+                    line, ip = first_sight(line_key, key)
+                if ip:
                     if not start <= ts < end:
                         day, start, end = days.day(ts)
                         today.clear()
@@ -311,56 +322,61 @@ def aggregate_flows(
     `cert_ips` marks servers discoverable from certificate scans alone and
     feeds the source-ablation numbers.
 
-    Rows are checked as `line_contact_sets` checks them; the rows of lines
-    a FlowFile excludes are checked and skipped. Attribution depends only
-    on a row's (address, port, transport), so it is decided once per
-    distinct key triple. A row then updates three accumulators: the
-    downstream bytes per (provider, region token, hour) or the upstream
-    bytes per (provider, hour), the lines per (provider, hour), and the
-    [down, up] bytes per (line, local day, triple). Every other field is
-    rolled up from those once at the end, in the same key order a
-    record-by-record pass would give.
+    Rows come from `_row_source`, already checked; the rows of lines a
+    FlowFile excludes have their keys decoded and are skipped. Attribution
+    depends only on a row's (address, port, transport) key, so it is decided
+    once per distinct key. An attributed row then updates two accumulators:
+    its hourly cell, keyed by (provider and region token, hour, direction),
+    which sums the row's bytes and adds its line to the set of lines of
+    (provider, hour); and the [down, up] bytes per (line, local day, key).
+    The hourly dicts and every other field are rolled up from those once at
+    the end, in the same key order a record-by-record pass would give.
     """
-    batches, line_of, addr_of, skip = _row_source(flows)
+    batches, line_of, key_of, skip = _row_source(flows, _AGGREGATE_ROW)
     cert_ips = cert_ips or set()
     days = LocalDays(tz_name)
-    max_ts = LocalDays.MAX_TS  # as in `line_contact_sets`
     attribute, facts = index.attribute, index.facts
     # (provider, ip, (port, transport), family, region, cert) per attributed
-    # triple, in first-row order; a triple's id is its position here
+    # key, in first-row order; a key's attribution id is its position here
     attributions: list[tuple] = []
-    triples: dict[tuple, tuple] = {}  # (address key, port, proto) -> decide()
-    lines: dict = {}
-    addrs: dict = {}
-    lines_get, triples_get = lines.get, triples.get
+    series: dict[tuple[str, str], int] = {}  # (provider, region token) -> series id
+    keys: dict = {}  # key -> (series id, attribution id), or () when unattributed
+    decoded: set = set()  # keys only an excluded line's rows have had
+    lines: dict = {}  # line key -> line; an excluded line is never stored
+    lines_get, keys_get = lines.get, keys.get
 
-    def decide(ip: str, port: int, transport: str) -> tuple:
-        """(provider, region token, triple id), or () when unattributed."""
+    def decide(key) -> tuple:
+        """(series id, attribution id) of a key, or () when unattributed."""
+        ip, port, transport = key_of(key)
         pid = attribute(ip, port, transport)
         if pid is None:
             return ()
         _pid, _ports, token, region, family = facts[ip]
         attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
-        return (pid, token, len(attributions) - 1)
+        return series.setdefault((pid, token), len(series)), len(attributions) - 1
 
-    def first_sight(ts: int, line_key, addr_key, port: int, proto: int, direction: int,
-                    rate: int) -> tuple:
-        """(line, attribution) of a row the inline test let through; an
-        excluded line's rows get no attribution, so they decide nothing."""
-        line, ip = _checked_keys(ts, line_key, addr_key, proto, direction, rate,
-                                 line_of, addr_of)
-        line = lines[line_key] = _SKIP if line in skip else line
-        addrs[addr_key] = ip
-        if line is _SKIP:
-            return line, None
-        attribution = triples_get((addr_key, port, proto))
+    def first_sight(line_key, key) -> tuple:
+        """(line, attribution) of a row with a key not stored yet, or
+        (None, None) for an excluded line's row, which decides nothing."""
+        line = lines_get(line_key)
+        if line is None:
+            line = line_of(line_key)
+            if line in skip:
+                if key not in keys and key not in decoded:
+                    key_of(key)
+                    decoded.add(key)
+                return None, None
+            lines[line_key] = line
+        attribution = keys_get(key)
         if attribution is None:
-            attribution = triples[(addr_key, port, proto)] = decide(ip, port, _TRANSPORTS[proto])
+            attribution = keys[key] = decide(key)
         return line, attribution
 
-    region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
-    hour_up: dict[tuple[str, int], int] = defaultdict(int)
     hour_lines: dict[tuple[str, int], set[str]] = defaultdict(set)
+    # (series id, hour, direction) -> [estimated bytes, lines of (provider, hour)]
+    cells: dict[tuple[int, int, int], list] = {}
+    cells_get = cells.get
+
     line_days: dict[tuple[str, str], dict[int, list[int]]] = {}
     today: dict = {}  # line key -> its line_days slot for `day`
     today_get = today.get
@@ -368,28 +384,19 @@ def aggregate_flows(
     day, start, end = "", 0, 0
     try:
         for rows in batches:
-            for ts, line_key, addr_key, port, proto, direction, sampled_bytes, _packets, rate \
-                    in rows:
+            for ts, line_key, key, direction, sampled_bytes, rate in rows:
                 line = lines_get(line_key)
-                if line is _SKIP:
-                    if (addr_key not in addrs or rate < 1 or direction not in _DIRECTIONS
-                            or proto not in _TRANSPORTS or ts > max_ts):
-                        first_sight(ts, line_key, addr_key, port, proto, direction, rate)
-                    continue
-                attribution = triples_get((addr_key, port, proto))
-                if (line is None or attribution is None or rate < 1
-                        or direction not in _DIRECTIONS or ts > max_ts):
-                    line, attribution = first_sight(ts, line_key, addr_key, port, proto,
-                                                    direction, rate)
-                    if line is _SKIP:
+                attribution = keys_get(key)
+                if line is None or attribution is None:
+                    line, attribution = first_sight(line_key, key)
+                    if line is None:
                         continue
                 if not attribution:
                     unattributed += 1
                     continue
-                pid, token, triple = attribution
+                sid, triple = attribution
                 attributed += 1
                 est = sampled_bytes * rate
-                hour = ts // 3600
                 if not start <= ts < end:
                     day, start, end = days.day(ts)
                     today.clear()
@@ -400,18 +407,29 @@ def aggregate_flows(
                 if pair is None:
                     pair = slot[triple] = [0, 0]
                 pair[direction] += est
-                if direction:
-                    hour_up[(pid, hour)] += est
-                else:
-                    region_hour_down[(pid, token, hour)] += est
-                hour_lines[(pid, hour)].add(line)
+                hour = ts // 3600
+                cell = (sid, hour, direction)
+                hourly = cells_get(cell)
+                if hourly is None:
+                    hourly = cells[cell] = [0, hour_lines[(attributions[triple][0], hour)]]
+                hourly[0] += est
+                hourly[1].add(line)
     except ValueError:
         _locate(flows)
         raise
     # the key caches go before the rollup, where the pass holds the most
-    for cache in (lines, addrs, triples, today):
+    for cache in (lines, keys, decoded, today):
         cache.clear()
 
+    region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
+    hour_up: dict[tuple[str, int], int] = defaultdict(int)
+    series_keys = list(series)
+    for (sid, hour, direction), (est, _lines) in cells.items():
+        pid, token = series_keys[sid]
+        if direction:
+            hour_up[(pid, hour)] += est
+        else:
+            region_hour_down[(pid, token, hour)] = est
     agg = FlowAggregate(tz_name=tz_name, provider_hour_up=hour_up,
                         provider_hour_lines=hour_lines,
                         provider_region_hour_down=region_hour_down)
@@ -874,15 +892,14 @@ def _bmf_chunks(path: str | Path) -> Iterator[bytes]:
             yield chunk
 
 
-def _checked_keys(ts: int, line_key, addr_key, proto, direction, rate: int,
-                  line_of: Callable, addr_of: Callable) -> tuple[str, str]:
-    """(line, ip) of a row, raising ValueError for its first bad field in the
-    order the readers check them: ts, line, address, rate, direction,
-    transport. Bytes and packets are unsigned in `.bmf` and checked by
-    `_check` in JSONL."""
+def _checked_keys(ts: int, line_raw: bytes, ip_raw: bytes, proto: int, direction: int,
+                  rate: int) -> tuple[str, str]:
+    """(line, ip) of a `.bmf` record, raising ValueError for its first bad
+    field in the order the JSONL reader checks them: ts, line, address,
+    rate, direction, transport. Bytes and packets are unsigned in `.bmf`."""
     _check_ts(ts)
-    line = line_of(line_key)
-    ip = addr_of(addr_key)
+    line = _unpack_line(line_raw)
+    ip = _unpack_ip(ip_raw)
     if rate < 1:
         raise ValueError("sampling_rate must be >= 1")
     if direction not in _DIRECTIONS:
@@ -912,8 +929,7 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
             if (line is None or ip is None or rate < 1 or direction_name is None
                     or transport is None or ts > max_ts):
                 try:
-                    line, ip = _checked_keys(ts, line_raw, ip_raw, proto, direction, rate,
-                                             _unpack_line, _unpack_ip)
+                    line, ip = _checked_keys(ts, line_raw, ip_raw, proto, direction, rate)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
                 lines[line_raw], ips[ip_raw] = line, ip
@@ -957,46 +973,94 @@ def read_flows(path: str | Path) -> FlowFile:
 
 # --- rows: what the flow passes loop over ---------------------------------------------
 
-# the line key of an excluded line
-_SKIP = object()
 
-
-def _as_is(key: str) -> str:
+def _as_is(key):
     return key
 
 
+def _unpack_key(raw: bytes) -> tuple[str, int, str]:
+    """(ip, port, transport) of a row's 20-byte key; `_chunk_ok` has checked
+    its transport code."""
+    return _unpack_ip(raw[:17]), raw[17] | raw[18] << 8, _TRANSPORTS[raw[19]]
+
+
 def _record_row(rec: FlowRecord) -> tuple:
-    """A record as a row. A transport or direction with no code stays a
-    name, so the row check names it as the JSONL reader does."""
-    ts, line, ip, port, transport, direction, sampled_bytes, sampled_packets, rate = rec
-    return (ts, line, ip, port, _TRANSPORT_CODES.get(transport, transport),
-            _DIRECTION_CODES.get(direction, direction), sampled_bytes, sampled_packets, rate)
+    """A record as an aggregation row, keyed by its (ip, port, transport)
+    triple. A record that fails the inline test goes to `_check`, which
+    raises what the JSONL reader raises for it."""
+    ts, line, ip, port, transport, direction, sampled_bytes, packets, rate = rec
+    code = _DIRECTION_CODES.get(direction)
+    if (code is None or rate < 1 or transport not in _TRANSPORT_CODES or sampled_bytes < 0
+            or packets < 0 or not LocalDays.MIN_TS <= ts <= LocalDays.MAX_TS):
+        _check(rec)
+    return ts, line, (ip, port, transport), code, sampled_bytes, rate
 
 
-def _row_source(flows: Iterable[FlowRecord]) -> tuple:
-    """(batches of rows, line key decoder, address key decoder, lines to
-    skip) for one pass over `flows`.
+def _row_source(flows: Iterable[FlowRecord], row: struct.Struct) -> tuple:
+    """(batches of rows, line key decoder, key decoder, lines to skip) for
+    one pass over `flows`, whose rows have the fields of `row`:
+    `_CONTACT_ROW` (ts, line key, key) or `_AGGREGATE_ROW` (ts, line key,
+    key, direction code, sampled_bytes, sampling_rate).
 
-    A row is a 9-tuple in `.bmf` field order, with transport and direction
-    as codes. For a `.bmf` FlowFile the batches are `_REC.iter_unpack` over
-    its chunks, and the line and address keys are the raw 16- and 17-byte
-    fields, which the passes decode on first sight. Any other flows, JSONL
-    files included, come as one batch of records turned into rows, keyed by
-    their line and IP strings. The passes check every row with one inline
-    test and `_checked_keys` behind it, so the first bad record raises what
-    the record readers raise for it. The test checks `ts` against
-    LocalDays.MAX_TS only: a `.bmf` ts is unsigned, the JSONL reader checks
-    the whole range, and code that builds records is trusted.
+    For a `.bmf` FlowFile the batches are `row.iter_unpack` over its chunks.
+    The line key is the raw 16-byte field and the key the raw 20-byte
+    family, address, port and transport field; the passes decode each
+    distinct one on its first sight, which checks the line's ASCII and the
+    address family. Each chunk is checked in bulk before its rows are read
+    (`_chunk_ok`): ts, sampling rate, direction and transport codes. A check
+    that fails raises ValueError, and the pass then reads the file again with
+    the record reader (`_locate`), which raises `<path>:<N>: ...` for the
+    first bad record. Any other flows, JSONL files included, come as one
+    batch of records, each checked as the JSONL reader checks it and turned
+    into a row by `_record_row`, keyed by its line and (ip, port, transport).
     """
     if isinstance(flows, FlowFile) and flows.binary:
-        return (map(_REC.iter_unpack, _bmf_chunks(flows.path)), _unpack_line, _unpack_ip,
+        return (map(row.iter_unpack, _checked_chunks(flows.path)), _unpack_line, _unpack_key,
                 flows.skip_lines)
-    return (map(_record_row, flows),), _as_is, _as_is, frozenset()
+    rows = map(_record_row, flows)
+    if row is _CONTACT_ROW:
+        rows = map(itemgetter(0, 1, 2), rows)
+    return (rows,), _as_is, _as_is, frozenset()
+
+
+def _field_or(chunk: bytes, offset: int, size: int) -> int:
+    """An int whose little-endian byte i is the OR of the `size` bytes at
+    `offset` in record i of `chunk`."""
+    value = 0
+    for at in range(offset, offset + size):
+        value |= int.from_bytes(chunk[at::_REC.size], "little")
+    return value
+
+
+def _chunk_ok(chunk: bytes) -> bool:
+    """Whether every record of a `.bmf` chunk has a ts of at most
+    LocalDays.MAX_TS, a sampling rate of at least 1, a direction code and a
+    transport code. Each field is read across the chunk as strided byte
+    slices; a ts of 2**32 or more, or a rate whose low byte is 0, is then
+    compared exactly. Record offsets (see the module docstring): ts 0-7,
+    transport 43, direction 44, sampling_rate 57-60."""
+    size = _REC.size
+    if _field_or(chunk, 4, 4) and max(
+            row[0] for row in _CONTACT_ROW.iter_unpack(chunk)) > LocalDays.MAX_TS:
+        return False
+    if 0 in chunk[57::size] and 0 in _field_or(chunk, 57, 4).to_bytes(len(chunk) // size,
+                                                                      "little"):
+        return False
+    return not (chunk[44::size].translate(None, b"\x00\x01")
+                or chunk[43::size].translate(None, b"\x06\x11"))
+
+
+def _checked_chunks(path: str | Path) -> Iterator[bytes]:
+    """The chunks of `_bmf_chunks`, each passed by `_chunk_ok` first."""
+    for chunk in _bmf_chunks(path):
+        if not _chunk_ok(chunk):
+            raise ValueError(f"{path}: bad record")
+        yield chunk
 
 
 def _locate(flows: Iterable[FlowRecord]) -> None:
     """After a pass over a FlowFile failed, read it record by record: the
-    reader raises the same error for the same record, with its number."""
+    reader raises the error of the first bad record, with its number."""
     if isinstance(flows, FlowFile):
         for _ in flows:
             pass

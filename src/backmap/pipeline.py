@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import yaml
 
@@ -101,8 +102,38 @@ class RunConfig:
         }
 
 
+def _flag(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, not {type(value).__name__}")
+    return value
+
+
+def _zone(value: object) -> str:
+    name = text(value)
+    try:
+        ZoneInfo(name)
+    except ZoneInfoNotFoundError:
+        raise ValueError(f"unknown time zone {name!r}") from None
+    return name
+
+
+def _window(value: object) -> StudyWindow:
+    """A mapping of ISO-8601 `start` and `end` times, each with its zone."""
+    if not isinstance(value, dict) or not {"start", "end"} <= value.keys():
+        raise TypeError(f"expected a mapping with start and end, not {value!r}")
+    bounds = []
+    for key in ("start", "end"):
+        try:
+            bounds.append(parse_iso(str(value[key])))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return StudyWindow(*bounds)
+
+
 def load_run_config(path: str | Path, overrides: Mapping[str, object] | None = None) -> RunConfig:
-    """Config file plus CLI overrides; explicit flags win over file values."""
+    """Config file plus CLI overrides; explicit flags win over file values.
+    A value of the wrong type or shape raises
+    ValueError("<path>: field '<name>': <reason>")."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=YAML_LOADER) or {}
@@ -112,40 +143,49 @@ def load_run_config(path: str | Path, overrides: Mapping[str, object] | None = N
         raise ValueError(f"{path}: top level must be a mapping")
     base = Path(path).parent
 
-    def resolve(key: str) -> Path | None:
-        value = doc.get(key)
-        return (base / value).resolve() if value else None
+    def get(name: str, convert: Callable[[Any], Any], default: Any = None) -> Any:
+        value = doc.get(name)
+        if value is None:
+            return default
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: field '{name}': {exc}") from None
+
+    def resolve(value: object) -> Path | None:
+        return (base / text(value)).resolve() if value else None
 
     values: dict[str, object] = {
-        "catalog": resolve("catalog"),
-        "out_dir": resolve("out_dir") or (base / "out"),
-        "certs": resolve("certs"),
-        "pdns": resolve("pdns"),
-        "resolutions": resolve("resolutions"),
-        "flows": resolve("flows"),
-        "prefix2as": resolve("prefix2as"),
-        "scanner_threshold": doc.get("scanner_threshold", 100),
-        "sharing_threshold": doc.get("sharing_threshold", 2),
-        "vantages": tuple(doc.get("vantages", [])),
-        "timezone": doc.get("timezone", "UTC"),
-        "include_shared": bool(doc.get("include_shared", False)),
-        "baseline_days": int(doc.get("baseline_days", 7)),
-        "sustain_hours": int(doc.get("sustain_hours", 2)),
-        "anonymize": bool(doc.get("anonymize", False)),
-        "salt": str(doc.get("salt", "")),
+        "catalog": get("catalog", resolve),
+        "out_dir": get("out_dir", resolve) or (base / "out"),
+        "certs": get("certs", resolve),
+        "pdns": get("pdns", resolve),
+        "resolutions": get("resolutions", resolve),
+        "flows": get("flows", resolve),
+        "prefix2as": get("prefix2as", resolve),
+        "scanner_threshold": get("scanner_threshold", integer, 100),
+        "sharing_threshold": get("sharing_threshold", integer, 2),
+        "vantages": tuple(get("vantages", texts, ())),
+        "timezone": get("timezone", _zone, "UTC"),
+        "include_shared": get("include_shared", _flag, False),
+        "baseline_days": get("baseline_days", integer, 7),
+        "sustain_hours": get("sustain_hours", integer, 2),
+        "anonymize": get("anonymize", _flag, False),
+        "salt": get("salt", str, ""),
     }
-    window = doc.get("window") or {}
-    if "start" in window and "end" in window:
-        values["window"] = StudyWindow(parse_iso(str(window["start"])),
-                                       parse_iso(str(window["end"])))
+    if "window" in doc:
+        values["window"] = get("window", _window)
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
     if values.get("catalog") is None:
-        raise ValueError("run config needs a catalog path")
-    if "window" not in values:
-        raise ValueError("run config needs a study window")
-    return RunConfig(**values)  # type: ignore[arg-type]
+        raise ValueError(f"{path}: run config needs a catalog path")
+    if values.get("window") is None:
+        raise ValueError(f"{path}: run config needs a study window")
+    try:
+        return RunConfig(**values)  # type: ignore[arg-type]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def file_digest(path: Path) -> str:

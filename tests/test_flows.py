@@ -498,6 +498,55 @@ class TestFlowFileErrors:
                 with pytest.raises(ValueError, match=rf"^field 'ts': {ts} is out of range$"):
                     run()
 
+    CHUNK = 4096  # records per chunk the passes read of a `.bmf` file
+
+    def write_long_trace(self, path, *changes):
+        """2 * CHUNK + 200 records within one hour; every tenth is scanner
+        line S1's, which contacts all ten backend servers. Each (record,
+        offset, fmt, value) of `changes` is packed into that record."""
+        flows = [flow(ip=f"10.1.0.{i // 10 % 10 + 1}", line="S1", hours=i / 10000)
+                 if i % 10 == 0 else
+                 flow(ip=f"10.1.0.{i % 3 + 1}", line=f"L{i % 4}", hours=i / 10000,
+                      direction=(DOWN, UP)[i % 3 == 0])
+                 for i in range(2 * self.CHUNK + 200)]
+        write_flows_binary(path, flows)
+        raw = bytearray(path.read_bytes())
+        for number, offset, fmt, value in changes:
+            struct.pack_into(fmt, raw, 8 + 64 * (number - 1) + offset, value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize("number, offset, fmt, value", [
+        (2 * CHUNK + 52, 0, "<Q", LocalDays.MAX_TS + 1),
+        (2 * CHUNK + 52, 57, "<I", 0),
+        (2 * CHUNK + 52, 44, "<B", 2),
+        (2 * CHUNK + 52, 43, "<B", 3),
+        (2 * CHUNK + 52, 24, "<B", 5),
+        (2 * CHUNK + 52, 23, "<B", 0xFF),
+        (2 * CHUNK + 41, 57, "<I", 0),  # on scanner line S1
+    ], ids=["ts", "rate", "direction", "transport", "family", "line", "rate-on-scanner"])
+    def test_bad_record_in_a_later_chunk(self, tmp_path, index, number, offset, fmt, value):
+        """A bad record in the third chunk fails both passes as the record
+        reader fails, with its number: the contact-set pass over the whole
+        file and aggregation with the clean file's scanner lines excluded."""
+        clean = self.write_long_trace(tmp_path / "clean.bmf")
+        verdicts = detect_scanners(line_contact_sets(read_flows(clean),
+                                                     index.all_server_ips), 5)
+        assert scanner_line_ids(verdicts) == {"S1"}
+        path = self.write_long_trace(tmp_path / "flows.bmf", (number, offset, fmt, value))
+        with pytest.raises(ValueError) as want:
+            list(read_flows(path))
+        assert str(want.value).startswith(f"{path}:{number}: ")
+        runs = {
+            "contacts": lambda: line_contact_sets(read_flows(path), index.all_server_ips),
+            "aggregate": lambda: aggregate_flows(
+                exclude_scanner_lines(read_flows(path), scanner_line_ids(verdicts)), index),
+        }
+        for name, run in runs.items():
+            with pytest.raises(ValueError) as error:
+                run()
+            assert str(error.value) == str(want.value), name
+
     def test_record_is_a_plain_tuple(self):
         rec = flow()
         values = (to_epoch(T0), "L1", "10.1.0.1", 8883, "tcp", DOWN, 1500, 1, 1)
@@ -738,3 +787,83 @@ def test_analysis_is_the_same_from_bmf_jsonl_and_records(catalog_profiles, flows
                 for expected in (want.agg, reference):
                     assert type(value) is type(getattr(expected, f.name)), (name, f.name)
                     assert in_order(value) == in_order(getattr(expected, f.name)), (name, f.name)
+
+
+def multi_chunk_trace(path):
+    """12,500 records over two days in time order, so past three 4,096-record
+    chunks; the records in each hour are shuffled. Scanner line S1 contacts
+    every server each day, each other line three addresses."""
+    import random
+
+    rnd = random.Random(13)
+    ips = SERVER_IPS + ["203.0.113.9", "2001:db8:ffff::9"]
+    line_ips = [rnd.sample(ips, 3) for _ in range(12)]
+    flows = []
+    for hour in range(48):
+        batch = [flow(ip=ip, line="S1", hours=hour + 0.5) for ip in SERVER_IPS] if hour in (
+            3, 30) else []
+        batch += [flow(ip=rnd.choice(line_ips[line]), line=f"L{line}",
+                       port=rnd.choice((443, 8883, 80, 5683)),
+                       transport=rnd.choice(("tcp", "udp")),
+                       direction=rnd.choice((DOWN, UP)),
+                       sampled_bytes=rnd.randrange(5000), rate=rnd.choice((1, 10, 1000)),
+                       hours=hour + rnd.randrange(3600) / 3600)
+                  for line in rnd.choices(range(12), k=260)]
+        rnd.shuffle(batch)
+        flows += batch
+    write_flows_binary(path, flows)
+    return flows
+
+
+def test_multi_chunk_trace_matches_the_references(catalog_profiles, tmp_path):
+    """`analyze_flows` over a `.bmf` trace of three chunks and more gives
+    what its records give in memory and the record-by-record references,
+    key order included. In Asia/Kolkata a local midnight (18:30 UTC) falls
+    inside the second chunk and another inside the third."""
+    from backmap.pipeline import analyze_flows
+
+    tz = "Asia/Kolkata"
+    flows = multi_chunk_trace(tmp_path / "flows.bmf")
+    assert len(flows) > 3 * 4096
+    days = LocalDays(tz)
+    for chunk in (1, 2):
+        part = flows[chunk * 4096:(chunk + 1) * 4096]
+        assert days.date(min(f.ts for f in part)) != days.date(max(f.ts for f in part))
+    google = next(p for p in catalog_profiles if p.provider_id == "google")
+    index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google})
+    cert_ips = {"10.1.0.1", "2001:db8::2"}
+    want = records_analysis(flows, index, 4, tz, cert_ips)
+    assert scanner_line_ids(want.verdicts) == {"S1"}
+    reference = reference_aggregate([f for f in flows if f.line_id != "S1"], index, tz,
+                                    cert_ips)
+    got = analyze_flows(tmp_path / "flows.bmf", index, 4, tz, cert_ips)
+    assert got.verdicts == want.verdicts
+    assert got.sweep == want.sweep
+    assert in_order(line_contact_sets(flows, index.all_server_ips, tz)) == in_order(
+        reference_contacts(flows, index.all_server_ips, tz))
+    for f in dataclasses.fields(FlowAggregate):
+        value = getattr(got.agg, f.name)
+        for expected in (want.agg, reference):
+            assert type(value) is type(getattr(expected, f.name)), f.name
+            assert in_order(value) == in_order(getattr(expected, f.name)), f.name
+
+
+def test_untraced_analysis_of_a_bmf_trace_builds_no_record(catalog_profiles, tmp_path,
+                                                             monkeypatch):
+    """Both passes over a `.bmf` trace read its rows: neither the record
+    reader nor the record-to-row path runs."""
+    from backmap import flows as flows_module
+    from backmap.pipeline import analyze_flows
+
+    flows = multi_chunk_trace(tmp_path / "flows.bmf")
+    index = ServerIndex(EQUIVALENCE_SERVERS)
+    want = records_analysis(flows, index, 4, "UTC", None)
+
+    def boom(*args):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(flows_module, "_record_row", boom)
+    monkeypatch.setattr(flows_module, "read_flows_binary", boom)
+    got = analyze_flows(tmp_path / "flows.bmf", index, 4)
+    assert got.verdicts == want.verdicts
+    assert in_order(got.agg.line_day) == in_order(want.agg.line_day)

@@ -774,6 +774,24 @@ class TestCli:
         assert result.exit_code == 1
         assert f"error: {run_yaml}: {reason}" in result.output
 
+    @pytest.mark.parametrize("setting, message", [
+        ("window: 5", "field 'window': expected a mapping with start and end, not 5"),
+        ("baseline_days: seven", "field 'baseline_days': expected an integer, not str"),
+        ("window: {start: 2022-02-28, end: 2022-03-01}",
+         "field 'window': start: naive datetime not allowed: "
+         "datetime.datetime(2022, 2, 28, 0, 0)"),
+        ("timezone: Nope/Zone", "field 'timezone': unknown time zone 'Nope/Zone'"),
+    ], ids=["window-int", "baseline-days-text", "window-yaml-date", "timezone"])
+    def test_run_with_a_bad_config_value_names_its_field_and_exits_1(
+            self, universe_dir, tmp_path, setting, message):
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, tmp_path / "out")
+        run_yaml.write_text(run_yaml.read_text() + setting + "\n")
+        result = self.runner.invoke(main, ["run", "--config", str(run_yaml)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == f"error: {run_yaml}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_synth_generate_and_oracle(self, tmp_path):
         config_path = tmp_path / "universe.yaml"
         config_path.write_text(yaml.safe_dump({
