@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 # because perfbench/layers.py wraps it at this name
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
 from .ingest import NameMatches, Observation, name_matches
-from .jsonl import naming_fields, read_jsonl, text, texts, write_jsonl
+from .jsonl import (naming_fields, quote, quote_list, quote_sorted_memo, read_jsonl, text, texts,
+                    write_lines)
 from .netutil import canonical_ip, ip_family, parse_network
 from .timeutil import fmt_iso_memo, parse_iso
 
@@ -223,12 +224,13 @@ def write_candidates(path: str | Path,
                      candidates: Mapping[tuple[str, str], CandidateAddress]) -> None:
     """Dated snapshot file, one line per (provider, ip), byte-stable order."""
     iso = fmt_iso_memo()  # the candidates share a few distinct instants
-    write_jsonl(path, ({
-        "provider_id": c.provider_id, "ip": c.ip,
-        "sources": sorted(c.sources),
-        "first_seen": iso(c.first_seen), "last_seen": iso(c.last_seen),
-        "fqdns": sorted(c.fqdns),
-    } for _, c in sorted(candidates.items())))
+    sources = quote_sorted_memo()  # and a few distinct source sets
+    write_lines(path, (
+        f'{{"provider_id": {quote(c.provider_id)}, "ip": {quote(c.ip)}, '
+        f'"sources": {sources(c.sources)}, '
+        f'"first_seen": {quote(iso(c.first_seen))}, "last_seen": {quote(iso(c.last_seen))}, '
+        f'"fqdns": {quote_list(sorted(c.fqdns))}}}\n'
+        for _, c in sorted(candidates.items())))
 
 
 def _candidate(doc: dict) -> CandidateAddress:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
-from .jsonl import naming_fields, read_jsonl, text, texts, write_jsonl
+from .jsonl import naming_fields, quote, read_jsonl, text, texts, write_jsonl, write_lines
 from .netutil import canonical_ip, ip_family
 from .timeutil import (ensure_utc, fmt_iso_memo, from_epoch, from_epoch_memo, parse_iso,
                        to_epoch)
@@ -394,9 +394,10 @@ def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> 
 
 
 def _observation(doc: dict) -> Observation:
+    # Observation checks no text types, so provider_id and fqdn are checked here
     return Observation(
-        provider_id=doc["provider_id"],
-        fqdn=doc["fqdn"],
+        provider_id=text(doc["provider_id"]),
+        fqdn=text(doc["fqdn"]),
         ip=doc["ip"],
         source=doc["source"],
         seen_at=parse_iso(doc["seen_at"]),
@@ -420,8 +421,9 @@ def write_observations(path: str | Path, observations: Iterable[Observation],
     if sort:
         rows.sort(key=Observation.sort_key)
     iso = fmt_iso_memo()  # the rows share a few distinct seen_at instants
-    write_jsonl(path, ({
-        "provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
-        "source": o.source, "seen_at": iso(o.seen_at),
-        "wildcard": o.wildcard,
-    } for o in rows))
+    write_lines(path, (
+        f'{{"provider_id": {quote(o.provider_id)}, "fqdn": {quote(o.fqdn)}, '
+        f'"ip": {quote(o.ip)}, "source": {quote(o.source)}, '
+        f'"seen_at": {quote(iso(o.seen_at))}, '
+        f'"wildcard": {"true" if o.wildcard else "false"}}}\n'
+        for o in rows))

@@ -4,6 +4,14 @@ Every export, artifact and CLI file of this shape is read and written here,
 so they share one error policy: a bad line names its file and line number
 and, when a field is missing or a builder wrapped in `naming_fields`
 rejects its value, the field.
+
+Every line written is `json.dumps` of its document, with the keys in the
+order written. The hot artifact writers (observations, candidates, sharing,
+servers) format their lines themselves, byte for byte as `json.dumps`
+would: text through `quote`, `quote_optional`, `quote_list` and
+`quote_sorted_memo`, and an int as `{n}`, which reads as `json.dumps`
+writes an int (a bool would not). The others build a dict per row for
+`write_jsonl`.
 """
 
 from __future__ import annotations
@@ -49,9 +57,39 @@ def read_jsonl(path: str | Path, build: Callable[[dict], T],
 
 def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
     """One `json.dumps(doc)` line per document, in the documents' key order."""
+    write_lines(path, (json.dumps(doc) + "\n" for doc in docs))
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """`lines`, each ending in a newline, as the whole of `path`."""
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc) + "\n")
+        fh.writelines(lines)
+
+
+# text as `json.dumps` writes it under its default ensure_ascii=True
+quote = json.encoder.encode_basestring_ascii
+
+
+def quote_optional(value: str | None) -> str:
+    """Text or null, as `json.dumps` writes it."""
+    return "null" if value is None else quote(value)
+
+
+def quote_list(values: Iterable[str]) -> str:
+    """A list of texts, as `json.dumps` writes it."""
+    return "[" + ", ".join(map(quote, values)) + "]"
+
+
+def quote_sorted_memo() -> Callable[[frozenset[str]], str]:
+    """`quote_list(sorted(values))`, formatting each distinct set once."""
+    memo: dict[frozenset[str], str] = {}
+
+    def quoted(values: frozenset[str]) -> str:
+        text = memo.get(values)
+        if text is None:
+            text = memo[values] = quote_list(sorted(values))
+        return text
+    return quoted
 
 
 def naming_fields(build: Callable[[dict], T],

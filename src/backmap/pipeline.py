@@ -34,8 +34,8 @@ from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
                      ingest_passive_dns, name_matches, observations_from_resolutions,
                      read_cert_scan_export, read_observations, read_pdns_export,
                      read_resolutions, write_observations)
-from .jsonl import (integer, naming_fields, optional_text, read_jsonl, text, texts,
-                    write_jsonl)
+from .jsonl import (integer, naming_fields, optional_text, quote, quote_optional,
+                    quote_sorted_memo, read_jsonl, text, texts, write_jsonl, write_lines)
 from .timeutil import fmt_iso, local_date_memo, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
@@ -76,8 +76,10 @@ class RunConfig:
     salt: str = ""
 
     def __post_init__(self) -> None:
-        if self.scanner_threshold < 0 or self.sharing_threshold < 0:
-            raise ValueError("thresholds must be >= 0")
+        for name, least in (("scanner_threshold", 0), ("sharing_threshold", 0),
+                            ("baseline_days", 1), ("sustain_hours", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"field {name!r}: must be >= {least}")
 
     def to_manifest_dict(self) -> dict:
         return {
@@ -358,24 +360,23 @@ def write_sharing(
     false`, so reports can tell it from a measured zero. Returns the rows'
     verdicts as `_read_sharing` reads them back."""
     matches = name_matches(patterns)  # one memo across the candidates
-
-    def row(pid: str, ip: str) -> dict:
-        non_matching, matching, verdict = 0, 0, "dedicated"
+    verdicts: dict[tuple[str, str], str] = {}
+    lines = []
+    for pid, ip in sorted(candidates):
+        non_matching, matching, verdict, reverse_data = 0, 0, "dedicated", "false"
         if ip in reverse:
             v = classify_sharing(ip, pid, reverse, matches, threshold)
-            non_matching, matching, verdict = (v.non_matching_domain_count,
-                                               v.matching_domain_count, v.verdict)
-        return {
-            "provider_id": pid, "ip": ip,
-            "non_matching_domain_count": non_matching,
-            "matching_domain_count": matching,
-            "verdict": verdict, "threshold_used": threshold,
-            "reverse_data": ip in reverse,
-        }
-
-    rows = [row(pid, ip) for pid, ip in sorted(candidates)]
-    write_jsonl(path, rows)
-    return {(r["provider_id"], r["ip"]): r["verdict"] for r in rows}
+            non_matching, matching, verdict, reverse_data = (
+                v.non_matching_domain_count, v.matching_domain_count, v.verdict, "true")
+        verdicts[pid, ip] = verdict
+        lines.append(
+            f'{{"provider_id": {quote(pid)}, "ip": {quote(ip)}, '
+            f'"non_matching_domain_count": {non_matching}, '
+            f'"matching_domain_count": {matching}, '
+            f'"verdict": {quote(verdict)}, "threshold_used": {threshold}, '
+            f'"reverse_data": {reverse_data}}}\n')
+    write_lines(path, lines)
+    return verdicts
 
 
 def _stage_classify(state: RunState) -> None:
@@ -399,14 +400,16 @@ def write_servers(path: Path, servers: Iterable[BackendServer]) -> list[BackendS
     """One row per server in (provider, ip) order; returns the servers in
     that order, as `read_servers` reads them back."""
     rows = sorted(servers, key=lambda s: (s.provider_id, s.ip))
-    write_jsonl(path, ({
-        "ip": s.ip, "provider_id": s.provider_id,
-        "country": s.location.country, "city": s.location.city,
-        "continent": s.location.continent,
-        "location_confidence": s.location_confidence,
-        "prefix": s.prefix, "asn": s.asn, "sharing": s.sharing,
-        "sources": sorted(s.sources), "region_token": s.region_token,
-    } for s in rows))
+    sources = quote_sorted_memo()  # the servers share a few distinct source sets
+    write_lines(path, (
+        f'{{"ip": {quote(s.ip)}, "provider_id": {quote(s.provider_id)}, '
+        f'"country": {quote(s.location.country)}, "city": {quote_optional(s.location.city)}, '
+        f'"continent": {quote(s.location.continent)}, '
+        f'"location_confidence": {quote(s.location_confidence)}, '
+        f'"prefix": {quote(s.prefix)}, "asn": {s.asn}, "sharing": {quote(s.sharing)}, '
+        f'"sources": {sources(s.sources)}, '
+        f'"region_token": {quote_optional(s.region_token)}}}\n'
+        for s in rows))
     return rows
 
 

@@ -1,18 +1,19 @@
 import json
 import re
+from datetime import timedelta
 
 import pytest
 
 from backmap.flows import FlowRecord, read_flows_jsonl, write_flows_jsonl
 from backmap.footprint import BackendServer
-from backmap.fusion import fuse, read_candidates, write_candidates
+from backmap.fusion import classify_sharing, fuse, read_candidates, write_candidates
 from backmap.geo import Location
 from backmap.ingest import (CertScanRecord, MalformedRecord, Observation, PassiveDnsRecord,
                             ResolutionResult, read_cert_scan_export, read_observations,
                             read_pdns_export, read_resolutions, write_observations,
                             write_resolutions)
 from backmap.pipeline import _read_sharing, read_servers, write_servers, write_sharing
-from backmap.timeutil import to_epoch, utc
+from backmap.timeutil import fmt_iso, to_epoch, utc
 
 T0 = utc(2022, 2, 28, 6)
 IPS = ("192.0.2.1", "192.0.2.2")
@@ -101,6 +102,8 @@ WRONG_TYPES = [
     ("servers", "prefix", 5, "expected text, not int"),
     ("servers", "ip", None, "expected text, not NoneType"),
     # values the records' constructors would keep
+    ("observations", "provider_id", 7, "expected text, not int"),
+    ("observations", "fqdn", ["a.p1.example"], "expected text, not list"),
     ("candidates", "sources", "tls-cert", "expected a list, not str"),
     ("candidates", "fqdns", "a.p1.example", "expected a list, not str"),
     ("candidates", "fqdns", ["a.p1.example", 5], "expected text, not int"),
@@ -179,3 +182,102 @@ def test_export_row_with_a_wrong_json_type_is_quarantined(tmp_path):
     assert isinstance(first, MalformedRecord) and first.line_no == 1
     assert "address must be text, not int" in first.reason
     assert isinstance(second, CertScanRecord)
+
+
+# a quote, a backslash, a control character and a non-ASCII letter
+ODD = 'p"1\\x\x01\u00fc'
+
+
+def hostile_observations():
+    return [
+        Observation(provider_id=ODD, fqdn="z\u00fcrich.p1.example", ip="192.0.2.1",
+                    source="tls-cert", seen_at=T0, wildcard=True),
+        Observation(provider_id="p1", fqdn=ODD, ip="192.0.2.1", source="passive-dns",
+                    seen_at=T0 + timedelta(hours=1)),
+        Observation(provider_id="p1", fqdn="z\u00fcrich.p1.example", ip="192.0.2.1",
+                    source="active-dns", seen_at=T0 + timedelta(hours=2)),
+        Observation(provider_id="p1", fqdn="b.p1.example", ip="2001:db8::1",
+                    source="tls-cert", seen_at=T0 + timedelta(hours=3)),
+    ]
+
+
+def hostile_servers():
+    return [
+        BackendServer(ip="192.0.2.1", provider_id=ODD,
+                      location=Location.of("CH", "Z\u00fcrich"), location_confidence="majority",
+                      prefix="192.0.2.0/24", asn=64500, sharing="shared",
+                      sources=frozenset({"tls-cert", "passive-dns", "active-dns"}),
+                      region_token=ODD),
+        BackendServer(ip="2001:db8::1", provider_id="p1", location=Location.of("DE"),
+                      location_confidence="unanimous", prefix="2001:db8::/32", asn=64501,
+                      sharing="dedicated", sources=frozenset({"tls-cert"})),
+    ]
+
+
+# reverse names for one candidate address; with no patterns none of them matches
+REVERSE = {"192.0.2.1": {"z\u00fcrich.example", "x.other.example", "q.example"}}
+
+
+def observation_docs(observations):
+    return [{"provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
+             "source": o.source, "seen_at": fmt_iso(o.seen_at), "wildcard": o.wildcard}
+            for o in observations]
+
+
+def candidate_docs(candidates):
+    return [{"provider_id": c.provider_id, "ip": c.ip, "sources": sorted(c.sources),
+             "first_seen": fmt_iso(c.first_seen), "last_seen": fmt_iso(c.last_seen),
+             "fqdns": sorted(c.fqdns)} for _, c in sorted(candidates.items())]
+
+
+def sharing_docs(candidates, reverse, threshold):
+    docs = []
+    for pid, ip in sorted(candidates):
+        non_matching, matching, verdict = 0, 0, "dedicated"
+        if ip in reverse:
+            v = classify_sharing(ip, pid, reverse, [], threshold)
+            non_matching, matching, verdict = (v.non_matching_domain_count,
+                                               v.matching_domain_count, v.verdict)
+        docs.append({"provider_id": pid, "ip": ip,
+                     "non_matching_domain_count": non_matching,
+                     "matching_domain_count": matching, "verdict": verdict,
+                     "threshold_used": threshold, "reverse_data": ip in reverse})
+    return docs
+
+
+def server_docs(servers):
+    return [{"ip": s.ip, "provider_id": s.provider_id, "country": s.location.country,
+             "city": s.location.city, "continent": s.location.continent,
+             "location_confidence": s.location_confidence, "prefix": s.prefix,
+             "asn": s.asn, "sharing": s.sharing, "sources": sorted(s.sources),
+             "region_token": s.region_token} for s in servers]
+
+
+# writer -> (write the hostile rows, the documents json.dumps wrote them from)
+HOT_WRITERS = {
+    "observations": (lambda p: write_observations(p, hostile_observations()),
+                     lambda: observation_docs(hostile_observations())),
+    "candidates": (lambda p: write_candidates(p, fuse(hostile_observations())),
+                   lambda: candidate_docs(fuse(hostile_observations()))),
+    "sharing": (lambda p: write_sharing(p, fuse(hostile_observations()), REVERSE, [], 1),
+                lambda: sharing_docs(fuse(hostile_observations()), REVERSE, 1)),
+    "servers": (lambda p: write_servers(p, hostile_servers()),
+                lambda: server_docs(hostile_servers())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOT_WRITERS))
+def test_hot_writer_lines_are_json_dumps_of_their_documents(tmp_path, name):
+    write, docs = HOT_WRITERS[name]
+    path = tmp_path / f"{name}.jsonl"
+    write(path)
+    expected = [json.dumps(doc) + "\n" for doc in docs()]
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.readlines() == expected
+    # every hostile value and both branches of each flag were written
+    text = path.read_text()
+    assert json.dumps(ODD) in text
+    for flag in {"observations": ["wildcard"], "sharing": ["reverse_data"]}.get(name, []):
+        assert f'"{flag}": true' in text and f'"{flag}": false' in text
+    if name == "servers":
+        assert '"city": null' in text and '"region_token": null' in text

@@ -132,6 +132,20 @@ class TestRunPipeline:
             assert (config_a.out_dir / rel).read_bytes() == \
                 (config_b.out_dir / rel).read_bytes(), rel
 
+    def test_every_jsonl_line_is_json_dumps_of_its_document(self, completed_run):
+        config, _ = completed_run
+        out = config.out_dir
+        paths = sorted(out.glob("*.jsonl")) + sorted((out / "snapshots").glob("candidates-*"))
+        assert {"observations.jsonl", "candidates.jsonl", "sharing.jsonl",
+                "servers.jsonl"} <= {p.name for p in paths}
+        assert len(paths) > 6  # the dated snapshots too
+        for path in paths:
+            with open(path, encoding="utf-8", newline="") as fh:
+                for line_no, line in enumerate(fh, 1):
+                    assert line.endswith("\n"), (path.name, line_no)
+                    line = line[:-1]
+                    assert json.dumps(json.loads(line)) == line, (path.name, line_no)
+
     def test_flows_stage_reads_the_trace_twice(self, universe_dir, completed_run, tmp_path,
                                                monkeypatch):
         import shutil
@@ -781,7 +795,13 @@ class TestCli:
          "field 'window': start: naive datetime not allowed: "
          "datetime.datetime(2022, 2, 28, 0, 0)"),
         ("timezone: Nope/Zone", "field 'timezone': unknown time zone 'Nope/Zone'"),
-    ], ids=["window-int", "baseline-days-text", "window-yaml-date", "timezone"])
+        ("scanner_threshold: -1", "field 'scanner_threshold': must be >= 0"),
+        ("sharing_threshold: -1", "field 'sharing_threshold': must be >= 0"),
+        ("baseline_days: 0", "field 'baseline_days': must be >= 1"),
+        ("sustain_hours: -2", "field 'sustain_hours': must be >= 1"),
+    ], ids=["window-int", "baseline-days-text", "window-yaml-date", "timezone",
+            "scanner-threshold-negative", "sharing-threshold-negative", "baseline-days-0",
+            "sustain-hours-negative"])
     def test_run_with_a_bad_config_value_names_its_field_and_exits_1(
             self, universe_dir, tmp_path, setting, message):
         run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, tmp_path / "out")
