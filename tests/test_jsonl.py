@@ -102,8 +102,6 @@ WRONG_TYPES = [
     ("servers", "prefix", 5, "expected text, not int"),
     ("servers", "ip", None, "expected text, not NoneType"),
     # values the records' constructors would keep
-    ("observations", "provider_id", 7, "expected text, not int"),
-    ("observations", "fqdn", ["a.p1.example"], "expected text, not list"),
     ("candidates", "sources", "tls-cert", "expected a list, not str"),
     ("candidates", "fqdns", "a.p1.example", "expected a list, not str"),
     ("candidates", "fqdns", ["a.p1.example", 5], "expected text, not int"),
@@ -115,6 +113,8 @@ WRONG_TYPES = [
     ("servers", "location_confidence", 1, "expected text, not int"),
     ("servers", "city", 5, "expected text or null, not int"),
     ("servers", "region_token", ["eu"], "expected text or null, not list"),
+    ("observations", "provider_id", 7, "expected text, not int"),
+    ("observations", "fqdn", ["a.p1.example"], "expected text, not list"),
 ]
 
 
