@@ -17,12 +17,10 @@ from . import reports
 from .catalog import CatalogError, compile_catalog, load_catalog
 from .disruption import (BlocklistIndex, RoutingEvent, blocklist_check, read_blocklist,
                          routing_event_overlap)
-from .fusion import fuse, read_candidates, write_candidates
-from .ingest import (IngestError, StudyWindow, ingest_cert_scan, ingest_passive_dns,
-                     read_cert_scan_export, read_observations, read_pdns_export,
-                     write_cert_scan_export, write_observations, write_resolutions)
+from .fusion import read_candidates
+from .ingest import StudyWindow, write_cert_scan_export, write_resolutions
 from .pipeline import (RunConfig, UpstreamMissingError, load_run_config, outage_findings,
-                       read_servers, run_pipeline, write_sharing)
+                       read_servers, run_pipeline)
 from .jsonl import read_jsonl, write_jsonl
 from .timeutil import fmt_iso, parse_iso
 
@@ -44,11 +42,20 @@ def _parse_window(text: str) -> StudyWindow:
         _fail(EXIT_VALIDATION, f"bad window {text!r} (want START..END ISO-8601): {exc}")
 
 
-def _load_config(config_path: str, out_dir: str | None = None) -> RunConfig:
+def _read_config(load: Callable, config_path: str, *args):
+    """`load(config_path, *args)`: exit 2 if the file cannot be read, exit 1
+    on the loader's ValueError, which names the file."""
     try:
-        return load_run_config(config_path, {"out_dir": Path(out_dir)} if out_dir else {})
-    except (ValueError, OSError) as exc:
+        return load(config_path, *args)
+    except OSError as exc:
+        _fail(EXIT_IO, f"{config_path}: {exc.strerror or exc}")
+    except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
+
+
+def _load_config(config_path: str, out_dir: str | None = None) -> RunConfig:
+    return _read_config(load_run_config, config_path,
+                        {"out_dir": Path(out_dir)} if out_dir else {})
 
 
 def _run_stages(config_path: str, out_dir: str | None,
@@ -106,56 +113,13 @@ def discover() -> None:
     """Turn raw sources into provider-attributed observations."""
 
 
-def _load_patterns(catalog_path: str):
-    try:
-        return compile_catalog(load_catalog(catalog_path))
-    except CatalogError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-
-@discover.command("certs")
-@click.option("--in", "in_path", required=True, type=click.Path(exists=False))
-@click.option("--catalog", "catalog_path", required=True, type=click.Path())
-@click.option("--window", "window_text", required=True, help="START..END (ISO-8601)")
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--sorted", "sorted_out", is_flag=True, default=False)
-@click.option("--strict", is_flag=True, default=False)
-def discover_certs(in_path, catalog_path, window_text, out_path, sorted_out, strict):
-    """Certificate-scan export -> observations."""
-    patterns = _load_patterns(catalog_path)
-    window = _parse_window(window_text)
-    if not Path(in_path).exists():
-        _fail(EXIT_IO, f"no such file: {in_path}")
-    try:
-        result = ingest_cert_scan(read_cert_scan_export(in_path), patterns, window, strict)
-    except IngestError as exc:
-        _fail(EXIT_VALIDATION, f"{in_path}: {exc}")
-    write_observations(out_path, result.observations, sort=sorted_out)
-    click.echo(f"{result.stats.emitted} observations "
-               f"({result.stats.malformed} malformed rows skipped)")
-
-
-@discover.command("pdns")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--catalog", "catalog_path", required=True, type=click.Path())
-@click.option("--window", "window_text", required=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--sorted", "sorted_out", is_flag=True, default=False)
-@click.option("--strict", is_flag=True, default=False)
-def discover_pdns(in_path, catalog_path, window_text, out_path, sorted_out, strict):
-    """Passive-DNS export -> observations."""
-    patterns = _load_patterns(catalog_path)
-    window = _parse_window(window_text)
-    if not Path(in_path).exists():
-        _fail(EXIT_IO, f"no such file: {in_path}")
-    try:
-        result = ingest_passive_dns(read_pdns_export(in_path), patterns, window, strict)
-    except IngestError as exc:
-        _fail(EXIT_VALIDATION, f"{in_path}: {exc}")
-    write_observations(out_path, result.observations, sort=sorted_out)
-    click.echo(f"{result.stats.emitted} observations "
-               f"({result.stats.malformed} malformed, "
-               f"{result.stats.skipped_rrtype} non-A/AAAA rows skipped)")
+@discover.command("ingest")
+@click.option("--out-dir", "out_dir", required=True, type=click.Path())
+@click.option("--config", "config_path", required=True, type=click.Path())
+def discover_ingest(out_dir, config_path):
+    """Certificate-scan, passive-DNS and resolution exports -> observations."""
+    _run_stages(config_path, out_dir, ["discover"])
+    click.echo("observations written")
 
 
 @discover.command("resolve")
@@ -226,37 +190,21 @@ def discover_tls(targets_file, timeout, max_inflight, out_path):
 
 
 @main.command("fuse")
-@click.option("--obs", "obs_paths", multiple=True, required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-def fuse_cmd(obs_paths, out_path):
-    """Fuse observation files into a candidate set snapshot."""
-    observations = []
-    for path in obs_paths:
-        if not Path(path).exists():
-            _fail(EXIT_UPSTREAM, f"missing observations file {path}; run 'discover' first")
-        observations.extend(read_observations(path))
-    candidates = fuse(observations)
-    write_candidates(out_path, candidates)
-    click.echo(f"{len(candidates)} candidates")
+@click.option("--out-dir", "out_dir", required=True, type=click.Path())
+@click.option("--config", "config_path", required=True, type=click.Path())
+def fuse_cmd(out_dir, config_path):
+    """Fuse observations into the candidate set and its dated snapshots."""
+    _run_stages(config_path, out_dir, ["fuse"])
+    click.echo("candidates written")
 
 
 @main.command("classify")
-@click.option("--candidates", "cand_path", required=True, type=click.Path())
-@click.option("--pdns", "pdns_path", required=True, type=click.Path())
-@click.option("--catalog", "catalog_path", required=True, type=click.Path())
-@click.option("--threshold", default=2, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def classify_cmd(cand_path, pdns_path, catalog_path, threshold, out_path):
+@click.option("--out-dir", "out_dir", required=True, type=click.Path())
+@click.option("--config", "config_path", required=True, type=click.Path())
+def classify_cmd(out_dir, config_path):
     """Shared-vs-dedicated verdicts from reverse DNS evidence."""
-    from .fusion import build_reverse_index
-
-    if not Path(cand_path).exists():
-        _fail(EXIT_UPSTREAM, f"missing candidates {cand_path}; run 'fuse' first")
-    patterns = _load_patterns(catalog_path)
-    _pipeline_call(lambda: write_sharing(
-        Path(out_path), read_candidates(cand_path),
-        build_reverse_index(read_pdns_export(pdns_path)), patterns, threshold))
-    click.echo("classified")
+    _run_stages(config_path, out_dir, ["classify"])
+    click.echo("sharing verdicts written")
 
 
 @main.command("footprint")
@@ -395,11 +343,11 @@ def synth_generate(config_path, out_dir):
     """Generate a seeded universe into a directory."""
     from .synth import generate, load_universe_config
 
+    config = _read_config(load_universe_config, config_path)
     try:
-        config = load_universe_config(config_path)
         universe = generate(config)
-    except (ValueError, KeyError) as exc:
-        _fail(EXIT_VALIDATION, f"bad universe config: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, f"{config_path}: {exc}")
     paths = universe.write_to(out_dir)
     click.echo("\n".join(f"{name}: {path}" for name, path in sorted(paths.items())))
 

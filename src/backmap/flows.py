@@ -578,15 +578,13 @@ def traffic_series_and_ratio(agg: FlowAggregate) -> TrafficSummary:
 
 
 def regional_down_series(
-    agg: FlowAggregate, normalize: bool = True,
+    agg: FlowAggregate,
 ) -> dict[tuple[str, str], list[tuple[datetime, float]]]:
     """Per (provider, region-token) hourly downstream series for outage
-    scanning, optionally peak-normalized per series."""
+    scanning, peak-normalized per series."""
     raw: dict[tuple[str, str], list[tuple[datetime, float]]] = defaultdict(list)
     for (pid, token, hour), est in sorted(agg.provider_region_hour_down.items()):
         raw[(pid, token)].append((from_epoch(hour * 3600), float(est)))
-    if not normalize:
-        return dict(raw)
     out = {}
     for key, series in raw.items():
         peak = max((v for _, v in series), default=0.0)
@@ -689,36 +687,25 @@ class Ecdf:
 def per_line_distribution(
     profiles: Iterable[LineDayProfile],
     group_by: str = "all",
-    direction: str = "down",
 ) -> dict[Hashable, Ecdf]:
-    """ECDFs of estimated daily bytes per subscriber line.
+    """ECDFs of estimated daily downstream bytes per subscriber line.
 
-    group_by: 'all' (one distribution), 'provider' or 'port'. Direction
-    'down', 'up' or 'both'. Groups that attracted no bytes at all come back
-    as empty ECDFs (explicit marker) rather than being dropped.
+    group_by: 'all' (one distribution), 'provider' or 'port'. Groups that
+    attracted no bytes at all come back as empty ECDFs (explicit marker)
+    rather than being dropped.
     """
     if group_by not in ("all", "provider", "port"):
         raise ValueError(f"bad group_by {group_by!r}")
-    if direction not in ("down", "up", "both"):
-        raise ValueError(f"bad direction {direction!r}")
-
-    def pick(pair: tuple[int, int]) -> int:
-        if direction == "down":
-            return pair[0]
-        if direction == "up":
-            return pair[1]
-        return pair[0] + pair[1]
-
     groups: dict[Hashable, list[int]] = defaultdict(list)
     for prof in profiles:
         if group_by == "all":
-            groups["all"].append(sum(pick(v) for v in prof.per_provider.values()))
+            groups["all"].append(sum(down for down, _up in prof.per_provider.values()))
         elif group_by == "provider":
-            for pid, pair in prof.per_provider.items():
-                groups[pid].append(pick(pair))
+            for pid, (down, _up) in prof.per_provider.items():
+                groups[pid].append(down)
         else:
-            for pkey, pair in prof.per_port.items():
-                groups[pkey].append(pick(pair))
+            for pkey, (down, _up) in prof.per_port.items():
+                groups[pkey].append(down)
     return {k: Ecdf(values=tuple(sorted(v))) for k, v in groups.items()}
 
 

@@ -32,10 +32,6 @@ from .timeutil import (ensure_utc, fmt_iso_memo, from_epoch, from_epoch_memo, pa
 SOURCES = ("tls-cert", "passive-dns", "active-dns")
 
 
-class IngestError(ValueError):
-    """Malformed input encountered in strict mode."""
-
-
 @dataclass(frozen=True)
 class StudyWindow:
     start: datetime
@@ -204,7 +200,6 @@ def ingest_cert_scan(
     stream: Iterable[CertScanRecord | MalformedRecord],
     patterns: Sequence[DomainPattern] | NameMatches,
     window: StudyWindow,
-    strict: bool = False,
 ) -> IngestResult:
     """One observation per matching name of every certificate whose validity
     overlaps the window and whose scan observation falls inside it.
@@ -216,8 +211,6 @@ def ingest_cert_scan(
     observations: list[Observation] = []
     for record in stream:
         if isinstance(record, MalformedRecord):
-            if strict:
-                raise IngestError(f"line {record.line_no}: {record.reason}")
             stats.malformed += 1
             continue
         if not (window.overlaps(record.not_before, record.not_after)
@@ -246,7 +239,6 @@ def ingest_passive_dns(
     stream: Iterable[PassiveDnsRecord | MalformedRecord],
     patterns: Sequence[DomainPattern] | NameMatches,
     window: StudyWindow,
-    strict: bool = False,
 ) -> IngestResult:
     """Observations from A/AAAA rows whose [first_seen, last_seen] range
     overlaps the window. seen_at is the first in-window instant."""
@@ -255,8 +247,6 @@ def ingest_passive_dns(
     observations: list[Observation] = []
     for record in stream:
         if isinstance(record, MalformedRecord):
-            if strict:
-                raise IngestError(f"line {record.line_no}: {record.reason}")
             stats.malformed += 1
             continue
         if record.rrtype not in ("A", "AAAA"):
@@ -415,15 +405,11 @@ def read_observations(path: str | Path) -> Iterator[Observation]:
     return read_jsonl(path, naming_fields(_observation, _OBSERVATION_CHECKS))
 
 
-def write_observations(path: str | Path, observations: Iterable[Observation],
-                       sort: bool = False) -> None:
-    rows = list(observations)
-    if sort:
-        rows.sort(key=Observation.sort_key)
+def write_observations(path: str | Path, observations: Iterable[Observation]) -> None:
     iso = fmt_iso_memo()  # the rows share a few distinct seen_at instants
     write_lines(path, (
         f'{{"provider_id": {quote(o.provider_id)}, "fqdn": {quote(o.fqdn)}, '
         f'"ip": {quote(o.ip)}, "source": {quote(o.source)}, '
         f'"seen_at": {quote(iso(o.seen_at))}, '
         f'"wildcard": {"true" if o.wildcard else "false"}}}\n'
-        for o in rows))
+        for o in observations))

@@ -183,7 +183,7 @@ def emit_flow_reports(out_dir: Path, agg: FlowAggregate, index: ServerIndex,
     profiles = line_day_profiles(agg)
     rows = []
     for group_by in ("all", "provider", "port"):
-        dists = per_line_distribution(profiles, group_by=group_by, direction="down")
+        dists = per_line_distribution(profiles, group_by=group_by)
         for key in sorted(dists, key=group_label):
             ecdf = dists[key]
             if ecdf.is_empty:

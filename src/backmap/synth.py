@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .catalog import ProviderProfile, RegionGrammar, SubdomainRule
 from .flows import DOWN, UP, FlowRecord
@@ -675,24 +675,13 @@ class SyntheticUniverse:
         if truth.flow.complete:
             raise RuntimeError("flow stream already consumed")
         ft = truth.flow
-        local_days = LocalDays(cfg.timezone)
+        add_row = _flow_truth_adder(truth)
         N = cfg.sampling_rate
         random_mode = cfg.random_sampling
         sample_rng = random.Random(f"{cfg.seed}:sampling") if random_mode else None
         counter = 0
 
-        fam_of: dict[str, int] = {}
-        region_of: dict[str, str] = {}
-        token_by_ip: dict[str, str] = {}
-        cert_of: set[str] = set()
-        for s in truth.servers:
-            fam_of[s.ip] = ip_family(s.ip)
-            region_of[s.ip] = region_class(Location.of(s.country))
-            token_by_ip[s.ip] = s.region_token
-            if "tls-cert" in s.sources:
-                cert_of.add(s.ip)
-        backend_set = truth.dedicated_discovered_ips()
-
+        token_by_ip = {s.ip: s.region_token for s in truth.servers}
         outage_by_key = {(o.provider_id, o.region_token): o for o in cfg.outages}
         weekly_min = self._weekly_minima(token_by_ip) if cfg.outages else {}
 
@@ -716,47 +705,12 @@ class SyntheticUniverse:
             tb = packets * size
             k = sample(packets)
             sb = k * size
-            est = sb * N
-            ft.true_records += 1
-            if pid is not None:
-                if direction == DOWN:
-                    ft.provider_true_down[pid] = ft.provider_true_down.get(pid, 0) + tb
-                else:
-                    ft.provider_true_up[pid] = ft.provider_true_up.get(pid, 0) + tb
+            row = (line, pid, ip, port, transport, direction, hour_epoch, packets, tb, k, sb)
             if keep_rows:
-                ft.rows.append((line, pid, ip, port, transport, direction,
-                                hour_epoch, packets, tb, k, sb))
+                ft.rows.append(row)
+            add_row(row)
             if k < 1:
                 return None
-            ft.emitted_records += 1
-            attributable = ip in backend_set
-            if attributable:
-                ckey = (line, local_days.date(ts))
-                contacts = ft.line_contacts.get(ckey)
-                if contacts is None:
-                    contacts = ft.line_contacts[ckey] = set()
-                contacts.add(ip)
-            # provider truth mirrors what an attribution index can see: flows
-            # to hidden or shared servers stay out of the per-provider rollups
-            if pid is not None and attributable:
-                if direction == DOWN:
-                    ft.provider_est_down[pid] = ft.provider_est_down.get(pid, 0) + est
-                    key = (pid, token_by_ip[ip], hour_epoch)
-                    ft.token_hour_est_down[key] = ft.token_hour_est_down.get(key, 0) + est
-                else:
-                    ft.provider_est_up[pid] = ft.provider_est_up.get(pid, 0) + est
-                ft.provider_sampled_packets[pid] = (
-                    ft.provider_sampled_packets.get(pid, 0) + k)
-                ft.provider_hour_lines.setdefault((pid, hour_epoch), set()).add(line)
-                pkey = (pid, port, transport)
-                ft.provider_port_est[pkey] = ft.provider_port_est.get(pkey, 0) + est
-                ft.provider_lines.setdefault(pid, set()).add(line)
-                if ip in cert_of:
-                    ft.provider_lines_cert.setdefault(pid, set()).add(line)
-                ft.provider_contacted_fam.setdefault((pid, fam_of[ip]), set()).add(ip)
-                region = region_of[ip]
-                ft.line_regions.setdefault(line, set()).add(region)
-                ft.region_est[region] = ft.region_est.get(region, 0) + est
             return FlowRecord(
                 ts=ts,
                 line_id=line, server_ip=ip, server_port=port,
@@ -893,11 +847,28 @@ def generate(config: UniverseConfig) -> SyntheticUniverse:
 
 
 def load_universe_config(path: str | Path) -> UniverseConfig:
-    """Universe config from YAML; see README for the schema."""
+    """Universe config from YAML; see README for the schema. A file that does
+    not parse, whose top level is no mapping, or that lacks a field or holds
+    a bad value raises ValueError("<path>: <reason>"); an unreadable one
+    raises OSError."""
     import yaml
 
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: parse error: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a mapping")
+    try:
+        return _universe_config(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _universe_config(doc: dict) -> UniverseConfig:
     providers = []
     for p in doc.get("providers", []):
         providers.append(ProviderSpec(
@@ -1059,8 +1030,19 @@ def read_truth(path: str | Path) -> GroundTruthLog:
 
 def _replay_rows(log: GroundTruthLog, rows: list[tuple]) -> None:
     """Rebuild the flow accumulators from stored truth rows."""
+    log.flow.rows = rows
+    add_row = _flow_truth_adder(log)
+    for row in rows:
+        add_row(row)
+
+
+def _flow_truth_adder(log: GroundTruthLog) -> Callable[[tuple], None]:
+    """The function that adds one flow's truth row to `log.flow`: the row
+    `flow_stream` keeps and truth.json stores, (line, provider or None,
+    server ip, port, transport, direction, hour epoch, packets, true bytes,
+    sampled packets, sampled bytes). The stream adds each flow it generates,
+    `read_truth` each stored row, so both fill the accumulators alike."""
     ft = log.flow
-    ft.rows = rows
     backend_set = log.dedicated_discovered_ips()
     fam_of = {s.ip: ip_family(s.ip) for s in log.servers}
     region_of = {s.ip: region_class(Location.of(s.country)) for s in log.servers}
@@ -1068,35 +1050,42 @@ def _replay_rows(log: GroundTruthLog, rows: list[tuple]) -> None:
     cert_of = {s.ip for s in log.servers if "tls-cert" in s.sources}
     N = log.sampling_rate
     local_days = LocalDays(log.timezone)
-    for (line, pid, ip, port, transport, direction, hour_epoch,
-         packets, tb, k, sb) in rows:
+
+    def add_row(row: tuple) -> None:
+        line, pid, ip, port, transport, direction, hour_epoch, _packets, tb, k, sb = row
         ft.true_records += 1
         if pid is not None:
             key = ft.provider_true_down if direction == DOWN else ft.provider_true_up
             key[pid] = key.get(pid, 0) + tb
         if k < 1:
-            continue
+            return
         ft.emitted_records += 1
+        if ip not in backend_set:
+            return
+        # the flow's own instant, as synth emits it and the flows stage dates it
+        date = local_days.date(hour_epoch * 3600 + 1800)
+        ft.line_contacts.setdefault((line, date), set()).add(ip)
+        # provider truth mirrors what an attribution index can see: flows to
+        # hidden or shared servers stay out of the per-provider rollups
+        if pid is None:
+            return
         est = sb * N
-        if ip in backend_set:
-            # the flow's own instant, as synth emits it and the flows stage dates it
-            date = local_days.date(hour_epoch * 3600 + 1800)
-            ft.line_contacts.setdefault((line, date), set()).add(ip)
-        if pid is not None and ip in backend_set:
-            if direction == DOWN:
-                ft.provider_est_down[pid] = ft.provider_est_down.get(pid, 0) + est
-                tkey = (pid, token_of[ip], hour_epoch)
-                ft.token_hour_est_down[tkey] = ft.token_hour_est_down.get(tkey, 0) + est
-            else:
-                ft.provider_est_up[pid] = ft.provider_est_up.get(pid, 0) + est
-            ft.provider_sampled_packets[pid] = ft.provider_sampled_packets.get(pid, 0) + k
-            ft.provider_hour_lines.setdefault((pid, hour_epoch), set()).add(line)
-            pkey = (pid, port, transport)
-            ft.provider_port_est[pkey] = ft.provider_port_est.get(pkey, 0) + est
-            ft.provider_lines.setdefault(pid, set()).add(line)
-            if ip in cert_of:
-                ft.provider_lines_cert.setdefault(pid, set()).add(line)
-            ft.provider_contacted_fam.setdefault((pid, fam_of[ip]), set()).add(ip)
-            region = region_of[ip]
-            ft.line_regions.setdefault(line, set()).add(region)
-            ft.region_est[region] = ft.region_est.get(region, 0) + est
+        if direction == DOWN:
+            ft.provider_est_down[pid] = ft.provider_est_down.get(pid, 0) + est
+            tkey = (pid, token_of[ip], hour_epoch)
+            ft.token_hour_est_down[tkey] = ft.token_hour_est_down.get(tkey, 0) + est
+        else:
+            ft.provider_est_up[pid] = ft.provider_est_up.get(pid, 0) + est
+        ft.provider_sampled_packets[pid] = ft.provider_sampled_packets.get(pid, 0) + k
+        ft.provider_hour_lines.setdefault((pid, hour_epoch), set()).add(line)
+        pkey = (pid, port, transport)
+        ft.provider_port_est[pkey] = ft.provider_port_est.get(pkey, 0) + est
+        ft.provider_lines.setdefault(pid, set()).add(line)
+        if ip in cert_of:
+            ft.provider_lines_cert.setdefault(pid, set()).add(line)
+        ft.provider_contacted_fam.setdefault((pid, fam_of[ip]), set()).add(ip)
+        region = region_of[ip]
+        ft.line_regions.setdefault(line, set()).add(region)
+        ft.region_est[region] = ft.region_est.get(region, 0) + est
+
+    return add_row

@@ -619,7 +619,7 @@ def test_regional_series_uses_region_tokens():
                        server("10.1.0.2", token="eu-west-1")])
     flows = [flow(ip="10.1.0.1", sampled_bytes=100),
              flow(ip="10.1.0.2", sampled_bytes=300)]
-    series = regional_down_series(aggregate_flows(flows, idx), normalize=False)
+    series = regional_down_series(aggregate_flows(flows, idx))
     assert set(series) == {("p1", "us-east-1"), ("p1", "eu-west-1")}
 
 

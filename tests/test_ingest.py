@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backmap.active import ResolverEndpoint, TlsTarget, collect_tls, resolve_active
-from backmap.ingest import (CertScanRecord, IngestError, MalformedRecord,
+from backmap.catalog import default_catalog_path
+from backmap.ingest import (CertScanRecord, MalformedRecord,
                             PassiveDnsRecord, ResolutionResult, StudyWindow,
                             ingest_cert_scan, ingest_passive_dns,
                             observations_from_resolutions, read_cert_scan_export,
-                            read_pdns_export, write_cert_scan_export, write_observations,
+                            read_pdns_export, write_cert_scan_export,
                             read_observations)
+from backmap.pipeline import RunConfig, run_pipeline
 from backmap.timeutil import utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 7))
@@ -65,13 +68,11 @@ class TestCertIngest:
         assert result.observations[0].wildcard
         assert result.observations[0].fqdn == "*.iot.us-east-1.amazonaws.com"
 
-    def test_malformed_counted_and_strict_aborts(self, catalog_patterns):
+    def test_malformed_rows_are_counted(self, catalog_patterns):
         stream = [cert(["x.iot.us-east-1.amazonaws.com"]), MalformedRecord(7, "bad json")]
         result = ingest_cert_scan(stream, catalog_patterns, WINDOW)
         assert result.stats.malformed == 1
         assert len(result.observations) == 1
-        with pytest.raises(IngestError, match="line 7"):
-            ingest_cert_scan(stream, catalog_patterns, WINDOW, strict=True)
 
 
 class TestPdnsIngest:
@@ -214,16 +215,26 @@ def test_cert_export_malformed_line_surfaces(tmp_path):
     assert [r.line_no for r in rows] == [1, 2]
 
 
-def test_observations_sorted_output_is_byte_stable(tmp_path, catalog_patterns):
-    result = ingest_cert_scan(
-        [cert(["b.iot.us-east-1.amazonaws.com", "a.iot.us-east-1.amazonaws.com"])],
-        catalog_patterns, WINDOW)
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_observations(p1, result.observations, sort=True)
-    write_observations(p2, reversed(list(result.observations)), sort=True)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert [o.fqdn for o in read_observations(p1)] == sorted(
-        o.fqdn for o in result.observations)
+def test_observations_sorted_output_is_byte_stable(tmp_path):
+    """The discover stage writes observations.jsonl sorted, whatever the
+    order of the export rows."""
+    records = [cert(["b.iot.us-east-1.amazonaws.com", "a.iot.us-east-1.amazonaws.com"]),
+               cert(["c.iot.us-east-1.amazonaws.com"], ip="192.0.2.9")]
+    written = []
+    for name, rows in (("a", records), ("b", [replace(r, names=r.names[::-1])
+                                              for r in reversed(records)])):
+        write_cert_scan_export(tmp_path / f"{name}.jsonl", rows)
+        out_dir = tmp_path / f"out-{name}"
+        run_pipeline(RunConfig(catalog=default_catalog_path(), window=WINDOW,
+                               out_dir=out_dir, certs=tmp_path / f"{name}.jsonl"),
+                     ["discover"])
+        written.append((out_dir / "observations.jsonl").read_bytes())
+    assert written[0] == written[1]
+    observations = list(read_observations(tmp_path / "out-a" / "observations.jsonl"))
+    assert [(o.fqdn, o.ip) for o in observations] == [
+        ("a.iot.us-east-1.amazonaws.com", "192.0.2.10"),
+        ("b.iot.us-east-1.amazonaws.com", "192.0.2.10"),
+        ("c.iot.us-east-1.amazonaws.com", "192.0.2.9")]
 
 
 # --- live resolution against local fixtures ----------------------------------------------

@@ -524,53 +524,45 @@ class TestCli:
         assert result.exit_code == 0
         assert "16 providers" in result.output
 
-    def test_discover_certs_missing_input_exits_2(self, universe_dir, tmp_path):
-        result = self.runner.invoke(main, [
-            "discover", "certs", "--in", str(tmp_path / "nope.jsonl"),
-            "--catalog", str(universe_dir / "catalog.yaml"),
-            "--window", "2022-02-28T00:00:00Z..2022-03-02T00:00:00Z",
-            "--out", str(tmp_path / "obs.jsonl")])
-        assert result.exit_code == 2
-
-    def test_discover_certs_and_fuse(self, universe_dir, tmp_path):
-        obs_path = tmp_path / "obs.jsonl"
-        result = self.runner.invoke(main, [
-            "discover", "certs", "--in", str(universe_dir / "certs.jsonl"),
-            "--catalog", str(universe_dir / "catalog.yaml"),
-            "--window", "2022-02-28T00:00:00Z..2022-03-02T00:00:00Z",
-            "--out", str(obs_path), "--sorted"])
-        assert result.exit_code == 0, result.output
-        fused_path = tmp_path / "candidates.jsonl"
-        result = self.runner.invoke(main, [
-            "fuse", "--obs", str(obs_path), "--out", str(fused_path)])
-        assert result.exit_code == 0
-        assert fused_path.exists()
-
-    @pytest.mark.parametrize("source, row, field", [
-        ("certs", {"ip": "192.0.2.1", "names": [], "observed_at": 0,
-                   "validity": {"start": 0, "end": 0}}, "port"),
-        ("pdns", {"rrname": "a.example", "rrtype": "A", "time_first": 0,
-                  "time_last": 0}, "rdata"),
-    ])
-    def test_discover_strict_bad_row_exits_1(self, universe_dir, tmp_path, source, row,
-                                             field):
-        export = tmp_path / f"{source}.jsonl"
-        export.write_text(json.dumps(row) + "\n")
-        result = self.runner.invoke(main, [
-            "discover", source, "--in", str(export),
-            "--catalog", str(universe_dir / "catalog.yaml"),
-            "--window", "2022-02-28T00:00:00Z..2022-03-02T00:00:00Z",
-            "--out", str(tmp_path / "obs.jsonl"), "--strict"])
+    def test_discover_ingest_missing_export_exits_3(self, universe_dir, tmp_path):
+        missing = tmp_path / "nope.jsonl"
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, tmp_path / "out",
+                                  certs=str(missing))
+        result = self.runner.invoke(main, ["discover", "ingest", "--config", str(run_yaml),
+                                           "--out-dir", str(tmp_path / "out")])
         assert isinstance(result.exception, SystemExit)
-        assert result.exit_code == 1
-        assert f"error: {export}: line 1: missing field '{field}'" in result.output
-
-    def test_fuse_missing_observations_exits_3(self, tmp_path):
-        result = self.runner.invoke(main, [
-            "fuse", "--obs", str(tmp_path / "missing.jsonl"),
-            "--out", str(tmp_path / "c.jsonl")])
         assert result.exit_code == 3
-        assert "discover" in result.output
+        assert f"{missing}; run the 'inputs' stage first" in result.output
+
+    def test_fuse_missing_observations_exits_3(self, universe_dir, tmp_path):
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, tmp_path / "out")
+        result = self.runner.invoke(main, ["fuse", "--config", str(run_yaml),
+                                           "--out-dir", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 3
+        assert "observations.jsonl; run the 'discover' stage first" in result.output
+
+    def test_stage_commands_write_what_run_writes(self, universe_dir, tmp_path):
+        """One stage command after another into one out_dir leaves every file
+        `run` writes, byte for byte; only the manifests differ."""
+        trees = []
+        for name, commands in (
+                ("run", [["run"]]),
+                ("stages", [["discover", "ingest"], ["fuse"], ["classify"], ["footprint"],
+                            ["flows", "analyze"]])):
+            out_dir = tmp_path / name
+            run_yaml = write_run_yaml(tmp_path / f"{name}.yaml", universe_dir, out_dir)
+            for command in commands:
+                result = self.runner.invoke(main, [*command, "--config", str(run_yaml),
+                                                   "--out-dir", str(out_dir)])
+                assert result.exit_code == 0, (command, result.output)
+            trees.append({str(p.relative_to(out_dir)): p.read_bytes()
+                          for p in sorted(out_dir.rglob("*"))
+                          if p.is_file() and p.name != "manifest.json"})
+        assert "fig3_sources.csv" in trees[0] and "snapshots/index.json" in trees[0]
+        assert trees[0].keys() == trees[1].keys()
+        for rel in trees[0]:
+            assert trees[0][rel] == trees[1][rel], rel
 
     def test_run_and_report_roundtrip(self, universe_dir, tmp_path):
         out_dir = tmp_path / "out"
@@ -766,12 +758,16 @@ class TestCli:
 
     def test_classify_with_a_missing_pdns_file_exits_2(self, universe_dir, completed_run,
                                                        tmp_path):
+        import shutil
+
         config, _ = completed_run
+        out_dir = tmp_path / "out"
+        shutil.copytree(config.out_dir, out_dir)
         missing = tmp_path / "nope.jsonl"
-        result = self.runner.invoke(main, [
-            "classify", "--candidates", str(config.out_dir / "candidates.jsonl"),
-            "--pdns", str(missing), "--catalog", str(universe_dir / "catalog.yaml"),
-            "--out", str(tmp_path / "sharing.jsonl")])
+        run_yaml = write_run_yaml(tmp_path / "run.yaml", universe_dir, out_dir,
+                                  pdns=str(missing))
+        result = self.runner.invoke(main, ["classify", "--config", str(run_yaml),
+                                           "--out-dir", str(out_dir)])
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 2
         assert str(missing) in result.output
@@ -811,6 +807,34 @@ class TestCli:
         assert result.exit_code == 1
         assert result.output == f"error: {run_yaml}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["fuse", "--out-dir", "out"],
+                                         ["disrupt", "outage", "--out", "f.jsonl"]])
+    def test_a_missing_run_config_exits_2(self, tmp_path, command):
+        missing = tmp_path / "run.yaml"
+        result = self.runner.invoke(main, [*command, "--config", str(missing)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        assert result.output == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("text, code, message", [
+        (None, 2, "No such file or directory"),
+        ("", 1, "missing field 'window'"),
+        ("- seed: 5\n", 1, "top level must be a mapping"),
+        ("seed: 5\nn_lines: many\n"
+         "window: {start: '2022-02-28T00:00:00Z', end: '2022-03-01T00:00:00Z'}\n",
+         1, "invalid literal for int() with base 10: 'many'"),
+    ], ids=["missing", "empty", "list", "bad-value"])
+    def test_synth_generate_with_a_bad_config_names_it(self, tmp_path, text, code, message):
+        config_path = tmp_path / "universe.yaml"
+        if text is not None:
+            config_path.write_text(text)
+        result = self.runner.invoke(main, ["synth", "generate", "--config", str(config_path),
+                                           "--out-dir", str(tmp_path / "u")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == code
+        assert result.output == f"error: {config_path}: {message}\n"
+        assert not (tmp_path / "u").exists()
 
     def test_synth_generate_and_oracle(self, tmp_path):
         config_path = tmp_path / "universe.yaml"

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -8,8 +8,9 @@ from backmap.flows import detect_scanners, line_contact_sets
 from backmap.footprint import diff_snapshots
 from backmap.fusion import fuse
 from backmap.ingest import StudyWindow, ingest_cert_scan, ingest_passive_dns
-from backmap.synth import (ProviderSpec, RegionSpec, ScannerSpec, UniverseConfig,
-                           generate, largest_remainder, read_truth, write_truth)
+from backmap.synth import (FlowTruth, ProviderSpec, RegionSpec, ScannerSpec,
+                           UniverseConfig, generate, largest_remainder, read_truth,
+                           write_truth)
 from backmap.timeutil import utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 2))
@@ -150,17 +151,22 @@ class TestChurn:
 
 class TestTruthRoundtrip:
     def test_write_read_replay(self, tmp_path):
-        universe = generate(small_config(scanners=ScannerSpec(count=1, breadth=5)))
-        flows = list(universe.flow_stream())
-        assert flows
-        path = tmp_path / "truth.json"
-        write_truth(path, universe.truth)
-        loaded = read_truth(path)
-        assert loaded.flow.complete
-        assert loaded.flow.emitted_records == universe.truth.flow.emitted_records
-        assert loaded.flow.provider_est_down == universe.truth.flow.provider_est_down
-        assert loaded.flow.line_contacts == universe.truth.flow.line_contacts
-        assert loaded.scanner_lines == universe.truth.scanner_lines
+        """Replaying the stored rows rebuilds every flow accumulator, also at
+        a sampling rate that leaves some flows with no sampled packet."""
+        for rate in (1, 100):
+            universe = generate(small_config(scanners=ScannerSpec(count=1, breadth=5),
+                                             sampling_rate=rate))
+            flows = list(universe.flow_stream())
+            assert flows
+            path = tmp_path / f"truth-{rate}.json"
+            write_truth(path, universe.truth)
+            loaded = read_truth(path)
+            assert loaded.flow.complete
+            for f in fields(FlowTruth):
+                assert getattr(loaded.flow, f.name) == getattr(universe.truth.flow, f.name), (
+                    rate, f.name)
+            assert loaded.scanner_lines == universe.truth.scanner_lines
+        assert loaded.flow.true_records > loaded.flow.emitted_records
 
     def test_line_contacts_follow_each_flows_local_day(self, tmp_path):
         """In Asia/Kolkata (+05:30) a UTC day spans two local days. The truth
