@@ -167,12 +167,6 @@ class BlocklistReport:
     matches: tuple[BlocklistMatch, ...]
     excluded_matches: tuple[BlocklistMatch, ...]
 
-    def per_provider_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for m in self.matches:
-            counts[m.provider_id] += 1
-        return dict(counts)
-
     def distinct_ips(self) -> set[str]:
         return {m.ip for m in self.matches}
 

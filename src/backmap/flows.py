@@ -22,18 +22,20 @@ Flow file formats:
 
 Both readers raise ValueError for a bad record, with a message that starts
 ``<path>:<line or record number>:`` and names the field.
+
+The flow passes read `.bmf` record bytes only: a `.bmf` file's own, or any
+other records packed by `_record_chunks`, which `write_flows_binary` writes.
+So the JSONL reader, the passes and the writer accept the same records.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import socket
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
-from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -59,6 +61,7 @@ _REC = struct.Struct("<Q16s17sHBBQII3x")
 # is the family, address, port and transport bytes as one 20-byte field.
 _CONTACT_ROW = struct.Struct("<Q16s20s20x")
 _AGGREGATE_ROW = struct.Struct("<Q16s20sBQ4xI3x")
+_CHUNK_RECORDS = 4096  # records per chunk of `.bmf` bytes the flow passes read
 _TRANSPORT_CODES = {"tcp": 6, "udp": 17}
 _TRANSPORTS = {code: name for name, code in _TRANSPORT_CODES.items()}
 _DIRECTION_CODES = {DOWN: 0, UP: 1}
@@ -68,9 +71,9 @@ _DIRECTIONS = {code: name for name, code in _DIRECTION_CODES.items()}
 class FlowRecord(NamedTuple):
     """One sampled flow record.
 
-    A plain tuple: the readers validate each record before they build it
-    (`_check` for JSONL, `_checked_keys` for `.bmf`), so building one runs
-    no code. The flow passes read a `.bmf` file as rows and build none.
+    A plain tuple: both readers validate each record with `_check` before
+    they build it, so building one runs no code. The flow passes build none: they read `.bmf` rows, a file's
+    own or records packed by `_record_chunks`.
     """
 
     ts: int  # epoch seconds
@@ -162,7 +165,7 @@ def line_contact_sets(
     decoded on its first sight only, and an address key is kept as its
     backend IP, or "" for any other address.
     """
-    batches, line_of, key_of, skip = _row_source(flows, _CONTACT_ROW)
+    batches, skip = _row_source(flows, _CONTACT_ROW)
     days = LocalDays(tz_name)
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
     lines: dict = {}  # line key -> line; an excluded line is never stored
@@ -174,11 +177,11 @@ def line_contact_sets(
         line's rows are decoded and get no IP."""
         ip = backend_get(key)
         if ip is None:
-            ip = key_of(key)[0]
+            ip = _unpack_key(key)[0]
             ip = backend[key] = ip if ip in backend_ips else ""
         line = lines_get(line_key)
         if line is None:
-            line = line_of(line_key)
+            line = _unpack_line(line_key)
             if line in skip:
                 return line, ""
             lines[line_key] = line
@@ -332,7 +335,7 @@ def aggregate_flows(
     The hourly dicts and every other field are rolled up from those once at
     the end, in the same key order a record-by-record pass would give.
     """
-    batches, line_of, key_of, skip = _row_source(flows, _AGGREGATE_ROW)
+    batches, skip = _row_source(flows, _AGGREGATE_ROW)
     cert_ips = cert_ips or set()
     days = LocalDays(tz_name)
     attribute, facts = index.attribute, index.facts
@@ -347,7 +350,7 @@ def aggregate_flows(
 
     def decide(key) -> tuple:
         """(series id, attribution id) of a key, or () when unattributed."""
-        ip, port, transport = key_of(key)
+        ip, port, transport = _unpack_key(key)
         pid = attribute(ip, port, transport)
         if pid is None:
             return ()
@@ -360,10 +363,10 @@ def aggregate_flows(
         (None, None) for an excluded line's row, which decides nothing."""
         line = lines_get(line_key)
         if line is None:
-            line = line_of(line_key)
+            line = _unpack_line(line_key)
             if line in skip:
                 if key not in keys and key not in decoded:
-                    key_of(key)
+                    _unpack_key(key)
                     decoded.add(key)
                 return None, None
             lines[line_key] = line
@@ -674,11 +677,6 @@ class Ecdf:
         idx = max(0, math.ceil(q * len(self.values)) - 1)
         return self.values[idx]
 
-    def fraction_at_most(self, x: float) -> float:
-        if self.is_empty:
-            return 0.0
-        return bisect.bisect_right(self.values, x) / len(self.values)
-
     def points(self) -> list[tuple[int, float]]:
         n = len(self.values)
         return [(v, (i + 1) / n) for i, v in enumerate(self.values)]
@@ -771,20 +769,30 @@ _JSON_FIELDS = (
 
 
 def _check_ts(ts: int) -> None:
-    """Raise ValueError for epoch seconds that some timezone gives no local
-    day (see LocalDays.MIN_TS)."""
-    if not LocalDays.MIN_TS <= ts <= LocalDays.MAX_TS:
+    """Raise ValueError for epoch seconds that a `.bmf` record cannot hold
+    (below 0) or that some timezone gives no local day (see
+    LocalDays.MAX_TS)."""
+    if not 0 <= ts <= LocalDays.MAX_TS:
         raise ValueError(f"field 'ts': {ts} is out of range")
 
 
 def _check(rec: FlowRecord) -> None:
-    """Raise ValueError for a record whose values no flow can have."""
-    ts, _line, _ip, _port, transport, direction, sampled_bytes, sampled_packets, rate = rec
+    """Raise ValueError for a record whose values no flow can have, or that
+    a `.bmf` record cannot hold."""
+    ts, line, _ip, port, transport, direction, sampled_bytes, sampled_packets, rate = rec
     _check_ts(ts)
+    if not (line.isascii() and len(line) <= 16 and "\x00" not in line):
+        raise ValueError(f"field 'line_id': {line!r} is not at most 16 ASCII characters "
+                         "without NUL")
     if rate < 1:
         raise ValueError("sampling_rate must be >= 1")
     if sampled_bytes < 0 or sampled_packets < 0:
         raise ValueError("sampled_bytes and sampled_packets must be >= 0")
+    for name, value, bits in (("port", port, 16), ("sampled_bytes", sampled_bytes, 64),
+                              ("sampled_packets", sampled_packets, 32),
+                              ("sampling_rate", rate, 32)):
+        if value >> bits:
+            raise ValueError(f"field {name!r}: {value} is out of range")
     if direction not in (DOWN, UP):
         raise ValueError(f"bad direction {direction!r}")
     if transport not in ("tcp", "udp"):
@@ -827,9 +835,12 @@ def _pack_ip(ip: str) -> bytes:
 
 def _unpack_line(raw: bytes) -> str:
     try:
-        return raw.rstrip(b"\x00").decode("ascii")
+        line = raw.rstrip(b"\x00").decode("ascii")
     except UnicodeDecodeError as exc:
         raise ValueError(f"line_id: {exc}") from None
+    if "\x00" in line:
+        raise ValueError(f"line_id: {line!r} has a NUL before its end")
+    return line
 
 
 def _unpack_ip(raw: bytes) -> str:
@@ -844,24 +855,17 @@ def _unpack_ip(raw: bytes) -> str:
 def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
     """Write the compact fixed-width format; returns the record count.
 
-    Line ids are limited to 16 ASCII bytes; longer ids would truncate and
-    could collide, so they are rejected.
+    The records are packed by `_record_chunks`, so a record the flow passes
+    reject, such as a line id longer than 16 ASCII bytes, which would
+    truncate and could collide, fails here with the same message.
     """
-    count = 0
+    size = 0
     with open(path, "wb") as fh:
         fh.write(_MAGIC + bytes([1, 0, 0, 0]))
-        pack = _REC.pack
-        for f in flows:
-            line_raw = f.line_id.encode("ascii")
-            if len(line_raw) > 16:
-                raise ValueError(f"line_id too long for binary format: {f.line_id!r}")
-            fh.write(pack(
-                f.ts, line_raw.ljust(16, b"\x00"), _pack_ip(f.server_ip), f.server_port,
-                _TRANSPORT_CODES[f.transport], _DIRECTION_CODES[f.direction],
-                f.sampled_bytes, f.sampled_packets, f.sampling_rate,
-            ))
-            count += 1
-    return count
+        for chunk in _record_chunks(flows):
+            fh.write(chunk)
+            size += len(chunk)
+    return size // _REC.size
 
 
 def _bmf_chunks(path: str | Path) -> Iterator[bytes]:
@@ -873,37 +877,23 @@ def _bmf_chunks(path: str | Path) -> Iterator[bytes]:
         if header[4] != 1:
             raise ValueError(f"{path}: unsupported version {header[4]}")
         size = _REC.size
-        while chunk := fh.read(size * 4096):
+        while chunk := fh.read(size * _CHUNK_RECORDS):
             if len(chunk) % size:
                 raise ValueError(f"{path}: truncated record")
             yield chunk
 
 
-def _checked_keys(ts: int, line_raw: bytes, ip_raw: bytes, proto: int, direction: int,
-                  rate: int) -> tuple[str, str]:
-    """(line, ip) of a `.bmf` record, raising ValueError for its first bad
-    field in the order the JSONL reader checks them: ts, line, address,
-    rate, direction, transport. Bytes and packets are unsigned in `.bmf`."""
-    _check_ts(ts)
-    line = _unpack_line(line_raw)
-    ip = _unpack_ip(ip_raw)
-    if rate < 1:
-        raise ValueError("sampling_rate must be >= 1")
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"bad direction {direction!r}")
-    if proto not in _TRANSPORTS:
-        raise ValueError(f"bad transport {proto!r}")
-    return line, ip
-
-
 def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
     """Records of a `.bmf` file. Line ids and addresses repeat across
-    records, so each distinct raw value is decoded once."""
+    records, so each distinct raw value is decoded once. A record that
+    brings a new one, or fails the inline test, is checked as the JSONL
+    reader checks it: ts, line, address, then `_check`, with an unknown
+    direction or transport code in place of its name."""
     lines: dict[bytes, str] = {}
     ips: dict[bytes, str] = {}
     transports, directions = _TRANSPORTS.get, _DIRECTIONS.get
     new = tuple.__new__
-    max_ts = LocalDays.MAX_TS  # ts is unsigned, so never below LocalDays.MIN_TS
+    max_ts = LocalDays.MAX_TS  # ts is unsigned, so never below 0
     number = 0
     for chunk in _bmf_chunks(path):
         for (ts, line_raw, ip_raw, port, proto, direction,
@@ -916,7 +906,10 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
             if (line is None or ip is None or rate < 1 or direction_name is None
                     or transport is None or ts > max_ts):
                 try:
-                    line, ip = _checked_keys(ts, line_raw, ip_raw, proto, direction, rate)
+                    _check_ts(ts)
+                    line, ip = _unpack_line(line_raw), _unpack_ip(ip_raw)
+                    _check((ts, line, ip, port, transport or proto, direction_name or direction,
+                            sampled_bytes, sampled_packets, rate))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
                 lines[line_raw], ips[ip_raw] = line, ip
@@ -928,7 +921,7 @@ class FlowFile:
     """A flow file, its format detected by its magic bytes.
 
     Iterating it gives its FlowRecords. `line_contact_sets` and
-    `aggregate_flows` read a `.bmf` one as rows instead (`_row_source`).
+    `aggregate_flows` read a `.bmf` one's own chunks instead (`_row_source`).
     `excluding` gives the same file without some lines' records; those are
     still read and checked.
     """
@@ -961,53 +954,70 @@ def read_flows(path: str | Path) -> FlowFile:
 # --- rows: what the flow passes loop over ---------------------------------------------
 
 
-def _as_is(key):
-    return key
-
-
 def _unpack_key(raw: bytes) -> tuple[str, int, str]:
-    """(ip, port, transport) of a row's 20-byte key; `_chunk_ok` has checked
-    its transport code."""
+    """(ip, port, transport) of a row's 20-byte key; `_chunk_ok` or
+    `_record_chunks` has checked its transport code."""
     return _unpack_ip(raw[:17]), raw[17] | raw[18] << 8, _TRANSPORTS[raw[19]]
 
 
-def _record_row(rec: FlowRecord) -> tuple:
-    """A record as an aggregation row, keyed by its (ip, port, transport)
-    triple. A record that fails the inline test goes to `_check`, which
-    raises what the JSONL reader raises for it."""
-    ts, line, ip, port, transport, direction, sampled_bytes, packets, rate = rec
-    code = _DIRECTION_CODES.get(direction)
-    if (code is None or rate < 1 or transport not in _TRANSPORT_CODES or sampled_bytes < 0
-            or packets < 0 or not LocalDays.MIN_TS <= ts <= LocalDays.MAX_TS):
-        _check(rec)
-    return ts, line, (ip, port, transport), code, sampled_bytes, rate
+def _record_chunks(records: Iterable[FlowRecord]) -> Iterator[bytes]:
+    """`records` as `.bmf` record bytes, up to `_CHUNK_RECORDS` records a
+    chunk, each distinct line id and address encoded once. A record with a
+    new line id or address, or whose ts or sampling rate is out of range,
+    is checked with `_check` before it is packed; `_REC.pack` range-checks
+    the other fields, and a record it rejects goes to `_check` too. So a bad
+    record raises what the JSONL reader raises for it."""
+    lines: dict[str, bytes] = {}
+    ips: dict[str, bytes] = {}
+    transports, directions = _TRANSPORT_CODES.get, _DIRECTION_CODES.get
+    pack = _REC.pack
+    max_ts = LocalDays.MAX_TS
+    chunk: list[bytes] = []
+    for rec in records:
+        ts, line, ip, port, transport, direction, sampled_bytes, packets, rate = rec
+        line_raw = lines.get(line)
+        ip_raw = ips.get(ip)
+        if line_raw is None or ip_raw is None or rate < 1 or not 0 <= ts <= max_ts:
+            _check(rec)
+            line_raw = lines[line] = line.encode("ascii")
+            ip_raw = ips[ip] = _pack_ip(ip)
+        try:
+            chunk.append(pack(ts, line_raw, ip_raw, port, transports(transport),
+                              directions(direction), sampled_bytes, packets, rate))
+        except struct.error:
+            _check(rec)
+            raise
+        if len(chunk) == _CHUNK_RECORDS:
+            yield b"".join(chunk)
+            chunk = []
+    if chunk:
+        yield b"".join(chunk)
 
 
 def _row_source(flows: Iterable[FlowRecord], row: struct.Struct) -> tuple:
-    """(batches of rows, line key decoder, key decoder, lines to skip) for
-    one pass over `flows`, whose rows have the fields of `row`:
-    `_CONTACT_ROW` (ts, line key, key) or `_AGGREGATE_ROW` (ts, line key,
-    key, direction code, sampled_bytes, sampling_rate).
+    """(batches of rows, lines to skip) for one pass over `flows`, whose
+    rows have the fields of `row`: `_CONTACT_ROW` (ts, line key, key) or
+    `_AGGREGATE_ROW` (ts, line key, key, direction code, sampled_bytes,
+    sampling_rate).
 
-    For a `.bmf` FlowFile the batches are `row.iter_unpack` over its chunks.
-    The line key is the raw 16-byte field and the key the raw 20-byte
-    family, address, port and transport field; the passes decode each
-    distinct one on its first sight, which checks the line's ASCII and the
-    address family. Each chunk is checked in bulk before its rows are read
-    (`_chunk_ok`): ts, sampling rate, direction and transport codes. A check
-    that fails raises ValueError, and the pass then reads the file again with
-    the record reader (`_locate`), which raises `<path>:<N>: ...` for the
-    first bad record. Any other flows, JSONL files included, come as one
-    batch of records, each checked as the JSONL reader checks it and turned
-    into a row by `_record_row`, keyed by its line and (ip, port, transport).
+    The batches are `row.iter_unpack` over `.bmf` record chunks: a `.bmf`
+    FlowFile's own, or any other flows, JSONL files included, packed by
+    `_record_chunks`, whose records are checked as the JSONL reader checks
+    them. The line key is the raw 16-byte line field and the key the raw
+    20-byte family, address, port and transport field; the passes decode
+    each distinct one on its first sight (`_unpack_line`, `_unpack_key`),
+    which checks the line's ASCII and the address family. Each chunk of a
+    file is checked in bulk before its rows are read (`_chunk_ok`): ts,
+    sampling rate, direction and transport codes. A check that fails
+    raises ValueError, and the pass then reads the file again with the
+    record reader (`_locate`), which raises `<path>:<N>: ...` for the first
+    bad record.
     """
     if isinstance(flows, FlowFile) and flows.binary:
-        return (map(row.iter_unpack, _checked_chunks(flows.path)), _unpack_line, _unpack_key,
-                flows.skip_lines)
-    rows = map(_record_row, flows)
-    if row is _CONTACT_ROW:
-        rows = map(itemgetter(0, 1, 2), rows)
-    return (rows,), _as_is, _as_is, frozenset()
+        chunks, skip = _checked_chunks(flows.path), flows.skip_lines
+    else:
+        chunks, skip = _record_chunks(flows), frozenset()
+    return map(row.iter_unpack, chunks), skip
 
 
 def _field_or(chunk: bytes, offset: int, size: int) -> int:
@@ -1046,8 +1056,9 @@ def _checked_chunks(path: str | Path) -> Iterator[bytes]:
 
 
 def _locate(flows: Iterable[FlowRecord]) -> None:
-    """After a pass over a FlowFile failed, read it record by record: the
-    reader raises the error of the first bad record, with its number."""
-    if isinstance(flows, FlowFile):
+    """After a pass over a `.bmf` FlowFile failed, read it record by record:
+    the reader raises the error of the first bad record, with its number.
+    A JSONL reader's error already names its file and line."""
+    if isinstance(flows, FlowFile) and flows.binary:
         for _ in flows:
             pass

@@ -29,7 +29,7 @@ from .flows import DOWN, UP, FlowRecord
 from .geo import Location, region_class
 from .ingest import CertScanRecord, PassiveDnsRecord, ResolutionResult, StudyWindow
 from .netutil import ip_family
-from .timeutil import LocalDays, from_epoch, local_date, to_epoch
+from .timeutil import LocalDays, from_epoch, local_date, parse_iso, to_epoch
 
 
 def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
@@ -868,62 +868,92 @@ def load_universe_config(path: str | Path) -> UniverseConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _universe_config(doc: dict) -> UniverseConfig:
-    providers = []
-    for p in doc.get("providers", []):
-        providers.append(ProviderSpec(
-            provider_id=p["provider_id"],
-            n_servers=int(p["n_servers"]),
-            regions=tuple(RegionSpec(r["token"], r["country"],
-                                     float(r.get("server_weight", 1.0)),
-                                     float(r.get("traffic_weight", 1.0)))
-                          for r in p.get("regions", [{"token": "r1", "country": "DE"}])),
-            asns=tuple(AsnSpec(int(a["asn"]), a.get("kind", "self"),
-                               float(a.get("weight", 1.0)))
-                       for a in p.get("asns", [{"asn": 64500}])),
-            coverage=p.get("coverage"),
-            sni_only=bool(p.get("sni_only", False)),
-            churn_rate=float(p.get("churn_rate", 0.0)),
-            adoption=float(p.get("adoption", 0.0)),
-            visible_fraction=float(p.get("visible_fraction", 1.0)),
-            hidden_active_count=int(p.get("hidden_active_count", 0)),
-            hidden_line_count=int(p.get("hidden_line_count", 1)),
-            shared_count=int(p.get("shared_count", 0)),
-            ports=tuple(PortSpec(int(q["port"]), q.get("transport", "tcp"),
-                                 float(q.get("share", 1.0)))
-                        for q in p.get("ports", [{"port": 8883}])),
-            down_up_ratio=float(p.get("down_up_ratio", 3.0)),
-            daily_down_bytes=int(p.get("daily_down_bytes", 240_000)),
-            byte_sigma=float(p.get("byte_sigma", 0.0)),
-            packet_size=int(p.get("packet_size", 500)),
-            diurnal=tuple(float(x) for x in p.get("diurnal", [1.0] * 24)),
-            ipv6_fraction=float(p.get("ipv6_fraction", 0.0)),
-            parent_domain=p.get("parent_domain"),
-        ))
-    scanners = doc.get("scanners") or {}
-    outages = tuple(OutageSpec(
-        provider_id=o["provider_id"], region_token=o["region_token"],
-        start_hour=int(o["start_hour"]), duration_hours=int(o["duration_hours"]),
-        drop_below_min=float(o["drop_below_min"]),
-    ) for o in doc.get("outages", []))
-    window = doc["window"]
-    from .timeutil import parse_iso
+_REQUIRED = object()
 
+
+class _Fields:
+    """One mapping of a universe config, at path `where` from its top."""
+
+    def __init__(self, doc: object, where: str = "") -> None:
+        if not isinstance(doc, dict):
+            raise ValueError(f"field '{where[:-1]}': expected a mapping, "
+                             f"not {type(doc).__name__}")
+        self.doc, self.where = doc, where
+
+    def __call__(self, name: str, convert: Callable, default: object = _REQUIRED):
+        """`convert` of the field's value, or `default` when it is missing or
+        null. A missing required field raises KeyError, and a value that
+        `convert` rejects ValueError, each naming the field by its path,
+        such as 'providers[0].n_servers'."""
+        value = self.doc.get(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise KeyError(self.where + name)
+            return default
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field '{self.where}{name}': {exc}") from None
+
+    def each(self, name: str, default: list) -> list[_Fields]:
+        """The fields of each mapping in the list at `name`."""
+        return [_Fields(item, f"{self.where}{name}[{i}].")
+                for i, item in enumerate(self(name, list, default))]
+
+
+def _universe_config(doc: dict) -> UniverseConfig:
+    get = _Fields(doc)
+    providers = tuple(ProviderSpec(
+        provider_id=p("provider_id", str),
+        n_servers=p("n_servers", int),
+        regions=tuple(RegionSpec(r("token", str), r("country", str),
+                                 r("server_weight", float, 1.0),
+                                 r("traffic_weight", float, 1.0))
+                      for r in p.each("regions", [{"token": "r1", "country": "DE"}])),
+        asns=tuple(AsnSpec(a("asn", int), a("kind", str, "self"), a("weight", float, 1.0))
+                   for a in p.each("asns", [{"asn": 64500}])),
+        coverage=p("coverage", dict, None),
+        sni_only=p("sni_only", bool, False),
+        churn_rate=p("churn_rate", float, 0.0),
+        adoption=p("adoption", float, 0.0),
+        visible_fraction=p("visible_fraction", float, 1.0),
+        hidden_active_count=p("hidden_active_count", int, 0),
+        hidden_line_count=p("hidden_line_count", int, 1),
+        shared_count=p("shared_count", int, 0),
+        ports=tuple(PortSpec(q("port", int), q("transport", str, "tcp"),
+                             q("share", float, 1.0))
+                    for q in p.each("ports", [{"port": 8883}])),
+        down_up_ratio=p("down_up_ratio", float, 3.0),
+        daily_down_bytes=p("daily_down_bytes", int, 240_000),
+        byte_sigma=p("byte_sigma", float, 0.0),
+        packet_size=p("packet_size", int, 500),
+        diurnal=p("diurnal", lambda v: tuple(float(x) for x in v), (1.0,) * 24),
+        ipv6_fraction=p("ipv6_fraction", float, 0.0),
+        parent_domain=p("parent_domain", str, None),
+    ) for p in get.each("providers", []))
+    scanners = _Fields(get("scanners", dict, {}), "scanners.")
+    outages = tuple(OutageSpec(
+        provider_id=o("provider_id", str), region_token=o("region_token", str),
+        start_hour=o("start_hour", int), duration_hours=o("duration_hours", int),
+        drop_below_min=o("drop_below_min", float),
+    ) for o in get.each("outages", []))
+    window = _Fields(get("window", dict), "window.")
+    start, end = (window(name, lambda v: parse_iso(str(v))) for name in ("start", "end"))
     return UniverseConfig(
-        seed=int(doc["seed"]),
-        window=StudyWindow(parse_iso(str(window["start"])), parse_iso(str(window["end"]))),
-        n_lines=int(doc["n_lines"]),
-        providers=tuple(providers),
-        scanners=ScannerSpec(int(scanners.get("count", 0)), int(scanners.get("breadth", 0)),
-                             int(scanners.get("packets_per_contact", 1))),
-        sampling_rate=int(doc.get("sampling_rate", 1)),
-        timezone=str(doc.get("timezone", "UTC")),
-        deterministic_activity=bool(doc.get("deterministic_activity", False)),
-        random_sampling=bool(doc.get("random_sampling", False)),
-        baseline_days=int(doc.get("baseline_days", 0)),
+        seed=get("seed", int),
+        window=StudyWindow(start, end),
+        n_lines=get("n_lines", int),
+        providers=providers,
+        scanners=ScannerSpec(scanners("count", int, 0), scanners("breadth", int, 0),
+                             scanners("packets_per_contact", int, 1)),
+        sampling_rate=get("sampling_rate", int, 1),
+        timezone=get("timezone", str, "UTC"),
+        deterministic_activity=get("deterministic_activity", bool, False),
+        random_sampling=get("random_sampling", bool, False),
+        baseline_days=get("baseline_days", int, 0),
         outages=outages,
-        blocklist_hits=dict(doc.get("blocklist_hits", {})),
-        keep_flow_rows=bool(doc.get("keep_flow_rows", True)),
+        blocklist_hits=get("blocklist_hits", dict, {}),
+        keep_flow_rows=get("keep_flow_rows", bool, True),
     )
 
 

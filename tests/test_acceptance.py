@@ -18,7 +18,7 @@ from backmap import oracle as orc
 from backmap.catalog import compile_catalog, match_fqdn
 from backmap.disruption import BlocklistEntry, BlocklistIndex, blocklist_check, outage_scan
 from backmap.flows import (ServerIndex, aggregate_flows, detect_scanners,
-                           line_contact_sets, read_flows_binary, scanner_line_ids,
+                           line_contact_sets, read_flows, scanner_line_ids,
                            source_ablation, threshold_sweep, visibility_per_provider,
                            write_flows_binary, continent_attribution,
                            regional_down_series)
@@ -231,9 +231,9 @@ def test_c06_sampling_estimator(tmp_path):
 
     index = build_index(universe)
     scanners = scanner_line_ids(detect_scanners(
-        line_contact_sets(read_flows_binary(flows_path), index.all_server_ips), 100))
+        line_contact_sets(read_flows(flows_path), index.all_server_ips), 100))
     assert scanners == set()
-    agg = aggregate_flows(read_flows_binary(flows_path), index)
+    agg = aggregate_flows(read_flows(flows_path), index)
 
     for pid in ("p01", "p02"):
         sampled_packets = truth.flow.provider_sampled_packets[pid]

@@ -213,7 +213,6 @@ class TestDistributions:
         flows = [flow(line=f"L{i}", sampled_bytes=i * 1000) for i in range(1, 101)]
         dist = per_line_distribution(line_day_profiles(make_agg(flows, index)))["all"]
         assert dist.quantile(0.99) == 99 * 1000
-        assert dist.fraction_at_most(50_000) == pytest.approx(0.5)
 
     def test_empty_group_marker(self):
         dist = Ecdf(values=())
@@ -355,6 +354,22 @@ class TestFlowFileErrors:
         with self.expect(path, "sampling_rate must be >= 1"):
             list(read_flows(path))
 
+    # values a `.bmf` record cannot hold, which every flow format rejects
+    BMF_LIMITS = [
+        ("line_id", "L" * 17,
+         f"field 'line_id': {'L' * 17!r} is not at most 16 ASCII characters without NUL"),
+        ("line_id", "L\u00e9",
+         "field 'line_id': 'L\u00e9' is not at most 16 ASCII characters without NUL"),
+        ("line_id", "L\x00",
+         "field 'line_id': 'L\\x00' is not at most 16 ASCII characters without NUL"),
+        ("port", 70000, "field 'port': 70000 is out of range"),
+        ("port", -1, "field 'port': -1 is out of range"),
+        ("sampled_bytes", 2 ** 64, f"field 'sampled_bytes': {2 ** 64} is out of range"),
+        ("sampled_packets", 2 ** 32, f"field 'sampled_packets': {2 ** 32} is out of range"),
+        ("sampling_rate", 2 ** 32, f"field 'sampling_rate': {2 ** 32} is out of range"),
+        ("ts", -1, "field 'ts': -1 is out of range"),
+    ]
+
     @pytest.mark.parametrize("name, value, message", [
         ("direction", "sideways", "bad direction 'sideways'"),
         ("transport", "sctp", "bad transport 'sctp'"),
@@ -362,11 +377,28 @@ class TestFlowFileErrors:
         ("server_ip", 167837697, "field 'server_ip': address must be text, not int"),
         ("port", "https", "field 'port': "),
         ("sampled_bytes", -1, "sampled_bytes and sampled_packets must be >= 0"),
-    ])
+    ] + BMF_LIMITS)
     def test_jsonl_bad_value(self, tmp_path, name, value, message):
         path = self.write_jsonl(tmp_path / "flows.jsonl", **{name: value})
         with self.expect(path, re.escape(message)):
             list(read_flows(path))
+
+    @pytest.mark.parametrize("name, value, message", BMF_LIMITS)
+    def test_record_beyond_bmf_limits(self, tmp_path, index, name, value, message):
+        """A record in memory that a `.bmf` record cannot hold fails both
+        passes and the writer with the JSONL reader's message, also when
+        its line and address have been seen before."""
+        flows = [flow(), flow(line="L2"), flow(line="L2", hours=1)._replace(**{
+            {"port": "server_port"}.get(name, name): value})]
+        runs = {
+            "contacts": lambda: contacts(flows, index),
+            "aggregate": lambda: aggregate_flows(flows, index),
+            "write": lambda: write_flows_binary(tmp_path / "flows.bmf", flows),
+        }
+        for run_name, run in runs.items():
+            with pytest.raises(ValueError) as error:
+                run()
+            assert str(error.value) == message, run_name
 
     def write_binary(self, path, *changes):
         """Two records; the second gets each (offset, fmt, value) of
@@ -383,6 +415,7 @@ class TestFlowFileErrors:
         (43, "<B", 7, "bad transport 7"),
         (44, "<B", 2, "bad direction 2"),
         (24, "<B", 5, "server_ip: bad address family 5"),
+        (11, "<B", ord("X"), re.escape("line_id: 'L2\\x00X' has a NUL before its end")),
     ])
     def test_binary_bad_value(self, tmp_path, offset, fmt, value, message):
         path = self.write_binary(tmp_path / "flows.bmf", (offset, fmt, value))
@@ -524,7 +557,9 @@ class TestFlowFileErrors:
         (2 * CHUNK + 52, 24, "<B", 5),
         (2 * CHUNK + 52, 23, "<B", 0xFF),
         (2 * CHUNK + 41, 57, "<I", 0),  # on scanner line S1
-    ], ids=["ts", "rate", "direction", "transport", "family", "line", "rate-on-scanner"])
+        (2 * CHUNK + 52, 11, "<B", ord("X")),  # a NUL inside the line id
+    ], ids=["ts", "rate", "direction", "transport", "family", "line", "rate-on-scanner",
+            "line-nul"])
     def test_bad_record_in_a_later_chunk(self, tmp_path, index, number, offset, fmt, value):
         """A bad record in the third chunk fails both passes as the record
         reader fails, with its number: the contact-set pass over the whole
@@ -851,7 +886,7 @@ def test_multi_chunk_trace_matches_the_references(catalog_profiles, tmp_path):
 def test_untraced_analysis_of_a_bmf_trace_builds_no_record(catalog_profiles, tmp_path,
                                                              monkeypatch):
     """Both passes over a `.bmf` trace read its rows: neither the record
-    reader nor the record-to-row path runs."""
+    reader nor the record packer runs."""
     from backmap import flows as flows_module
     from backmap.pipeline import analyze_flows
 
@@ -862,7 +897,7 @@ def test_untraced_analysis_of_a_bmf_trace_builds_no_record(catalog_profiles, tmp
     def boom(*args):
         raise AssertionError("a record was built")
 
-    monkeypatch.setattr(flows_module, "_record_row", boom)
+    monkeypatch.setattr(flows_module, "_record_chunks", boom)
     monkeypatch.setattr(flows_module, "read_flows_binary", boom)
     got = analyze_flows(tmp_path / "flows.bmf", index, 4)
     assert got.verdicts == want.verdicts

@@ -823,8 +823,16 @@ class TestCli:
         ("- seed: 5\n", 1, "top level must be a mapping"),
         ("seed: 5\nn_lines: many\n"
          "window: {start: '2022-02-28T00:00:00Z', end: '2022-03-01T00:00:00Z'}\n",
-         1, "invalid literal for int() with base 10: 'many'"),
-    ], ids=["missing", "empty", "list", "bad-value"])
+         1, "field 'n_lines': invalid literal for int() with base 10: 'many'"),
+        ("seed: 5\nn_lines: 10\nproviders: [{provider_id: p01, n_servers: many}]\n",
+         1, "field 'providers[0].n_servers': invalid literal for int() with base 10: 'many'"),
+        ("seed: 5\nn_lines: 10\nproviders: [p01]\n",
+         1, "field 'providers[0]': expected a mapping, not str"),
+        ("seed: 5\nn_lines: 10\n"
+         "providers: [{provider_id: p01, n_servers: 3, ports: [{transport: tcp}]}]\n",
+         1, "missing field 'providers[0].ports[0].port'"),
+    ], ids=["missing", "empty", "list", "bad-value", "bad-provider-value", "bad-provider",
+            "missing-port"])
     def test_synth_generate_with_a_bad_config_names_it(self, tmp_path, text, code, message):
         config_path = tmp_path / "universe.yaml"
         if text is not None:
