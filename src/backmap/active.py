@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .catalog import normalize_fqdn
 from .ingest import CertScanRecord, ResolutionResult
 from .netutil import canonical_ip
-from .timeutil import UTC, ensure_utc
+from .timeutil import UTC, to_epoch
 
 # Ethics floor: live resolvers are never queried faster than this unless the
 # caller passes the explicit unsafe override (test fixtures only).
@@ -153,7 +153,7 @@ def resolve_active(
                 fqdn=name,
                 vantage_id=endpoint.vantage_id,
                 answers=tuple(dict.fromkeys(answers)),
-                resolved_at=now or datetime.now(tz=UTC),
+                resolved_at=to_epoch(now or datetime.now(tz=UTC)),
                 status=status,
             ))
         return results
@@ -180,7 +180,7 @@ class TlsProbeResult:
     failure: str | None = None  # refused | timeout | handshake-failure | unreachable
 
 
-def _extract_names(der: bytes) -> tuple[tuple[str, ...], datetime, datetime]:
+def _extract_names(der: bytes) -> tuple[tuple[str, ...], int, int]:
     from cryptography import x509
     from cryptography.x509.oid import ExtensionOID, NameOID
 
@@ -195,10 +195,10 @@ def _extract_names(der: bytes) -> tuple[tuple[str, ...], datetime, datetime]:
     except x509.ExtensionNotFound:
         pass
     deduped = tuple(dict.fromkeys(normalize_fqdn(n) for n in names))
-    return deduped, ensure_utc(cert.not_valid_before_utc), ensure_utc(cert.not_valid_after_utc)
+    return deduped, to_epoch(cert.not_valid_before_utc), to_epoch(cert.not_valid_after_utc)
 
 
-def _probe_tls(target: TlsTarget, timeout: float, now: datetime) -> TlsProbeResult:
+def _probe_tls(target: TlsTarget, timeout: float, now: int) -> TlsProbeResult:
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     context.check_hostname = False
     context.verify_mode = ssl.CERT_NONE
@@ -235,7 +235,7 @@ def collect_tls(
     SNI is sent when the target carries one. Total in-flight connections
     are bounded by `max_inflight`.
     """
-    when = now or datetime.now(tz=UTC)
+    when = to_epoch(now or datetime.now(tz=UTC))
     if not targets:
         return []
     with ThreadPoolExecutor(max_workers=max(1, min(max_inflight, len(targets)))) as pool:

@@ -31,6 +31,7 @@ So the JSONL reader, the passes and the writer accept the same records.
 from __future__ import annotations
 
 import math
+import os
 import socket
 import struct
 from collections import defaultdict
@@ -857,14 +858,22 @@ def write_flows_binary(path: str | Path, flows: Iterable[FlowRecord]) -> int:
 
     The records are packed by `_record_chunks`, so a record the flow passes
     reject, such as a line id longer than 16 ASCII bytes, which would
-    truncate and could collide, fails here with the same message.
+    truncate and could collide, fails here with the same message. The file
+    is written under a temporary name beside `path` and renamed over it only
+    once every record is in, so a failed write leaves `path` as it was.
     """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
     size = 0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + bytes([1, 0, 0, 0]))
-        for chunk in _record_chunks(flows):
-            fh.write(chunk)
-            size += len(chunk)
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_MAGIC + bytes([1, 0, 0, 0]))
+            for chunk in _record_chunks(flows):
+                fh.write(chunk)
+                size += len(chunk)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # gone after the rename
     return size // _REC.size
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +20,7 @@ from .ingest import NameMatches, Observation, name_matches
 from .jsonl import (naming_fields, quote, quote_list, quote_sorted_memo, read_jsonl, text, texts,
                     write_lines)
 from .netutil import canonical_ip, ip_family, parse_network
-from .timeutil import fmt_iso_memo, parse_iso
+from .timeutil import IsoSeconds, parse_iso, to_epoch
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
 
@@ -38,8 +37,8 @@ class CandidateAddress:
     ip: str
     provider_id: str
     sources: frozenset[str]
-    first_seen: datetime
-    last_seen: datetime
+    first_seen: int
+    last_seen: int
     fqdns: frozenset[str]
 
     def __post_init__(self) -> None:
@@ -223,12 +222,12 @@ def validate_against_ground_truth(
 def write_candidates(path: str | Path,
                      candidates: Mapping[tuple[str, str], CandidateAddress]) -> None:
     """Dated snapshot file, one line per (provider, ip), byte-stable order."""
-    iso = fmt_iso_memo()  # the candidates share a few distinct instants
-    sources = quote_sorted_memo()  # and a few distinct source sets
+    iso = IsoSeconds()
+    sources = quote_sorted_memo()  # the candidates share a few distinct source sets
     write_lines(path, (
         f'{{"provider_id": {quote(c.provider_id)}, "ip": {quote(c.ip)}, '
         f'"sources": {sources(c.sources)}, '
-        f'"first_seen": {quote(iso(c.first_seen))}, "last_seen": {quote(iso(c.last_seen))}, '
+        f'"first_seen": {quote(iso[c.first_seen])}, "last_seen": {quote(iso[c.last_seen])}, '
         f'"fqdns": {quote_list(sorted(c.fqdns))}}}\n'
         for _, c in sorted(candidates.items())))
 
@@ -238,8 +237,8 @@ def _candidate(doc: dict) -> CandidateAddress:
     return CandidateAddress(
         ip=text(doc["ip"]), provider_id=text(doc["provider_id"]),
         sources=frozenset(texts(doc["sources"])),
-        first_seen=parse_iso(doc["first_seen"]),
-        last_seen=parse_iso(doc["last_seen"]),
+        first_seen=to_epoch(parse_iso(doc["first_seen"])),
+        last_seen=to_epoch(parse_iso(doc["last_seen"])),
         fqdns=frozenset(texts(doc["fqdns"])),
     )
 

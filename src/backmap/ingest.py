@@ -4,6 +4,11 @@ Three exports feed the pipeline: certificate scans, passive DNS and active-DNS
 resolutions (`active` holds the live probes). Each ingest operation restricts
 its output to a study window and tags every observation with its source.
 
+Records hold every instant as an int of epoch seconds. The readers turn each
+epoch value into the second it falls in (`timeutil.epoch_second`) and each
+ISO-8601 text into its second; the ingesters compare those ints with the
+window's bounds in seconds; the writers format each distinct second once.
+
 File formats (all line-delimited JSON, one record per line):
 
   cert export:   {"ip", "port", "names": [..], "validity": {"start", "end"},
@@ -19,15 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
 from .jsonl import naming_fields, quote, read_jsonl, text, texts, write_jsonl, write_lines
 from .netutil import canonical_ip, ip_family
-from .timeutil import (ensure_utc, fmt_iso_memo, from_epoch, from_epoch_memo, parse_iso,
-                       to_epoch)
+from .timeutil import IsoSeconds, ensure_utc, epoch_second, parse_iso, to_epoch
 
 SOURCES = ("tls-cert", "passive-dns", "active-dns")
 
@@ -50,21 +53,25 @@ class StudyWindow:
         """Closed interval [start, end] vs half-open window [start, end)."""
         return ensure_utc(start) < self.end and ensure_utc(end) >= self.start
 
+    def epoch_bounds(self) -> tuple[int, int]:
+        """(start, end) in epoch seconds: a second ts lies in the window iff
+        start <= ts < end, so a bound inside a second counts from the next."""
+        return tuple(to_epoch(bound) + (bound.microsecond > 0)
+                     for bound in (self.start, self.end))
+
 
 @dataclass(frozen=True)
 class CertScanRecord:
     ip: str
     port: int
     names: tuple[str, ...]
-    not_before: datetime
-    not_after: datetime
-    observed_at: datetime
+    not_before: int
+    not_after: int
+    observed_at: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ip", canonical_ip(self.ip))
         object.__setattr__(self, "names", tuple(normalize_fqdn(n) for n in self.names))
-        for attr in ("not_before", "not_after", "observed_at"):
-            object.__setattr__(self, attr, ensure_utc(getattr(self, attr)))
         if not 1 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
         if self.not_before > self.not_after:
@@ -76,8 +83,8 @@ class PassiveDnsRecord:
     rrname: str
     rrtype: str
     rdata: str
-    first_seen: datetime
-    last_seen: datetime
+    first_seen: int
+    last_seen: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rrname", normalize_fqdn(self.rrname))
@@ -88,8 +95,6 @@ class PassiveDnsRecord:
             want = 4 if self.rrtype == "A" else 6
             if ip_family(rdata) != want:
                 raise ValueError(f"rdata {rdata} inconsistent with rrtype {self.rrtype}")
-        for attr in ("first_seen", "last_seen"):
-            object.__setattr__(self, attr, ensure_utc(getattr(self, attr)))
         if self.first_seen > self.last_seen:
             raise ValueError("first_seen after last_seen")
 
@@ -99,13 +104,12 @@ class ResolutionResult:
     fqdn: str
     vantage_id: str
     answers: tuple[str, ...]
-    resolved_at: datetime
+    resolved_at: int
     status: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fqdn", normalize_fqdn(self.fqdn))
         object.__setattr__(self, "answers", tuple(canonical_ip(a) for a in self.answers))
-        object.__setattr__(self, "resolved_at", ensure_utc(self.resolved_at))
         if self.status not in ("ok", "nxdomain", "timeout", "servfail"):
             raise ValueError(f"bad status {self.status!r}")
         if (self.status == "ok") != bool(self.answers):
@@ -118,12 +122,11 @@ class Observation:
     fqdn: str
     ip: str
     source: str
-    seen_at: datetime
+    seen_at: int
     wildcard: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ip", canonical_ip(self.ip))
-        object.__setattr__(self, "seen_at", ensure_utc(self.seen_at))
         if self.source not in SOURCES:
             raise ValueError(f"bad source {self.source!r}")
 
@@ -207,14 +210,15 @@ def ingest_cert_scan(
     `patterns` may be a NameMatches over the catalog's patterns, so that the
     ingesters of one run match each distinct name once between them."""
     memo = name_matches(patterns)
+    start, end = window.epoch_bounds()
     stats = IngestStats()
     observations: list[Observation] = []
     for record in stream:
         if isinstance(record, MalformedRecord):
             stats.malformed += 1
             continue
-        if not (window.overlaps(record.not_before, record.not_after)
-                and window.contains(record.observed_at)):
+        if not (record.not_before < end and record.not_after >= start
+                and start <= record.observed_at < end):
             stats.skipped_window += 1
             continue
         for name in record.names:
@@ -241,8 +245,9 @@ def ingest_passive_dns(
     window: StudyWindow,
 ) -> IngestResult:
     """Observations from A/AAAA rows whose [first_seen, last_seen] range
-    overlaps the window. seen_at is the first in-window instant."""
+    overlaps the window. seen_at is the first in-window second."""
     memo = name_matches(patterns)
+    start, end = window.epoch_bounds()
     stats = IngestStats()
     observations: list[Observation] = []
     for record in stream:
@@ -252,14 +257,14 @@ def ingest_passive_dns(
         if record.rrtype not in ("A", "AAAA"):
             stats.skipped_rrtype += 1
             continue
-        if not window.overlaps(record.first_seen, record.last_seen):
+        if not (record.first_seen < end and record.last_seen >= start):
             stats.skipped_window += 1
             continue
         matches = _match_name(memo, record.rrname)
         if not matches:
             stats.unmatched_names += 1
             continue
-        seen_at = max(record.first_seen, window.start)
+        seen_at = max(record.first_seen, start)
         for result, wildcard in matches:
             observations.append(Observation(
                 provider_id=result.provider_id,
@@ -280,12 +285,13 @@ def observations_from_resolutions(
 ) -> IngestResult:
     """Active-DNS observations from resolver answers inside the window."""
     memo = name_matches(patterns)
+    start, end = window.epoch_bounds()
     stats = IngestStats()
     observations: list[Observation] = []
     for res in results:
         if res.status != "ok":
             continue
-        if not window.contains(res.resolved_at):
+        if not start <= res.resolved_at < end:
             stats.skipped_window += 1
             continue
         matches = _match_name(memo, res.fqdn)
@@ -309,57 +315,56 @@ def observations_from_resolutions(
 # --- file formats -------------------------------------------------------------
 
 
-def _cert_record(doc: dict, epoch: Callable) -> CertScanRecord:
+def _cert_record(doc: dict) -> CertScanRecord:
     return CertScanRecord(
         ip=doc["ip"],
         port=int(doc["port"]),
         names=tuple(doc["names"]),
-        not_before=epoch(doc["validity"]["start"]),
-        not_after=epoch(doc["validity"]["end"]),
-        observed_at=epoch(doc["observed_at"]),
+        not_before=epoch_second(doc["validity"]["start"]),
+        not_after=epoch_second(doc["validity"]["end"]),
+        observed_at=epoch_second(doc["observed_at"]),
     )
 
 
 def read_cert_scan_export(path: str | Path) -> Iterator[CertScanRecord | MalformedRecord]:
-    # an export repeats a few distinct epochs, so each is converted once
-    return read_jsonl(path, partial(_cert_record, epoch=from_epoch_memo()), MalformedRecord)
+    return read_jsonl(path, _cert_record, MalformedRecord)
 
 
 def write_cert_scan_export(path: str | Path, records: Iterable[CertScanRecord]) -> None:
     write_jsonl(path, ({
         "ip": r.ip, "port": r.port, "names": list(r.names),
-        "validity": {"start": to_epoch(r.not_before), "end": to_epoch(r.not_after)},
-        "observed_at": to_epoch(r.observed_at),
+        "validity": {"start": r.not_before, "end": r.not_after},
+        "observed_at": r.observed_at,
     } for r in records))
 
 
-def _pdns_record(doc: dict, epoch: Callable) -> PassiveDnsRecord:
+def _pdns_record(doc: dict) -> PassiveDnsRecord:
     return PassiveDnsRecord(
         rrname=doc["rrname"],
         rrtype=doc["rrtype"],
         rdata=doc["rdata"],
-        first_seen=epoch(doc["time_first"]),
-        last_seen=epoch(doc["time_last"]),
+        first_seen=epoch_second(doc["time_first"]),
+        last_seen=epoch_second(doc["time_last"]),
     )
 
 
 def read_pdns_export(path: str | Path) -> Iterator[PassiveDnsRecord | MalformedRecord]:
-    return read_jsonl(path, partial(_pdns_record, epoch=from_epoch_memo()), MalformedRecord)
+    return read_jsonl(path, _pdns_record, MalformedRecord)
 
 
 def write_pdns_export(path: str | Path, records: Iterable[PassiveDnsRecord]) -> None:
     write_jsonl(path, ({
         "rrname": r.rrname, "rrtype": r.rrtype, "rdata": r.rdata,
-        "time_first": to_epoch(r.first_seen), "time_last": to_epoch(r.last_seen),
+        "time_first": r.first_seen, "time_last": r.last_seen,
     } for r in records))
 
 
-def _resolution(doc: dict, epoch: Callable) -> ResolutionResult:
+def _resolution(doc: dict) -> ResolutionResult:
     return ResolutionResult(
         fqdn=doc["fqdn"],
         vantage_id=doc["vantage_id"],
         answers=tuple(doc["answers"]),
-        resolved_at=epoch(doc["resolved_at"]),
+        resolved_at=epoch_second(doc["resolved_at"]),
         status=doc["status"],
     )
 
@@ -367,19 +372,18 @@ def _resolution(doc: dict, epoch: Callable) -> ResolutionResult:
 _RESOLUTION_CHECKS = {
     "fqdn": text, "vantage_id": text,
     "answers": lambda v: [canonical_ip(a) for a in texts(v)],
-    "resolved_at": from_epoch, "status": text,
+    "resolved_at": epoch_second, "status": text,
 }
 
 
 def read_resolutions(path: str | Path) -> Iterator[ResolutionResult]:
-    return read_jsonl(path, naming_fields(partial(_resolution, epoch=from_epoch_memo()),
-                                          _RESOLUTION_CHECKS))
+    return read_jsonl(path, naming_fields(_resolution, _RESOLUTION_CHECKS))
 
 
 def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> None:
     write_jsonl(path, ({
         "fqdn": r.fqdn, "vantage_id": r.vantage_id, "answers": list(r.answers),
-        "resolved_at": to_epoch(r.resolved_at), "status": r.status,
+        "resolved_at": r.resolved_at, "status": r.status,
     } for r in results))
 
 
@@ -390,7 +394,7 @@ def _observation(doc: dict) -> Observation:
         fqdn=text(doc["fqdn"]),
         ip=doc["ip"],
         source=doc["source"],
-        seen_at=parse_iso(doc["seen_at"]),
+        seen_at=to_epoch(parse_iso(doc["seen_at"])),
         wildcard=bool(doc.get("wildcard", False)),
     )
 
@@ -406,10 +410,10 @@ def read_observations(path: str | Path) -> Iterator[Observation]:
 
 
 def write_observations(path: str | Path, observations: Iterable[Observation]) -> None:
-    iso = fmt_iso_memo()  # the rows share a few distinct seen_at instants
+    iso = IsoSeconds()
     write_lines(path, (
         f'{{"provider_id": {quote(o.provider_id)}, "fqdn": {quote(o.fqdn)}, '
         f'"ip": {quote(o.ip)}, "source": {quote(o.source)}, '
-        f'"seen_at": {quote(iso(o.seen_at))}, '
+        f'"seen_at": {quote(iso[o.seen_at])}, '
         f'"wildcard": {"true" if o.wildcard else "false"}}}\n'
         for o in observations))

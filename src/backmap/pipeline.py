@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -36,7 +36,7 @@ from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
                      read_resolutions, write_observations)
 from .jsonl import (integer, naming_fields, optional_text, quote, quote_optional,
                     quote_sorted_memo, read_jsonl, text, texts, write_jsonl, write_lines)
-from .timeutil import fmt_iso, local_date_memo, parse_iso
+from .timeutil import LocalDays, fmt_iso, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
 
@@ -283,13 +283,6 @@ class RunState:
         return build_reverse_index(read_pdns_export(self.config.pdns))
 
 
-def _as_read_back(obs: Observation) -> Observation:
-    """`obs` as its line in observations.jsonl reads back: to the second."""
-    if obs.seen_at.microsecond:
-        return replace(obs, seen_at=obs.seen_at.replace(microsecond=0))
-    return obs
-
-
 def _stage_discover(state: RunState) -> None:
     cfg = state.config
     observations = []
@@ -313,7 +306,7 @@ def _stage_discover(state: RunState) -> None:
         raise UpstreamMissingError("certs/pdns/resolutions inputs", "discover")
     observations.sort(key=Observation.sort_key)
     write_observations(cfg.out_dir / "observations.jsonl", observations)
-    state.held["observations"] = [_as_read_back(obs) for obs in observations]
+    state.held["observations"] = observations
 
 
 def _stage_fuse(state: RunState) -> None:
@@ -329,9 +322,11 @@ def _stage_fuse(state: RunState) -> None:
     snap_dir = cfg.out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     by_day: dict[str, list] = {}
-    day_of = local_date_memo(cfg.timezone)  # a few distinct instants
+    # the observations share a few distinct seconds; each is dated once
+    days, dates = LocalDays(cfg.timezone), {}
     for obs in observations:
-        by_day.setdefault(day_of(obs.seen_at), []).append(obs)
+        date = dates.get(obs.seen_at) or dates.setdefault(obs.seen_at, days.date(obs.seen_at))
+        by_day.setdefault(date, []).append(obs)
     for path in snap_dir.glob("candidates-*"):
         if path.name.split("candidates-")[1] not in by_day:
             path.unlink()

@@ -29,7 +29,7 @@ from .flows import DOWN, UP, FlowRecord
 from .geo import Location, region_class
 from .ingest import CertScanRecord, PassiveDnsRecord, ResolutionResult, StudyWindow
 from .netutil import ip_family
-from .timeutil import LocalDays, from_epoch, local_date, parse_iso, to_epoch
+from .timeutil import LocalDays, from_epoch, parse_iso, to_epoch
 
 
 def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
@@ -284,6 +284,16 @@ class SyntheticUniverse:
         if (cfg.window.end - cfg.window.start) != timedelta(days=n_days):
             raise ValueError("study window must cover whole days")
         self.n_days = n_days
+        # each study day's (local date, first second): the window start plus
+        # whole days, or the first local midnight in the two hours after that
+        # when there is one, so that its observations, 30 min to 2 h into the
+        # day, fall on one local date
+        local_days = LocalDays(cfg.timezone)
+        days = []
+        for day in range(n_days):
+            day_start = to_epoch(cfg.window.start) + day * 86400
+            date, midnight, _ = local_days.day(day_start + 7200)
+            days.append((date, max(day_start, midnight)))
 
         servers: list[ServerTruth] = []
         daily: dict[str, dict[str, tuple[str, ...]]] = {}
@@ -379,8 +389,7 @@ class SyntheticUniverse:
                     next_j += 1
                 for idx in removed_idx:
                     object.__setattr__(provider_servers[idx], "last_day", day - 1)
-                date = local_date(cfg.window.start + timedelta(days=day), cfg.timezone)
-                churn.setdefault(date, {})[spec.provider_id] = (
+                churn.setdefault(days[day][0], {})[spec.provider_id] = (
                     tuple(s.ip for s in added if s.sources),
                     tuple(provider_servers[idx].ip for idx in removed_idx
                           if provider_servers[idx].sources),
@@ -390,8 +399,7 @@ class SyntheticUniverse:
             self._emit_routing(spec, p_index, provider_servers)
 
         # per-day discovered snapshots
-        for day in range(n_days):
-            date = local_date(cfg.window.start + timedelta(days=day), cfg.timezone)
+        for day, (date, _) in enumerate(days):
             snap: dict[str, tuple[str, ...]] = {}
             for spec in cfg.providers:
                 ips = sorted(
@@ -401,7 +409,7 @@ class SyntheticUniverse:
                 snap[spec.provider_id] = tuple(ips)
             daily[date] = snap
 
-        self._emit_discovery(servers)
+        self._emit_discovery(servers, days)
         assignments, scanner_lines, scanner_targets = self._assign_population(servers)
         blocklist_planted = self._plant_blocklists(servers)
 
@@ -442,35 +450,35 @@ class SyntheticUniverse:
             length = 32 if ip_family(s.ip) == 4 else 128
             self.prefix_rows.append((s.ip, length, str(s.asn)))
 
-    def _emit_discovery(self, servers: list[ServerTruth]) -> None:
+    def _emit_discovery(self, servers: list[ServerTruth], days: list[tuple[str, int]]) -> None:
         cfg = self.config
+        window_start, window_end = to_epoch(cfg.window.start), to_epoch(cfg.window.end)
         port_of = {spec.provider_id: next((p.port for p in spec.ports
                                            if p.transport == "tcp"), 443)
                    for spec in cfg.providers}
         shared_names = random.Random(f"{cfg.seed}:sharednames")
         for s in servers:
-            for day in range(self.n_days):
+            for day, (_, day_start) in enumerate(days):
                 if not (s.first_day <= day and (s.last_day is None or day <= s.last_day)):
                     continue
-                day_start = cfg.window.start + timedelta(days=day)
                 if "tls-cert" in s.sources:
                     self.cert_records.append(CertScanRecord(
                         ip=s.ip, port=port_of[s.provider_id], names=(s.fqdn,),
-                        not_before=cfg.window.start - timedelta(days=30),
-                        not_after=cfg.window.end + timedelta(days=30),
-                        observed_at=day_start + timedelta(hours=1),
+                        not_before=window_start - 30 * 86400,
+                        not_after=window_end + 30 * 86400,
+                        observed_at=day_start + 3600,
                     ))
                 if "passive-dns" in s.sources:
                     self.pdns_records.append(PassiveDnsRecord(
                         rrname=s.fqdn, rrtype="A" if ip_family(s.ip) == 4 else "AAAA",
                         rdata=s.ip,
-                        first_seen=day_start + timedelta(minutes=30),
-                        last_seen=day_start + timedelta(minutes=90),
+                        first_seen=day_start + 1800,
+                        last_seen=day_start + 5400,
                     ))
                 if "active-dns" in s.sources:
                     self.resolutions.append(ResolutionResult(
                         fqdn=s.fqdn, vantage_id="v1", answers=(s.ip,),
-                        resolved_at=day_start + timedelta(hours=2), status="ok",
+                        resolved_at=day_start + 7200, status="ok",
                     ))
             if s.sharing == "shared":
                 # unrelated names resolving to the same address; enough of them
@@ -480,8 +488,8 @@ class SyntheticUniverse:
                         rrname=f"site{m}.tenant{shared_names.randrange(10**6)}.example",
                         rrtype="A" if ip_family(s.ip) == 4 else "AAAA",
                         rdata=s.ip,
-                        first_seen=cfg.window.start + timedelta(hours=3),
-                        last_seen=cfg.window.start + timedelta(hours=4),
+                        first_seen=window_start + 3 * 3600,
+                        last_seen=window_start + 4 * 3600,
                     ))
 
     def _assign_population(self, servers: list[ServerTruth]):

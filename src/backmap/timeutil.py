@@ -1,18 +1,25 @@
 """UTC timestamp helpers shared across ingest, flow and disruption code.
 
-All internal timestamps are timezone-aware UTC datetimes, except flow
-records, which keep the epoch seconds (ints) of their files; exports carry
-epoch seconds except observation files, which use ISO-8601.
+Records hold their instants as epoch seconds (ints): discovery records as
+their readers floor them (`epoch_second`, or `to_epoch` of `parse_iso`),
+flow records as their files hold them. Datetimes are kept for study
+windows, disruption series and the edges: exports carry epoch seconds,
+observation and candidate files ISO-8601 (`IsoSeconds`).
 """
 
 from __future__ import annotations
 
 import re
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Callable
 from zoneinfo import ZoneInfo
 
 UTC = timezone.utc
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_SECOND = timedelta(seconds=1)
+# the ints `from_epoch` accepts: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z
+_FIRST_SECOND = (datetime.min.replace(tzinfo=UTC) - _EPOCH) // _SECOND
+_LAST_SECOND = (datetime.max.replace(tzinfo=UTC) - _EPOCH) // _SECOND
 
 _ISO_FMT = "%Y-%m-%dT%H:%M:%SZ"
 # the exact shape `fmt_iso` writes, ASCII digits only; `strptime` reads
@@ -36,7 +43,17 @@ def from_epoch(seconds: int | float) -> datetime:
 
 
 def to_epoch(dt: datetime) -> int:
-    return int(ensure_utc(dt).timestamp())
+    """The epoch second `dt` falls in: floored, as `fmt_iso` shows it."""
+    return (ensure_utc(dt) - _EPOCH) // _SECOND
+
+
+def epoch_second(value: int | float) -> int:
+    """An export's epoch value as the second it falls in: an int that
+    `from_epoch` accepts as it is, any other value through `from_epoch`,
+    which rejects what it rejects with its own message."""
+    if type(value) is int and _FIRST_SECOND <= value <= _LAST_SECOND:
+        return value
+    return to_epoch(from_epoch(value))
 
 
 def fmt_iso(dt: datetime) -> str:
@@ -58,48 +75,13 @@ def local_date(dt: datetime, tz_name: str) -> str:
     return ensure_utc(dt).astimezone(ZoneInfo(tz_name)).strftime("%Y-%m-%d")
 
 
-# Memos for one call's or one run's timestamps, which repeat a few distinct
-# values thousands of times. A memo keys only values whose equality is
-# exact: two datetimes that differ only in `fold` under one zone compare and
-# hash equal yet name different instants, so only UTC ones are kept; of
-# epoch values only ints are, so anything else fails as `from_epoch` fails.
+class IsoSeconds(dict):
+    """`fmt_iso` of epoch seconds: `iso[ts]`. A writer's rows share a few
+    distinct seconds, so each is formatted once."""
 
-
-def _utc_memo(convert: Callable[[datetime], str]) -> Callable[[datetime], str]:
-    memo: dict[datetime, str] = {}
-
-    def converted(dt: datetime) -> str:
-        if dt.tzinfo is not UTC:
-            return convert(dt)
-        text = memo.get(dt)
-        if text is None:
-            text = memo[dt] = convert(dt)
+    def __missing__(self, ts: int) -> str:
+        text = self[ts] = fmt_iso(from_epoch(ts))
         return text
-    return converted
-
-
-def fmt_iso_memo() -> Callable[[datetime], str]:
-    """`fmt_iso`, formatting each distinct UTC datetime once."""
-    return _utc_memo(fmt_iso)
-
-
-def local_date_memo(tz_name: str) -> Callable[[datetime], str]:
-    """`local_date` in one timezone, converting each distinct UTC instant once."""
-    return _utc_memo(lambda dt: local_date(dt, tz_name))
-
-
-def from_epoch_memo() -> Callable[[int | float], datetime]:
-    """`from_epoch`, converting each distinct int once."""
-    memo: dict[int, datetime] = {}
-
-    def converted(seconds: int | float) -> datetime:
-        if type(seconds) is not int:
-            return from_epoch(seconds)
-        dt = memo.get(seconds)
-        if dt is None:
-            dt = memo[seconds] = from_epoch(seconds)
-        return dt
-    return converted
 
 
 class LocalDays:
@@ -113,9 +95,8 @@ class LocalDays:
     the day that is certain; instants outside them are converted afresh.
     """
 
-    # every epoch second from MIN_TS to MAX_TS has a local day, and a day
-    # after it, in every zone (offsets stay within a day of UTC)
-    MIN_TS = int(datetime(1, 1, 2, tzinfo=UTC).timestamp())
+    # every epoch second from 0 to MAX_TS has a local day, and a day after
+    # it, in every zone (offsets stay within a day of UTC)
     MAX_TS = int(datetime(9999, 12, 30, tzinfo=UTC).timestamp()) - 1
 
     def __init__(self, tz_name: str) -> None:

@@ -30,7 +30,7 @@ from backmap.ingest import (StudyWindow, ingest_cert_scan, ingest_passive_dns,
                             observations_from_resolutions)
 from backmap.synth import (OutageSpec, ProviderSpec, RegionSpec, ScannerSpec,
                            UniverseConfig, generate)
-from backmap.timeutil import utc
+from backmap.timeutil import to_epoch, utc
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -343,7 +343,7 @@ def test_c09_stability_algebra():
     def snapshot(ips):
         return {("p", ip): CandidateAddress(
             ip=ip, provider_id="p", sources=frozenset({"tls-cert"}),
-            first_seen=WINDOW_1D.start, last_seen=WINDOW_1D.start,
+            first_seen=to_epoch(WINDOW_1D.start), last_seen=to_epoch(WINDOW_1D.start),
             fqdns=frozenset({"d.p.example"})) for ip in ips}
 
     rng = random.Random(9)

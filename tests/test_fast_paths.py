@@ -5,9 +5,10 @@
 `PrefixIndex.containing` and the prefix table and blocklist inserts take a
 shortcut for the one spelling this program writes; `ingest._match_name` and
 `fusion.classify_sharing` ask only the catalog patterns a name could match;
-`ingest.NameMatches` and the `timeutil` memos answer a repeated value from
-memory; catalogs are parsed by libyaml's loader where PyYAML has it. Each must give what
-the general code gives, value for value and error for error. The general
+`ingest.NameMatches` answers a repeated name from memory;
+`timeutil.epoch_second` passes an in-range int as it is; catalogs are
+parsed by libyaml's loader where PyYAML has it. Each must give what the
+general code gives, value for value and error for error. The general
 code is kept here as the reference.
 """
 
@@ -16,9 +17,8 @@ import ipaddress
 import string
 import sys
 import types
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from pathlib import Path
-from zoneinfo import ZoneInfo
 
 import pytest
 import yaml
@@ -34,8 +34,8 @@ from backmap.fusion import classify_sharing
 from backmap.netutil import (PrefixIndex, canonical_ip, ip_family, network_range,
                              prefix_contains, truncate_prefix)
 from backmap.synth import write_synthetic_catalog
-from backmap.timeutil import (UTC, ensure_utc, fmt_iso, fmt_iso_memo, from_epoch,
-                              from_epoch_memo, local_date, local_date_memo, parse_iso)
+from backmap.timeutil import (UTC, IsoSeconds, ensure_utc, epoch_second, fmt_iso, from_epoch,
+                              parse_iso, to_epoch)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -363,13 +363,8 @@ def test_match_name_asks_only_patterns_with_the_name_s_suffix(catalog_patterns,
 
 
 # --- memos -----------------------------------------------------------------------
-# Each memo must give, for every value of a call or run, what the helper it
-# remembers gives for that value alone: repeats, equal instants in different
-# zones and the two New York 01:30s of 2022-11-06 (fold 0 and 1, which
-# compare and hash equal) included.
-
-NEW_YORK = ZoneInfo("America/New_York")
-MEMO_ZONES = ("America/New_York", "America/Regina", "Asia/Kolkata", "Europe/Berlin", "UTC")
+# A memo must give, for every value of a call or run, what the code it
+# remembers gives for that value alone, repeats included.
 
 
 def repeated(values, rnd):
@@ -380,81 +375,47 @@ def repeated(values, rnd):
     return list(values) + again
 
 
-@st.composite
-def memo_datetimes(draw):
-    """Around the 2022-11-06 New York fold: UTC instants, New York wall times
-    of either fold, other zones' wall times, a UTC instant seen from
-    another zone, other fixed offsets and naive values."""
-    wall = draw(st.datetimes(datetime(2022, 11, 5, 20), datetime(2022, 11, 6, 8)))
-    zone = ZoneInfo(draw(st.sampled_from(MEMO_ZONES)))
-    how = draw(st.sampled_from(["utc", "wall", "fold", "seen-from", "offset", "naive"]))
-    if how == "utc":
-        return wall.replace(tzinfo=UTC)
-    if how == "wall":
-        return wall.replace(tzinfo=zone)
-    if how == "fold":
-        return wall.replace(tzinfo=NEW_YORK, fold=draw(st.sampled_from([0, 1])))
-    if how == "seen-from":
-        return wall.replace(tzinfo=UTC).astimezone(zone)
-    if how == "offset":
-        return wall.replace(tzinfo=timezone(timedelta(hours=draw(st.integers(-12, 14)))))
-    return wall
-
-
-def assert_memo_agrees(memo, helper, values):
-    assert [outcome_with_message(memo, v) for v in values] == \
-        [outcome_with_message(helper, v) for v in values], values
-
-
-def test_fmt_iso_memo_keeps_the_two_new_york_01_30s_apart():
-    first = datetime(2022, 11, 6, 1, 30, tzinfo=NEW_YORK)
-    second = first.replace(fold=1)
-    assert first == second and hash(first) == hash(second)
-    iso = fmt_iso_memo()
-    assert [iso(first), iso(second)] == ["2022-11-06T05:30:00Z", "2022-11-06T06:30:00Z"]
-    dated = local_date_memo("America/Regina")  # UTC-6 all year
-    assert [dated(first), dated(second)] == ["2022-11-05", "2022-11-06"]
-    assert [dated(first.astimezone(UTC)), dated(second.astimezone(UTC))] == \
-        ["2022-11-05", "2022-11-06"]
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(memo_datetimes(), max_size=12), rnd=st.randoms())
-def test_fmt_iso_memo_agrees_with_fmt_iso(values, rnd):
-    assert_memo_agrees(fmt_iso_memo(), fmt_iso, repeated(values, rnd))
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(memo_datetimes(), max_size=12), tz=st.sampled_from(MEMO_ZONES),
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-62135596800, 253402300799), max_size=12),
        rnd=st.randoms())
-def test_local_date_memo_agrees_with_local_date(values, tz, rnd):
-    assert_memo_agrees(local_date_memo(tz), lambda dt: local_date(dt, tz),
-                       repeated(values, rnd))
+def test_iso_seconds_formats_each_second_as_fmt_iso(values, rnd):
+    iso = IsoSeconds()
+    values = repeated(values, rnd)
+    assert [iso[v] for v in values] == [fmt_iso(from_epoch(v)) for v in values]
 
+
+# --- epoch seconds -----------------------------------------------------------------
+# The export readers take every epoch value through `epoch_second`, which
+# passes an in-range int as it is and sends any other value to `from_epoch`.
 
 EPOCH_VALUES = st.one_of(
-    st.integers(1_600_000_000, 1_600_000_005),          # a few distinct ints, repeated
+    st.integers(1_600_000_000, 1_600_000_005),          # a few distinct ints
     st.integers(1_600_000_000, 1_600_000_005).map(float),  # floats equal to them
-    st.floats(1.6e9, 1.6e9 + 5), st.booleans(),
+    st.floats(1.6e9, 1.6e9 + 5), st.floats(-5, 5), st.booleans(),  # negative fractions too
     st.integers(-2 ** 70, 2 ** 70),                      # out of range too
+    st.integers(-62135596802, -62135596798),             # around 0001-01-01T00:00:00Z
+    st.integers(253402300797, 253402300801),             # around 9999-12-31T23:59:59Z
     st.sampled_from([float("nan"), float("inf"), None, "1600000000", [1], 2 ** 63]),
 )
 
 
-def same_epoch_outcome(fn, value):
-    got = outcome_with_message(fn, value)
-    if got[0] == "value":
-        return "value", got[1].isoformat(), got[1].tzinfo, got[1].fold
-    return got
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(EPOCH_VALUES, max_size=12), rnd=st.randoms())
-def test_from_epoch_memo_agrees_with_from_epoch(values, rnd):
-    memo = from_epoch_memo()
-    values = repeated(values, rnd)
-    assert [same_epoch_outcome(memo, v) for v in values] == \
-        [same_epoch_outcome(from_epoch, v) for v in values], values
+@settings(max_examples=500, deadline=None)
+@given(value=EPOCH_VALUES)
+def test_epoch_second_accepts_what_from_epoch_accepts_as_its_iso_second(value):
+    """The same values are accepted, and rejected with the same error; an
+    accepted one gives the int second its ISO-8601 line reads back as,
+    which floors a fraction, also below zero."""
+    got = outcome_with_message(epoch_second, value)
+    want = outcome_with_message(from_epoch, value)
+    if want[0] == "raises":
+        assert got == want, value
+        return
+    dt = want[1]
+    if dt.year >= 1000:
+        second = to_epoch(parse_iso(fmt_iso(dt)))
+    else:  # fmt_iso writes fewer than four year digits, which parse_iso rejects
+        second = to_epoch(parse_iso(dt.replace(microsecond=0).isoformat()))
+    assert got == ("value", second) and type(got[1]) is int, value
 
 
 def reference_region_token(patterns_by_id, pid, fqdns):

@@ -11,9 +11,9 @@ from backmap.footprint import (BackendServer, LocationHint, PrefixTable,
 from backmap.fusion import fuse
 from backmap.geo import Location
 from backmap.ingest import Observation
-from backmap.timeutil import utc
+from backmap.timeutil import to_epoch, utc
 
-T0 = utc(2022, 2, 28)
+T0 = to_epoch(utc(2022, 2, 28))
 
 
 def hint(country, source="scan-metadata", city=None):

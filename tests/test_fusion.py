@@ -1,5 +1,4 @@
 import random
-from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +10,14 @@ from backmap.fusion import (GroundTruthSet, ReverseIndexMissError,
                             read_candidates, source_contribution,
                             validate_against_ground_truth, write_candidates)
 from backmap.ingest import Observation
-from backmap.timeutil import utc
+from backmap.timeutil import to_epoch, utc
 
-T0 = utc(2022, 2, 28)
+T0 = to_epoch(utc(2022, 2, 28))
 
 
 def obs(ip, source, pid="amazon", fqdn="x.iot.us-east-1.amazonaws.com", hours=0):
     return Observation(provider_id=pid, fqdn=fqdn, ip=ip, source=source,
-                       seen_at=T0 + timedelta(hours=hours))
+                       seen_at=T0 + hours * 3600)
 
 
 class TestFuse:
@@ -43,8 +42,8 @@ class TestFuse:
                 obs("192.0.2.1", "active-dns", hours=1,
                     fqdn="y.iot.us-east-1.amazonaws.com")]
         cand = fuse(rows)[("amazon", "192.0.2.1")]
-        assert cand.first_seen == T0 + timedelta(hours=1)
-        assert cand.last_seen == T0 + timedelta(hours=5)
+        assert cand.first_seen == T0 + 3600
+        assert cand.last_seen == T0 + 5 * 3600
         assert cand.fqdns == {"x.iot.us-east-1.amazonaws.com",
                               "y.iot.us-east-1.amazonaws.com"}
 

@@ -15,17 +15,19 @@ from backmap.ingest import (CertScanRecord, MalformedRecord,
                             read_pdns_export, write_cert_scan_export,
                             read_observations)
 from backmap.pipeline import RunConfig, run_pipeline
-from backmap.timeutil import utc
+from backmap.timeutil import from_epoch, to_epoch, utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 7))
+START, END = to_epoch(WINDOW.start), to_epoch(WINDOW.end)
+HOUR, DAY = 3600, 86400
 
 
 def cert(names, not_before=None, not_after=None, observed=None, ip="192.0.2.10"):
     return CertScanRecord(
         ip=ip, port=8883, names=tuple(names),
-        not_before=not_before or WINDOW.start - timedelta(days=10),
-        not_after=not_after or WINDOW.end + timedelta(days=10),
-        observed_at=observed or WINDOW.start + timedelta(hours=5),
+        not_before=not_before or START - 10 * DAY,
+        not_after=not_after or END + 10 * DAY,
+        observed_at=observed or START + 5 * HOUR,
     )
 
 
@@ -41,16 +43,16 @@ class TestCertIngest:
 
     def test_expired_before_window(self, catalog_patterns):
         expired = cert(["x.iot.us-east-1.amazonaws.com"],
-                       not_before=WINDOW.start - timedelta(days=30),
-                       not_after=WINDOW.start - timedelta(days=1))
+                       not_before=START - 30 * DAY,
+                       not_after=START - DAY)
         result = ingest_cert_scan([expired], catalog_patterns, WINDOW)
         assert result.observations == ()
         assert result.stats.skipped_window == 1
 
     def test_validity_overlap_not_containment(self, catalog_patterns):
         rotating = cert(["x.iot.us-east-1.amazonaws.com"],
-                        not_before=WINDOW.start + timedelta(days=2),
-                        not_after=WINDOW.end + timedelta(days=300))
+                        not_before=START + 2 * DAY,
+                        not_after=END + 300 * DAY)
         result = ingest_cert_scan([rotating], catalog_patterns, WINDOW)
         assert len(result.observations) == 1
 
@@ -79,8 +81,8 @@ class TestPdnsIngest:
     def pdns(self, rrname, rdata="203.0.113.5", rrtype="A", first=None, last=None):
         return PassiveDnsRecord(
             rrname=rrname, rrtype=rrtype, rdata=rdata,
-            first_seen=first or WINDOW.start + timedelta(days=1),
-            last_seen=last or WINDOW.start + timedelta(days=2),
+            first_seen=first or START + DAY,
+            last_seen=last or START + 2 * DAY,
         )
 
     def test_alibaba_record_inside_window(self, catalog_patterns):
@@ -92,8 +94,8 @@ class TestPdnsIngest:
 
     def test_last_seen_before_window(self, catalog_patterns):
         old = self.pdns("dev1.iot.cn-shanghai.aliyuncs.com",
-                        first=WINDOW.start - timedelta(days=9),
-                        last=WINDOW.start - timedelta(days=8))
+                        first=START - 9 * DAY,
+                        last=START - 8 * DAY)
         result = ingest_passive_dns([old], catalog_patterns, WINDOW)
         assert result.observations == ()
 
@@ -106,7 +108,7 @@ class TestPdnsIngest:
     def test_other_rrtypes_skipped_with_counter(self, catalog_patterns):
         record = PassiveDnsRecord(
             rrname="dev1.iot.cn-shanghai.aliyuncs.com", rrtype="CNAME",
-            rdata="anything", first_seen=WINDOW.start, last_seen=WINDOW.end)
+            rdata="anything", first_seen=START, last_seen=END)
         result = ingest_passive_dns([record], catalog_patterns, WINDOW)
         assert result.observations == ()
         assert result.stats.skipped_rrtype == 1
@@ -114,7 +116,7 @@ class TestPdnsIngest:
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             PassiveDnsRecord(rrname="a.example", rrtype="A", rdata="2001:db8::1",
-                             first_seen=WINDOW.start, last_seen=WINDOW.end)
+                             first_seen=START, last_seen=END)
 
 
 def test_study_window_rejects_inverted_bounds():
@@ -124,35 +126,56 @@ def test_study_window_rejects_inverted_bounds():
 
 def test_cert_record_rejects_inverted_validity():
     with pytest.raises(ValueError, match="inverted"):
-        cert(["x.example"], not_before=WINDOW.end, not_after=WINDOW.start)
+        cert(["x.example"], not_before=END, not_after=START)
 
 
 def test_resolution_result_invariant():
     with pytest.raises(ValueError, match="answers"):
         ResolutionResult(fqdn="a.example", vantage_id="v1", answers=(),
-                         resolved_at=WINDOW.start, status="ok")
+                         resolved_at=START, status="ok")
     with pytest.raises(ValueError, match="answers"):
         ResolutionResult(fqdn="a.example", vantage_id="v1", answers=("192.0.2.1",),
-                         resolved_at=WINDOW.start, status="timeout")
+                         resolved_at=START, status="timeout")
 
 
 def test_observations_from_resolutions(catalog_patterns):
     results = [
         ResolutionResult(fqdn="x.iot.eu-west-1.amazonaws.com", vantage_id="v1",
                          answers=("192.0.2.1", "192.0.2.2"),
-                         resolved_at=WINDOW.start + timedelta(hours=1), status="ok"),
+                         resolved_at=START + HOUR, status="ok"),
         ResolutionResult(fqdn="x.iot.eu-west-1.amazonaws.com", vantage_id="v2",
-                         answers=(), resolved_at=WINDOW.start, status="nxdomain"),
+                         answers=(), resolved_at=START, status="nxdomain"),
     ]
     ingested = observations_from_resolutions(results, catalog_patterns, WINDOW)
     assert {o.ip for o in ingested.observations} == {"192.0.2.1", "192.0.2.2"}
     assert all(o.source == "active-dns" for o in ingested.observations)
 
 
+def test_a_bound_inside_a_second_counts_from_the_next_second(catalog_patterns):
+    """Records hold whole seconds. A window from 00:00:00.5 holds seconds
+    1 on, up to and including the second its end falls in; a passive-DNS
+    row that began before it is seen at its first second."""
+    half = timedelta(milliseconds=500)
+    window = StudyWindow(WINDOW.start + half, WINDOW.end + half)
+    assert window.epoch_bounds() == (START + 1, END + 1)
+    assert StudyWindow(utc(1969, 12, 31, 23, 59, 59) + half, WINDOW.end).epoch_bounds() == \
+        (0, END)
+    fqdn = "x.iot.eu-west-1.amazonaws.com"
+    results = [ResolutionResult(fqdn=fqdn, vantage_id="v1", answers=(f"192.0.2.{i + 1}",),
+                                resolved_at=ts, status="ok")
+               for i, ts in enumerate((START, START + 1, END, END + 1))]
+    kept = observations_from_resolutions(results, catalog_patterns, window).observations
+    assert [o.seen_at for o in kept] == [START + 1, END]
+    record = PassiveDnsRecord(rrname="dev1.iot.cn-shanghai.aliyuncs.com", rrtype="A",
+                              rdata="203.0.113.5", first_seen=START - DAY, last_seen=START + 1)
+    [seen] = ingest_passive_dns([record], catalog_patterns, window).observations
+    assert seen.seen_at == START + 1
+
+
 # --- window properties -------------------------------------------------------------
 
 
-EPOCH0 = WINDOW.start - timedelta(days=30)
+EPOCH0 = START - 30 * DAY
 offsets = st.integers(min_value=0, max_value=60 * 24)  # minutes over ~60 days
 
 
@@ -162,12 +185,12 @@ offsets = st.integers(min_value=0, max_value=60 * 24)  # minutes over ~60 days
 def test_window_soundness_certs(catalog_patterns, start_min, dur, obs_min):
     """Emitted observations always satisfy the overlap rule, straddles included."""
     record = cert(["x.iot.us-east-1.amazonaws.com"],
-                  not_before=EPOCH0 + timedelta(hours=start_min),
-                  not_after=EPOCH0 + timedelta(hours=start_min + dur),
-                  observed=EPOCH0 + timedelta(hours=obs_min))
+                  not_before=EPOCH0 + start_min * HOUR,
+                  not_after=EPOCH0 + (start_min + dur) * HOUR,
+                  observed=EPOCH0 + obs_min * HOUR)
     result = ingest_cert_scan([record], catalog_patterns, WINDOW)
-    expected = (WINDOW.overlaps(record.not_before, record.not_after)
-                and WINDOW.contains(record.observed_at))
+    expected = (WINDOW.overlaps(from_epoch(record.not_before), from_epoch(record.not_after))
+                and WINDOW.contains(from_epoch(record.observed_at)))
     assert bool(result.observations) == expected
 
 
@@ -177,8 +200,8 @@ def test_window_monotonicity_pdns(catalog_patterns, first, dur):
     """Enlarging the window never removes observations."""
     record = PassiveDnsRecord(
         rrname="dev1.iot.cn-shanghai.aliyuncs.com", rrtype="A", rdata="203.0.113.5",
-        first_seen=EPOCH0 + timedelta(hours=first),
-        last_seen=EPOCH0 + timedelta(hours=first + dur))
+        first_seen=EPOCH0 + first * HOUR,
+        last_seen=EPOCH0 + (first + dur) * HOUR)
     small = ingest_passive_dns([record], catalog_patterns, WINDOW)
     big = ingest_passive_dns([record], catalog_patterns,
                              StudyWindow(WINDOW.start - timedelta(days=40),

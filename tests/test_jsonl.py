@@ -1,6 +1,5 @@
 import json
 import re
-from datetime import timedelta
 
 import pytest
 
@@ -13,9 +12,9 @@ from backmap.ingest import (CertScanRecord, MalformedRecord, Observation, Passiv
                             read_pdns_export, read_resolutions, write_observations,
                             write_resolutions)
 from backmap.pipeline import _read_sharing, read_servers, write_servers, write_sharing
-from backmap.timeutil import fmt_iso, to_epoch, utc
+from backmap.timeutil import fmt_iso, from_epoch, to_epoch, utc
 
-T0 = utc(2022, 2, 28, 6)
+T0 = to_epoch(utc(2022, 2, 28, 6))
 IPS = ("192.0.2.1", "192.0.2.2")
 
 
@@ -32,7 +31,7 @@ def write_two_resolutions(path):
 
 def write_two_flows(path):
     write_flows_jsonl(path, [
-        FlowRecord(ts=to_epoch(T0), line_id="L1", server_ip=ip, server_port=443,
+        FlowRecord(ts=T0, line_id="L1", server_ip=ip, server_port=443,
                    transport="tcp", direction="downstream", sampled_bytes=100,
                    sampled_packets=1, sampling_rate=1) for ip in IPS])
 
@@ -152,11 +151,11 @@ def test_well_typed_bad_value_keeps_the_record_s_reason(tmp_path, name, field, v
 EXPORT_ROWS = {
     "pdns": (read_pdns_export, PassiveDnsRecord, "rdata",
              {"rrname": "a.p1.example", "rrtype": "A", "rdata": "192.0.2.1",
-              "time_first": to_epoch(T0), "time_last": to_epoch(T0)}),
+              "time_first": T0, "time_last": T0}),
     "cert": (read_cert_scan_export, CertScanRecord, "port",
              {"ip": "192.0.2.1", "port": 443, "names": ["a.p1.example"],
-              "validity": {"start": to_epoch(T0), "end": to_epoch(T0)},
-              "observed_at": to_epoch(T0)}),
+              "validity": {"start": T0, "end": T0},
+              "observed_at": T0}),
 }
 
 
@@ -193,11 +192,11 @@ def hostile_observations():
         Observation(provider_id=ODD, fqdn="z\u00fcrich.p1.example", ip="192.0.2.1",
                     source="tls-cert", seen_at=T0, wildcard=True),
         Observation(provider_id="p1", fqdn=ODD, ip="192.0.2.1", source="passive-dns",
-                    seen_at=T0 + timedelta(hours=1)),
+                    seen_at=T0 + 3600),
         Observation(provider_id="p1", fqdn="z\u00fcrich.p1.example", ip="192.0.2.1",
-                    source="active-dns", seen_at=T0 + timedelta(hours=2)),
+                    source="active-dns", seen_at=T0 + 2 * 3600),
         Observation(provider_id="p1", fqdn="b.p1.example", ip="2001:db8::1",
-                    source="tls-cert", seen_at=T0 + timedelta(hours=3)),
+                    source="tls-cert", seen_at=T0 + 3 * 3600),
     ]
 
 
@@ -220,13 +219,14 @@ REVERSE = {"192.0.2.1": {"z\u00fcrich.example", "x.other.example", "q.example"}}
 
 def observation_docs(observations):
     return [{"provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
-             "source": o.source, "seen_at": fmt_iso(o.seen_at), "wildcard": o.wildcard}
+             "source": o.source, "seen_at": fmt_iso(from_epoch(o.seen_at)), "wildcard": o.wildcard}
             for o in observations]
 
 
 def candidate_docs(candidates):
     return [{"provider_id": c.provider_id, "ip": c.ip, "sources": sorted(c.sources),
-             "first_seen": fmt_iso(c.first_seen), "last_seen": fmt_iso(c.last_seen),
+             "first_seen": fmt_iso(from_epoch(c.first_seen)),
+             "last_seen": fmt_iso(from_epoch(c.last_seen)),
              "fqdns": sorted(c.fqdns)} for _, c in sorted(candidates.items())]
 
 

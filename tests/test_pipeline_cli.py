@@ -338,6 +338,34 @@ class TestArtifactHandoff:
     def test_handed_over_artifacts_equal_their_files(self, universe_dir, tmp_path):
         run_checking_handoff(make_run_config(universe_dir, tmp_path / "out"))
 
+    def test_discovery_holds_every_instant_as_an_int(self, universe_dir, tmp_path):
+        """One time representation from export to artifact: every record
+        the readers give, every observation discover hands over and every
+        candidate fuse hands over holds int epoch seconds."""
+        from backmap import pipeline
+        from backmap.catalog import compile_catalog, load_catalog
+        from backmap.ingest import read_cert_scan_export, read_pdns_export, read_resolutions
+
+        config = make_run_config(universe_dir, tmp_path / "out")
+        config.out_dir.mkdir(parents=True)
+        profiles = load_catalog(config.catalog)
+        state = pipeline.RunState(config=config, profiles=profiles,
+                                  patterns=compile_catalog(profiles))
+        pipeline._stage_discover(state)
+        observations = list(state.held["observations"])  # fuse lets them go
+        pipeline._stage_fuse(state)
+        candidates = state.held["candidates"].values()
+        instants = {
+            "certs": [t for r in read_cert_scan_export(config.certs)
+                      for t in (r.not_before, r.not_after, r.observed_at)],
+            "pdns": [t for r in read_pdns_export(config.pdns) for t in (r.first_seen, r.last_seen)],
+            "resolutions": [r.resolved_at for r in read_resolutions(config.resolutions)],
+            "observations": [o.seen_at for o in observations],
+            "candidates": [t for c in candidates for t in (c.first_seen, c.last_seen)],
+        }
+        for name, values in instants.items():
+            assert values and {type(t) for t in values} == {int}, name
+
     def test_sub_second_unsorted_observations_are_handed_over_as_read(self, universe_dir,
                                                                        tmp_path):
         """Resolutions at fractional epoch seconds, in reverse order: the

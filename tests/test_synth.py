@@ -6,12 +6,13 @@ from backmap import oracle as orc
 from backmap.catalog import compile_catalog
 from backmap.flows import detect_scanners, line_contact_sets
 from backmap.footprint import diff_snapshots
-from backmap.fusion import fuse
+from backmap.fusion import fuse, read_candidates
 from backmap.ingest import StudyWindow, ingest_cert_scan, ingest_passive_dns
+from backmap.pipeline import RunConfig, run_pipeline
 from backmap.synth import (FlowTruth, ProviderSpec, RegionSpec, ScannerSpec,
                            UniverseConfig, generate, largest_remainder, read_truth,
                            write_truth)
-from backmap.timeutil import utc
+from backmap.timeutil import to_epoch, utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 2))
 
@@ -114,16 +115,19 @@ class TestStructure:
             ProviderSpec(provider_id="x", n_servers=3, coverage={"tls-cert": 1.5})
 
 
+def churn_config(**kw):
+    return small_config(
+        window=StudyWindow(utc(2022, 2, 28), utc(2022, 3, 7)),
+        providers=(ProviderSpec(
+            provider_id="p01", n_servers=40, adoption=0.4, churn_rate=0.1,
+            regions=(RegionSpec("eu-1", "DE"),),
+            coverage={"tls-cert": 1.0, "passive-dns": 1.0, "active-dns": 1.0}),),
+        **kw)
+
+
 class TestChurn:
     def test_stability_diffs_match_churn_log(self, tmp_path):
-        config = small_config(
-            window=StudyWindow(utc(2022, 2, 28), utc(2022, 3, 7)),
-            providers=(ProviderSpec(
-                provider_id="p01", n_servers=40, adoption=0.4, churn_rate=0.1,
-                regions=(RegionSpec("eu-1", "DE"),),
-                coverage={"tls-cert": 1.0, "passive-dns": 1.0, "active-dns": 1.0}),),
-        )
-        universe = generate(config)
+        universe = generate(churn_config())
         truth = universe.truth
         dates = sorted(truth.daily_discovered)
         assert len(dates) == 7
@@ -140,13 +144,39 @@ class TestChurn:
             def as_candidates(date):
                 return {("p01", ip): CandidateAddress(
                     ip=ip, provider_id="p01", sources=frozenset({"tls-cert"}),
-                    first_seen=WINDOW.start, last_seen=WINDOW.start,
+                    first_seen=to_epoch(WINDOW.start), last_seen=to_epoch(WINDOW.start),
                     fqdns=frozenset({"d.example"}))
                     for ip in truth.daily_discovered[date]["p01"]}
             diff = diff_snapshots(as_candidates(date_a), as_candidates(date_b),
                                   date_a, date_b)["p01"]
             assert diff.only_b == set(added)
             assert diff.only_a == set(removed)
+
+    @pytest.mark.parametrize("tz", ["UTC", "Asia/Kolkata", "America/New_York",
+                                    "Atlantic/Cape_Verde", "America/Noronha"])
+    def test_each_snapshot_is_its_days_truth(self, tmp_path, tz):
+        """A study day's observations fall on the local date its truth
+        names, also where local midnight comes one or two hours after the
+        UTC day starts (Cape Verde, Noronha): fuse's dated snapshots are the
+        truth's daily discovered sets, date for date."""
+        universe = generate(churn_config(timezone=tz, n_lines=0))
+        universe.write_to(tmp_path / "in")
+        inputs = tmp_path / "in"
+        out_dir = tmp_path / "out"
+        run_pipeline(RunConfig(catalog=inputs / "catalog.yaml", window=universe.config.window,
+                               out_dir=out_dir, certs=inputs / "certs.jsonl",
+                               pdns=inputs / "pdns.jsonl",
+                               resolutions=inputs / "resolutions.jsonl", timezone=tz),
+                     ["discover", "fuse"])
+        daily = universe.truth.daily_discovered
+        snapshots = sorted((out_dir / "snapshots").glob("candidates-*"))
+        assert [p.name for p in snapshots] == [f"candidates-{d}" for d in sorted(daily)]
+        for path in snapshots:
+            got = {}
+            for pid, ip in read_candidates(path):
+                got.setdefault(pid, set()).add(ip)
+            want = daily[path.name.split("candidates-")[1]]
+            assert got == {pid: set(ips) for pid, ips in want.items() if ips}, path.name
 
 
 class TestTruthRoundtrip:
