@@ -10,7 +10,7 @@ the findings.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -43,9 +43,11 @@ class OutageFinding:
 class BlocklistEntry:
     list_id: str
     cidr: str
+    net: tuple = field(init=False, repr=False, compare=False)  # parse_prefix(cidr)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cidr", parse_prefix(self.cidr)[3])
+        object.__setattr__(self, "net", parse_prefix(self.cidr))
+        object.__setattr__(self, "cidr", self.net[3])
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ class BlocklistIndex:
     def __init__(self, entries: Iterable[BlocklistEntry]) -> None:
         self._index: PrefixIndex[set[str]] = PrefixIndex()
         for entry in entries:
-            self._index.insert(entry.cidr, lambda _, ids, lid=entry.list_id: {lid, *(ids or ())})
+            self._index.insert(entry.net, lambda _, ids, lid=entry.list_id: {lid, *(ids or ())})
 
     def matches(self, ip: str) -> set[str]:
         """All list ids with a block containing the address."""

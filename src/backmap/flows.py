@@ -43,7 +43,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .catalog import ProviderProfile
 from .footprint import BackendServer
 from .geo import region_class
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import Memo, read_jsonl, write_jsonl
 from .netutil import canonical_ip, ip_family
 from .timeutil import LocalDays, from_epoch
 
@@ -57,11 +57,11 @@ _MAGIC = b"BMFL"
 # the family byte and the address are read as one 17-byte field, so one dict
 # lookup decodes both
 _REC = struct.Struct("<Q16s17sHBBQII3x")
-# the fields each flow pass reads of a record: the contact sets (ts, line,
-# key), aggregation also (direction, sampled_bytes, sampling_rate). The key
-# is the family, address, port and transport bytes as one 20-byte field.
-_CONTACT_ROW = struct.Struct("<Q16s20s20x")
-_AGGREGATE_ROW = struct.Struct("<Q16s20sBQ4xI3x")
+# the fields each flow pass reads of a record: the contact sets (ts, pair),
+# aggregation also (direction, sampled_bytes, sampling_rate). The pair is the
+# 16-byte line key and the 20-byte family, address, port and transport key.
+_CONTACT_ROW = struct.Struct("<Q36s20x")
+_AGGREGATE_ROW = struct.Struct("<Q36sBQ4xI3x")
 _CHUNK_RECORDS = 4096  # records per chunk of `.bmf` bytes the flow passes read
 _TRANSPORT_CODES = {"tcp": 6, "udp": 17}
 _TRANSPORTS = {code: name for name, code in _TRANSPORT_CODES.items()}
@@ -162,7 +162,8 @@ def line_contact_sets(
 ) -> dict[tuple[str, str], set[str]]:
     """(line, local date) -> distinct backend server IPs contacted.
 
-    Rows come from `_row_source`, already checked. A line or address key is
+    Rows come from `_row_source`, already checked. Only the first row of a
+    (line, key) pair on a local day can add an IP. A line or address key is
     decoded on its first sight only, and an address key is kept as its
     backend IP, or "" for any other address.
     """
@@ -171,41 +172,30 @@ def line_contact_sets(
     out: dict[tuple[str, str], set[str]] = defaultdict(set)
     lines: dict = {}  # line key -> line; an excluded line is never stored
     backend: dict = {}  # address key -> its backend IP, or ""
-    lines_get, backend_get = lines.get, backend.get
-
-    def first_sight(line_key, key) -> tuple:
-        """(line, ip) of a row with a key not stored yet; an excluded
-        line's rows are decoded and get no IP."""
-        ip = backend_get(key)
-        if ip is None:
-            ip = _unpack_key(key)[0]
-            ip = backend[key] = ip if ip in backend_ips else ""
-        line = lines_get(line_key)
-        if line is None:
-            line = _unpack_line(line_key)
-            if line in skip:
-                return line, ""
-            lines[line_key] = line
-        return line, ip
-
     day, start, end = "", 0, 0
-    today: dict = {}  # line key -> its contact set for `day`
-    today_get = today.get
+    seen: set = set()  # pairs seen on `day`
     try:
         for rows in batches:
-            for ts, line_key, key in rows:
-                line = lines_get(line_key)
-                ip = backend_get(key)
-                if line is None or ip is None:
-                    line, ip = first_sight(line_key, key)
+            for ts, pair in rows:
+                if not start <= ts < end:
+                    day, start, end = days.day(ts)
+                    seen.clear()
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                line_key, key = pair[:16], pair[16:]
+                ip = backend.get(key)
+                if ip is None:
+                    ip = _unpack_key(key)[0]
+                    ip = backend[key] = ip if ip in backend_ips else ""
+                line = lines.get(line_key)
+                if line is None:
+                    line = _unpack_line(line_key)
+                    if line in skip:  # its rows are decoded and add nothing
+                        continue
+                    lines[line_key] = line
                 if ip:
-                    if not start <= ts < end:
-                        day, start, end = days.day(ts)
-                        today.clear()
-                    ips = today_get(line_key)
-                    if ips is None:
-                        ips = today[line_key] = out[(line, day)]
-                    ips.add(ip)
+                    out[(line, day)].add(ip)
     except ValueError:
         _locate(flows)
         raise
@@ -329,12 +319,13 @@ def aggregate_flows(
     Rows come from `_row_source`, already checked; the rows of lines a
     FlowFile excludes have their keys decoded and are skipped. Attribution
     depends only on a row's (address, port, transport) key, so it is decided
-    once per distinct key. An attributed row then updates two accumulators:
-    its hourly cell, keyed by (provider and region token, hour, direction),
-    which sums the row's bytes and adds its line to the set of lines of
-    (provider, hour); and the [down, up] bytes per (line, local day, key).
-    The hourly dicts and every other field are rolled up from those once at
-    the end, in the same key order a record-by-record pass would give.
+    once per distinct key, and what a row does once per (line, key) pair and
+    local day. An attributed row then updates two accumulators: the [down,
+    up] bytes of its (line, local day, key), and its hourly cell, keyed by
+    (provider and region token, hour, direction), which sums the row's bytes
+    and adds its line to the set of lines of (provider, hour). The hourly
+    dicts and every other field are rolled up from those once at the end,
+    in the same key order a record-by-record pass would give.
     """
     batches, skip = _row_source(flows, _AGGREGATE_ROW)
     cert_ips = cert_ips or set()
@@ -345,9 +336,8 @@ def aggregate_flows(
     attributions: list[tuple] = []
     series: dict[tuple[str, str], int] = {}  # (provider, region token) -> series id
     keys: dict = {}  # key -> (series id, attribution id), or () when unattributed
-    decoded: set = set()  # keys only an excluded line's rows have had
     lines: dict = {}  # line key -> line; an excluded line is never stored
-    lines_get, keys_get = lines.get, keys.get
+    line_days: dict[tuple[str, str], dict[int, list[int]]] = {}
 
     def decide(key) -> tuple:
         """(series id, attribution id) of a key, or () when unattributed."""
@@ -359,70 +349,66 @@ def aggregate_flows(
         attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
         return series.setdefault((pid, token), len(series)), len(attributions) - 1
 
-    def first_sight(line_key, key) -> tuple:
-        """(line, attribution) of a row with a key not stored yet, or
-        (None, None) for an excluded line's row, which decides nothing."""
-        line = lines_get(line_key)
+    def first_sight(pair, day):
+        """What a (line, key) pair's rows do on `day`: (line, [down, up] in
+        `line_days`, series id, provider) when attributed, () when not, and
+        0 on an excluded line. A pair back on a day it left keeps its [down,
+        up]."""
+        line_key, key = pair[:16], pair[16:]
+        line = lines.get(line_key)
         if line is None:
             line = _unpack_line(line_key)
             if line in skip:
-                if key not in keys and key not in decoded:
-                    _unpack_key(key)
-                    decoded.add(key)
-                return None, None
+                if key not in keys:
+                    _unpack_key(key)  # the key of an excluded line is checked too
+                return 0
             lines[line_key] = line
-        attribution = keys_get(key)
+        attribution = keys.get(key)
         if attribution is None:
             attribution = keys[key] = decide(key)
-        return line, attribution
+        if not attribution:
+            return ()
+        sid, triple = attribution
+        down_up = line_days.setdefault((line, day), {}).setdefault(triple, [0, 0])
+        return line, down_up, sid, attributions[triple][0]
 
     hour_lines: dict[tuple[str, int], set[str]] = defaultdict(set)
     # (series id, hour, direction) -> [estimated bytes, lines of (provider, hour)]
     cells: dict[tuple[int, int, int], list] = {}
     cells_get = cells.get
-
-    line_days: dict[tuple[str, str], dict[int, list[int]]] = {}
-    today: dict = {}  # line key -> its line_days slot for `day`
+    today: dict = {}  # pair -> its `first_sight` for `day`
     today_get = today.get
     attributed = unattributed = 0
     day, start, end = "", 0, 0
     try:
         for rows in batches:
-            for ts, line_key, key, direction, sampled_bytes, rate in rows:
-                line = lines_get(line_key)
-                attribution = keys_get(key)
-                if line is None or attribution is None:
-                    line, attribution = first_sight(line_key, key)
-                    if line is None:
-                        continue
-                if not attribution:
-                    unattributed += 1
-                    continue
-                sid, triple = attribution
-                attributed += 1
-                est = sampled_bytes * rate
+            for ts, pair, direction, sampled_bytes, rate in rows:
                 if not start <= ts < end:
                     day, start, end = days.day(ts)
                     today.clear()
-                slot = today_get(line_key)
-                if slot is None:
-                    slot = today[line_key] = line_days.setdefault((line, day), {})
-                pair = slot.get(triple)
-                if pair is None:
-                    pair = slot[triple] = [0, 0]
-                pair[direction] += est
+                entry = today_get(pair)
+                if entry is None:
+                    entry = today[pair] = first_sight(pair, day)
+                if not entry:
+                    if entry == ():
+                        unattributed += 1
+                    continue
+                line, down_up, sid, pid = entry
+                attributed += 1
+                est = sampled_bytes * rate
+                down_up[direction] += est
                 hour = ts // 3600
                 cell = (sid, hour, direction)
                 hourly = cells_get(cell)
                 if hourly is None:
-                    hourly = cells[cell] = [0, hour_lines[(attributions[triple][0], hour)]]
+                    hourly = cells[cell] = [0, hour_lines[(pid, hour)]]
                 hourly[0] += est
                 hourly[1].add(line)
     except ValueError:
         _locate(flows)
         raise
     # the key caches go before the rollup, where the pass holds the most
-    for cache in (lines, keys, decoded, today):
+    for cache in (lines, keys, today):
         cache.clear()
 
     region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
@@ -532,8 +518,9 @@ def source_ablation(agg: FlowAggregate) -> dict[str, float]:
 def activity_series(agg: FlowAggregate) -> dict[str, list[tuple[datetime, int]]]:
     """Hourly distinct active line counts per provider (unsuppressed)."""
     series: dict[str, list[tuple[datetime, int]]] = defaultdict(list)
+    start = Memo(from_epoch)
     for (pid, hour), lines in sorted(agg.provider_hour_lines.items()):
-        series[pid].append((from_epoch(hour * 3600), len(lines)))
+        series[pid].append((start[hour * 3600], len(lines)))
     return dict(series)
 
 
@@ -561,12 +548,9 @@ def traffic_series_and_ratio(agg: FlowAggregate) -> TrafficSummary:
     """Per-provider downstream series normalized by each provider's peak,
     plus the window-level downstream/upstream ratio."""
     raw: dict[str, list[tuple[datetime, int]]] = defaultdict(list)
+    start = Memo(from_epoch)
     for (pid, hour), est in sorted(agg.provider_hour_down.items()):
-        raw[pid].append((from_epoch(hour * 3600), est))
-    normalized = {}
-    for pid, series in raw.items():
-        peak = max((v for _, v in series), default=0)
-        normalized[pid] = [(ts, v / peak if peak else 0.0) for ts, v in series]
+        raw[pid].append((start[hour * 3600], est))
     ratios = {}
     providers = set(agg.provider_down) | set(agg.provider_up)
     for pid in sorted(providers):
@@ -577,7 +561,7 @@ def traffic_series_and_ratio(agg: FlowAggregate) -> TrafficSummary:
         else:
             ratios[pid] = RatioResult(value=down / up)
     return TrafficSummary(raw_down_series=dict(raw),
-                          normalized_down_series=normalized,
+                          normalized_down_series=_peak_normalized(raw),
                           down_up_ratio=ratios)
 
 
@@ -587,11 +571,17 @@ def regional_down_series(
     """Per (provider, region-token) hourly downstream series for outage
     scanning, peak-normalized per series."""
     raw: dict[tuple[str, str], list[tuple[datetime, float]]] = defaultdict(list)
+    start = Memo(from_epoch)
     for (pid, token, hour), est in sorted(agg.provider_region_hour_down.items()):
-        raw[(pid, token)].append((from_epoch(hour * 3600), float(est)))
+        raw[(pid, token)].append((start[hour * 3600], float(est)))
+    return _peak_normalized(raw)
+
+
+def _peak_normalized(raw: Mapping[Hashable, list[tuple[datetime, float]]]) -> dict:
+    """Each series of `raw` divided by its peak (0.0 throughout when that is 0)."""
     out = {}
     for key, series in raw.items():
-        peak = max((v for _, v in series), default=0.0)
+        peak = max(v for _, v in series)
         out[key] = [(ts, v / peak if peak else 0.0) for ts, v in series]
     return out
 
@@ -1005,19 +995,19 @@ def _record_chunks(records: Iterable[FlowRecord]) -> Iterator[bytes]:
 
 def _row_source(flows: Iterable[FlowRecord], row: struct.Struct) -> tuple:
     """(batches of rows, lines to skip) for one pass over `flows`, whose
-    rows have the fields of `row`: `_CONTACT_ROW` (ts, line key, key) or
-    `_AGGREGATE_ROW` (ts, line key, key, direction code, sampled_bytes,
+    rows have the fields of `row`: `_CONTACT_ROW` (ts, pair) or
+    `_AGGREGATE_ROW` (ts, pair, direction code, sampled_bytes,
     sampling_rate).
 
     The batches are `row.iter_unpack` over `.bmf` record chunks: a `.bmf`
     FlowFile's own, or any other flows, JSONL files included, packed by
     `_record_chunks`, whose records are checked as the JSONL reader checks
-    them. The line key is the raw 16-byte line field and the key the raw
-    20-byte family, address, port and transport field; the passes decode
-    each distinct one on its first sight (`_unpack_line`, `_unpack_key`),
-    which checks the line's ASCII and the address family. Each chunk of a
-    file is checked in bulk before its rows are read (`_chunk_ok`): ts,
-    sampling rate, direction and transport codes. A check that fails
+    them. The pair is the raw 36-byte field of a 16-byte line key and a
+    20-byte family, address, port and transport key; the passes decode
+    each distinct line key and key on its first sight (`_unpack_line`,
+    `_unpack_key`), which checks the line's ASCII and the address family.
+    Each chunk of a file is checked in bulk before its rows are read
+    (`_chunk_ok`): ts, sampling rate, direction and transport codes. A check that fails
     raises ValueError, and the pass then reads the file again with the
     record reader (`_locate`), which raises `<path>:<N>: ...` for the first
     bad record.

@@ -20,7 +20,7 @@ from .catalog import DomainPattern, ProviderProfile, match_fqdn  # noqa: F401
 from .fusion import CandidateAddress
 from .geo import Location
 from .ingest import NameMatches, name_matches
-from .netutil import PrefixIndex, ip_family, prefix_contains, truncate_prefix
+from .netutil import PrefixIndex, ip_family, parse_prefix, prefix_contains, truncate_prefix
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
 
@@ -138,7 +138,8 @@ class PrefixTable:
 
     def add(self, prefix: str, origins: Sequence[int]) -> None:
         origins = tuple(sorted(set(origins)))
-        self._index.insert(prefix, lambda text, _: RouteEntry(prefix=text, origins=origins))
+        self._index.insert(parse_prefix(prefix),
+                           lambda text, _: RouteEntry(prefix=text, origins=origins))
 
     def lookup(self, ip: str) -> RouteEntry:
         hits = self._index.containing(ip)

@@ -17,10 +17,10 @@ from typing import Iterable, Mapping, Sequence
 # because perfbench/layers.py wraps it at this name
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
 from .ingest import NameMatches, Observation, name_matches
-from .jsonl import (naming_fields, quote, quote_list, quote_sorted_memo, read_jsonl, text, texts,
+from .jsonl import (Memo, naming_fields, quote, quote_list, quote_sorted, read_jsonl, text, texts,
                     write_lines)
 from .netutil import canonical_ip, ip_family, parse_network
-from .timeutil import IsoSeconds, parse_iso, to_epoch
+from .timeutil import fmt_epoch, parse_iso, to_epoch
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
 
@@ -222,11 +222,11 @@ def validate_against_ground_truth(
 def write_candidates(path: str | Path,
                      candidates: Mapping[tuple[str, str], CandidateAddress]) -> None:
     """Dated snapshot file, one line per (provider, ip), byte-stable order."""
-    iso = IsoSeconds()
-    sources = quote_sorted_memo()  # the candidates share a few distinct source sets
+    iso = Memo(fmt_epoch)
+    sources = Memo(quote_sorted)  # the candidates share a few distinct source sets
     write_lines(path, (
         f'{{"provider_id": {quote(c.provider_id)}, "ip": {quote(c.ip)}, '
-        f'"sources": {sources(c.sources)}, '
+        f'"sources": {sources[c.sources]}, '
         f'"first_seen": {quote(iso[c.first_seen])}, "last_seen": {quote(iso[c.last_seen])}, '
         f'"fqdns": {quote_list(sorted(c.fqdns))}}}\n'
         for _, c in sorted(candidates.items())))

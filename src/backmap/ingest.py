@@ -28,9 +28,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
-from .jsonl import naming_fields, quote, read_jsonl, text, texts, write_jsonl, write_lines
+from .jsonl import Memo, naming_fields, quote, read_jsonl, text, texts, write_jsonl, write_lines
 from .netutil import canonical_ip, ip_family
-from .timeutil import IsoSeconds, ensure_utc, epoch_second, parse_iso, to_epoch
+from .timeutil import ensure_utc, epoch_second, fmt_epoch, parse_iso, to_epoch
 
 SOURCES = ("tls-cert", "passive-dns", "active-dns")
 
@@ -410,7 +410,7 @@ def read_observations(path: str | Path) -> Iterator[Observation]:
 
 
 def write_observations(path: str | Path, observations: Iterable[Observation]) -> None:
-    iso = IsoSeconds()
+    iso = Memo(fmt_epoch)
     write_lines(path, (
         f'{{"provider_id": {quote(o.provider_id)}, "fqdn": {quote(o.fqdn)}, '
         f'"ip": {quote(o.ip)}, "source": {quote(o.source)}, '

@@ -9,9 +9,9 @@ Every line written is `json.dumps` of its document, with the keys in the
 order written. The hot artifact writers (observations, candidates, sharing,
 servers) format their lines themselves, byte for byte as `json.dumps`
 would: text through `quote`, `quote_optional`, `quote_list` and
-`quote_sorted_memo`, and an int as `{n}`, which reads as `json.dumps`
-writes an int (a bool would not). The others build a dict per row for
-`write_jsonl`.
+`quote_sorted` (a repeated value once, through a `Memo`), and an int as
+`{n}`, which reads as `json.dumps` writes an int (a bool would not). The
+others build a dict per row for `write_jsonl`.
 """
 
 from __future__ import annotations
@@ -80,16 +80,21 @@ def quote_list(values: Iterable[str]) -> str:
     return "[" + ", ".join(map(quote, values)) + "]"
 
 
-def quote_sorted_memo() -> Callable[[frozenset[str]], str]:
-    """`quote_list(sorted(values))`, formatting each distinct set once."""
-    memo: dict[frozenset[str], str] = {}
+def quote_sorted(values: Iterable[str]) -> str:
+    return quote_list(sorted(values))
 
-    def quoted(values: frozenset[str]) -> str:
-        text = memo.get(values)
-        if text is None:
-            text = memo[values] = quote_list(sorted(values))
-        return text
-    return quoted
+
+class Memo(dict):
+    """`memo[key]` is `fn(key)`, computed on the key's first lookup only: a
+    writer's or a rollup's rows share a few distinct values, such as
+    source sets and instants."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn  # dict.__new__ has made the empty dict
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def naming_fields(build: Callable[[dict], T],

@@ -112,10 +112,10 @@ class PrefixIndex(Generic[V]):
         # per family: (shift, bucket) pairs, longest prefix (smallest shift) first
         self._levels: dict[int, list[tuple[int, dict[int, V]]]] = {4: [], 6: []}
 
-    def insert(self, prefix: str, value: Callable[[str, V | None], V]) -> None:
-        """Store `value(text, old)` for the network `prefix`: text is its
-        canonical form (`parse_prefix`), old the value stored so far or None."""
-        family, length, network, text = parse_prefix(prefix)
+    def insert(self, prefix: tuple, value: Callable[[str, V | None], V]) -> None:
+        """Store `value(text, old)` for the network `parse_prefix` gave as
+        `prefix`: text is its canonical form, old the value so far or None."""
+        family, length, network, text = prefix
         bucket = self._buckets.get((family, length))
         if bucket is None:
             bucket = self._buckets[family, length] = {}

@@ -34,8 +34,8 @@ from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
                      ingest_passive_dns, name_matches, observations_from_resolutions,
                      read_cert_scan_export, read_observations, read_pdns_export,
                      read_resolutions, write_observations)
-from .jsonl import (integer, naming_fields, optional_text, quote, quote_optional,
-                    quote_sorted_memo, read_jsonl, text, texts, write_jsonl, write_lines)
+from .jsonl import (Memo, integer, naming_fields, optional_text, quote, quote_optional,
+                    quote_sorted, read_jsonl, text, texts, write_jsonl, write_lines)
 from .timeutil import LocalDays, fmt_iso, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
@@ -323,10 +323,9 @@ def _stage_fuse(state: RunState) -> None:
     snap_dir.mkdir(parents=True, exist_ok=True)
     by_day: dict[str, list] = {}
     # the observations share a few distinct seconds; each is dated once
-    days, dates = LocalDays(cfg.timezone), {}
+    dates = Memo(LocalDays(cfg.timezone).date)
     for obs in observations:
-        date = dates.get(obs.seen_at) or dates.setdefault(obs.seen_at, days.date(obs.seen_at))
-        by_day.setdefault(date, []).append(obs)
+        by_day.setdefault(dates[obs.seen_at], []).append(obs)
     for path in snap_dir.glob("candidates-*"):
         if path.name.split("candidates-")[1] not in by_day:
             path.unlink()
@@ -395,14 +394,14 @@ def write_servers(path: Path, servers: Iterable[BackendServer]) -> list[BackendS
     """One row per server in (provider, ip) order; returns the servers in
     that order, as `read_servers` reads them back."""
     rows = sorted(servers, key=lambda s: (s.provider_id, s.ip))
-    sources = quote_sorted_memo()  # the servers share a few distinct source sets
+    sources = Memo(quote_sorted)  # the servers share a few distinct source sets
     write_lines(path, (
         f'{{"ip": {quote(s.ip)}, "provider_id": {quote(s.provider_id)}, '
         f'"country": {quote(s.location.country)}, "city": {quote_optional(s.location.city)}, '
         f'"continent": {quote(s.location.continent)}, '
         f'"location_confidence": {quote(s.location_confidence)}, '
         f'"prefix": {quote(s.prefix)}, "asn": {s.asn}, "sharing": {quote(s.sharing)}, '
-        f'"sources": {sources(s.sources)}, '
+        f'"sources": {sources[s.sources]}, '
         f'"region_token": {quote_optional(s.region_token)}}}\n'
         for s in rows))
     return rows

@@ -36,6 +36,7 @@ from .flows import (ACTIVITY_SUPPRESSION_FLOOR, FlowAggregate, ServerIndex,
 from .footprint import DiversityRow, StabilityDiff
 from .fusion import CandidateAddress, source_contribution
 from .ingest import StudyWindow
+from .jsonl import Memo
 from .timeutil import fmt_iso
 
 FIGURE_FILES = {
@@ -120,12 +121,13 @@ def write_outage(path: Path, series: Mapping, findings: Sequence[OutageFinding],
             ts += timedelta(hours=1)
         baselines[(f.provider_id, f.region)] = f.min_baseline
     rows = []
+    iso = Memo(fmt_iso)
     for (pid, region) in sorted(series):
         for ts, value in series[(pid, region)]:
             if not window.contains(ts):
                 continue
             base = baselines.get((pid, region))
-            rows.append([pid, region, fmt_iso(ts), _fmt(value),
+            rows.append([pid, region, iso[ts], _fmt(value),
                          _fmt(base) if base is not None else "",
                          1 if (pid, region, ts) in flagged else 0])
     write_table(path, ["provider", "region", "hour", "normalized_down",
@@ -145,17 +147,18 @@ def emit_flow_reports(out_dir: Path, agg: FlowAggregate, index: ServerIndex,
                 [[pid, _fmt(pct)] for pid, pct in sorted(ablation.items())])
 
     activity = activity_series(agg)
+    iso = Memo(fmt_iso)
     rows = []
     for pid in sorted(activity):
         for ts, count in suppress_low_counts(activity[pid], ACTIVITY_SUPPRESSION_FLOOR):
-            rows.append([pid, fmt_iso(ts), count])
+            rows.append([pid, iso[ts], count])
     write_table(out_dir / "fig8_activity.csv", ["provider", "hour", "active_lines"], rows)
 
     summary = traffic_series_and_ratio(agg)
     rows = []
     for pid in sorted(summary.normalized_down_series):
         for ts, value in summary.normalized_down_series[pid]:
-            rows.append([pid, fmt_iso(ts), _fmt(value)])
+            rows.append([pid, iso[ts], _fmt(value)])
     write_table(out_dir / "fig9_volume.csv", ["provider", "hour", "normalized_down"], rows)
 
     rows = []

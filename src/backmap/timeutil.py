@@ -4,7 +4,7 @@ Records hold their instants as epoch seconds (ints): discovery records as
 their readers floor them (`epoch_second`, or `to_epoch` of `parse_iso`),
 flow records as their files hold them. Datetimes are kept for study
 windows, disruption series and the edges: exports carry epoch seconds,
-observation and candidate files ISO-8601 (`IsoSeconds`).
+observation and candidate files ISO-8601 (`fmt_epoch`).
 """
 
 from __future__ import annotations
@@ -57,7 +57,12 @@ def epoch_second(value: int | float) -> int:
 
 
 def fmt_iso(dt: datetime) -> str:
-    return ensure_utc(dt).strftime(_ISO_FMT)
+    """`YYYY-MM-DDTHH:MM:SSZ`, the year in four digits, as `parse_iso` reads it."""
+    return ensure_utc(dt).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+
+
+def fmt_epoch(seconds: int) -> str:
+    return fmt_iso(from_epoch(seconds))
 
 
 def parse_iso(text: str) -> datetime:
@@ -73,15 +78,6 @@ def parse_iso(text: str) -> datetime:
 def local_date(dt: datetime, tz_name: str) -> str:
     """Calendar date (YYYY-MM-DD) of a UTC instant in the given timezone."""
     return ensure_utc(dt).astimezone(ZoneInfo(tz_name)).strftime("%Y-%m-%d")
-
-
-class IsoSeconds(dict):
-    """`fmt_iso` of epoch seconds: `iso[ts]`. A writer's rows share a few
-    distinct seconds, so each is formatted once."""
-
-    def __missing__(self, ts: int) -> str:
-        text = self[ts] = fmt_iso(from_epoch(ts))
-        return text
 
 
 class LocalDays:

@@ -102,6 +102,18 @@ class TestBlocklist:
         assert index.matches("10.5.5.5") == {"v4"}
         assert index.matches("::a05:505") == {"v6"}
 
+    def test_a_v6_entry_is_parsed_once(self, monkeypatch):
+        """The entry parses its CIDR and the index takes that parse; only
+        the lookup parses the queried address."""
+        calls = []
+        ip_network = ipaddress.ip_network
+        monkeypatch.setattr(ipaddress, "ip_network",
+                            lambda *args, **kw: calls.append(args) or ip_network(*args, **kw))
+        index = BlocklistIndex([BlocklistEntry("v6", "2001:DB8:0::/32")])
+        assert calls == [("2001:DB8:0::/32",)]
+        assert index.matches("2001:db8::7") == {"v6"}
+        assert len(calls) == 1
+
     def test_multiple_lists_per_ip(self):
         index = BlocklistIndex([BlocklistEntry("l1", "192.0.2.0/24"),
                                 BlocklistEntry("l2", "192.0.2.7")])

@@ -17,7 +17,7 @@ import ipaddress
 import string
 import sys
 import types
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -32,9 +32,10 @@ from backmap.disruption import BlocklistEntry, BlocklistIndex
 from backmap.footprint import PrefixTable, RouteEntry, UnroutedError, _region_token
 from backmap.fusion import classify_sharing
 from backmap.netutil import (PrefixIndex, canonical_ip, ip_family, network_range,
-                             prefix_contains, truncate_prefix)
+                             parse_prefix, prefix_contains, truncate_prefix)
 from backmap.synth import write_synthetic_catalog
-from backmap.timeutil import (UTC, IsoSeconds, ensure_utc, epoch_second, fmt_iso, from_epoch,
+from backmap.jsonl import Memo
+from backmap.timeutil import (UTC, ensure_utc, epoch_second, fmt_epoch, fmt_iso, from_epoch,
                               parse_iso, to_epoch)
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -379,9 +380,23 @@ def repeated(values, rnd):
 @given(values=st.lists(st.integers(-62135596800, 253402300799), max_size=12),
        rnd=st.randoms())
 def test_iso_seconds_formats_each_second_as_fmt_iso(values, rnd):
-    iso = IsoSeconds()
+    iso = Memo(fmt_epoch)
     values = repeated(values, rnd)
     assert [iso[v] for v in values] == [fmt_iso(from_epoch(v)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30),
+                       timezones=st.sampled_from([UTC, timezone(timedelta(hours=5, minutes=30)),
+                                                  timezone(timedelta(hours=-3, minutes=-30))])))
+def test_fmt_iso_writes_four_year_digits_that_parse_iso_reads(dt):
+    """What `strftime` wrote for years 1000 to 9999, and for any year a text
+    that `parse_iso` reads back as the second it shows."""
+    text = fmt_iso(dt)
+    in_utc = dt.astimezone(UTC)
+    if in_utc.year >= 1000:
+        assert text == in_utc.strftime("%Y-%m-%dT%H:%M:%SZ")
+    assert parse_iso(text) == in_utc.replace(microsecond=0)
 
 
 # --- epoch seconds -----------------------------------------------------------------
@@ -410,11 +425,7 @@ def test_epoch_second_accepts_what_from_epoch_accepts_as_its_iso_second(value):
     if want[0] == "raises":
         assert got == want, value
         return
-    dt = want[1]
-    if dt.year >= 1000:
-        second = to_epoch(parse_iso(fmt_iso(dt)))
-    else:  # fmt_iso writes fewer than four year digits, which parse_iso rejects
-        second = to_epoch(parse_iso(dt.replace(microsecond=0).isoformat()))
+    second = to_epoch(parse_iso(fmt_iso(want[1])))
     assert got == ("value", second) and type(got[1]) is int, value
 
 
@@ -505,7 +516,7 @@ def test_prefix_index_agrees_with_ipaddress(networks, queries):
     index, nets = PrefixIndex(), []
     for address, length in networks:
         net = ipaddress.ip_network(f"{address}/{length}", strict=False)
-        index.insert(f"{address}/{length}", lambda text, _: text)
+        index.insert(parse_prefix(f"{address}/{length}"), lambda text, _: text)
         nets.append(net)
 
     def reference(ip):

@@ -917,3 +917,62 @@ def test_untraced_analysis_of_a_bmf_trace_builds_no_record(catalog_profiles, tmp
     got = analyze_flows(tmp_path / "flows.bmf", index, 4)
     assert got.verdicts == want.verdicts
     assert in_order(got.agg.line_day) == in_order(want.agg.line_day)
+
+
+def synth_order_trace():
+    """Three UTC days of records in synth's order: UTC day, then line, then
+    hour. Each line has rows to two dedicated servers on two ports, to
+    google on a port its profile filters and one it does not, and to an
+    unattributed address, in both directions. Scanner line S1 contacts
+    every server each hour."""
+    pairs = (("10.1.0.1", 8883, DOWN), ("10.1.0.1", 443, UP), ("2001:db8::1", 8883, DOWN),
+             ("10.2.0.1", 443, UP), ("10.2.0.1", 8883, DOWN), ("203.0.113.9", 443, DOWN))
+    flows = []
+    for day in range(3):
+        for n, line in enumerate(("L0", "L1", "S1", "L2", "L3")):
+            for hour in range(24):
+                at = day * 24 + hour + 0.25
+                if line == "S1":
+                    flows += [flow(ip=ip, line=line, hours=at) for ip in SERVER_IPS]
+                    continue
+                flows += [flow(ip=ip, line=line, port=port, direction=direction,
+                               sampled_bytes=100 * hour + n, rate=10, hours=at)
+                          for i, (ip, port, direction) in enumerate(pairs)
+                          if (hour + i + n) % 3]
+    return flows
+
+
+@pytest.mark.parametrize("tz", ["Asia/Kolkata", "America/St_Johns"])
+def test_a_trace_in_synth_order_matches_the_references(catalog_profiles, tmp_path, tz):
+    """In Asia/Kolkata (+05:30) and America/St_Johns (-03:30) each line's
+    rows cross a local midnight, and the next line's rows go back to the day
+    before it; later the rows of a (line, key) pair come back to a local day
+    that other lines' rows came between, and must add to what that pair
+    already holds for the day. Both passes, over the records and over a
+    `.bmf` trace that excludes the scanner, match the record-by-record
+    references, key order included."""
+    from backmap.pipeline import analyze_flows
+
+    flows = synth_order_trace()
+    days = LocalDays(tz)
+    dates = [days.date(f.ts) for f in flows]
+    assert sum(later < earlier for earlier, later in zip(dates, dates[1:])) >= 12
+    google = next(p for p in catalog_profiles if p.provider_id == "google")
+    index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google})
+    backend_ips = index.all_server_ips
+    cert_ips = {"10.1.0.1", "2001:db8::2"}
+    write_flows_binary(tmp_path / "flows.bmf", flows)
+    want = records_analysis(flows, index, 4, tz, cert_ips)
+    assert scanner_line_ids(want.verdicts) == {"S1"}
+    got = analyze_flows(tmp_path / "flows.bmf", index, 4, tz, cert_ips)
+    assert got.verdicts == want.verdicts
+    contacts = in_order(reference_contacts(flows, backend_ips, tz))
+    for trace in (flows, read_flows(tmp_path / "flows.bmf")):
+        assert in_order(line_contact_sets(trace, backend_ips, tz)) == contacts
+    reference = reference_aggregate([f for f in flows if f.line_id != "S1"], index, tz,
+                                    cert_ips)
+    for f in dataclasses.fields(FlowAggregate):
+        for agg in (got.agg, want.agg):
+            value = getattr(agg, f.name)
+            assert type(value) is type(getattr(reference, f.name)), f.name
+            assert in_order(value) == in_order(getattr(reference, f.name)), f.name

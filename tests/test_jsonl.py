@@ -217,6 +217,20 @@ def hostile_servers():
 REVERSE = {"192.0.2.1": {"z\u00fcrich.example", "x.other.example", "q.example"}}
 
 
+@pytest.mark.parametrize("year", [5, 999])
+def test_lines_of_a_window_before_year_1000_read_back(tmp_path, year):
+    """`fmt_iso` writes the year in four digits, which `parse_iso` reads."""
+    seen = (to_epoch(utc(year, 1, 1)), to_epoch(utc(year, 12, 31, 23, 59, 59)))
+    obs = [Observation(provider_id="p1", fqdn="a.p1.example", ip=ip, source="tls-cert",
+                       seen_at=at) for ip in IPS for at in seen]
+    write_observations(tmp_path / "observations.jsonl", obs)
+    assert list(read_observations(tmp_path / "observations.jsonl")) == obs
+    candidates = fuse(obs)
+    write_candidates(tmp_path / "candidates.jsonl", candidates)
+    assert read_candidates(tmp_path / "candidates.jsonl") == candidates
+    assert {(c.first_seen, c.last_seen) for c in candidates.values()} == {seen}
+
+
 def observation_docs(observations):
     return [{"provider_id": o.provider_id, "fqdn": o.fqdn, "ip": o.ip,
              "source": o.source, "seen_at": fmt_iso(from_epoch(o.seen_at)), "wildcard": o.wildcard}
