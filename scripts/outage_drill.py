@@ -3,8 +3,8 @@
 
 Builds a deterministic day-periodic trace with a baseline week, injects a
 regional drop below the weekly minimum, and prints what the detector flags
-for a range of drop depths and sustain windows. Useful for eyeballing how
-the sustain-window and per-hour-of-week options trade off.
+for a range of sustain windows. Useful for eyeballing how the sustain
+window trades off against the injected drop depth and duration.
 """
 
 import argparse
@@ -50,6 +50,11 @@ def index_for(universe) -> ServerIndex:
     return ServerIndex(servers)
 
 
+def clock(hour: int) -> str:
+    """The UTC time of day an epoch hour starts at, as HH:MM."""
+    return f"{hour % 24:02d}:00"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--drop", type=float, default=0.16,
@@ -69,18 +74,9 @@ def main() -> None:
         findings = outage_scan(series, window, baseline_days=7,
                                sustain_hours=sustain)
         tags = [f"{f.provider_id}/{f.region} drop={f.max_drop_fraction:.1%} "
-                f"{f.window[0]:%H:%M}..{f.window[1]:%H:%M}" for f in findings]
+                f"{clock(f.window[0])}..{clock(f.window[1])}" for f in findings]
         print(f"sustain={sustain}h -> {len(findings)} finding(s)"
               + (": " + "; ".join(tags) if tags else ""))
-
-    print("\nper-hour-of-week baseline variant:")
-    findings = outage_scan(series, window, baseline_days=7, sustain_hours=2,
-                           per_hour_of_week=True)
-    for f in findings:
-        print(f"  {f.provider_id}/{f.region}: drop {f.max_drop_fraction:.1%}, "
-              f"baseline floor {f.min_baseline:.4f}")
-    if not findings:
-        print("  none")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .ingest import StudyWindow, write_cert_scan_export, write_resolutions
 from .pipeline import (RunConfig, UpstreamMissingError, load_run_config, outage_findings,
                        read_servers, run_pipeline)
 from .jsonl import read_jsonl, write_jsonl
-from .timeutil import fmt_iso, parse_iso
+from .timeutil import parse_iso
 
 EXIT_VALIDATION = 1
 EXIT_IO = 2
@@ -265,7 +265,7 @@ def disrupt_outage(config_path, out_path):
     findings = _pipeline_call(outage_findings, _load_config(config_path))
     write_jsonl(out_path, ({
         "provider_id": f.provider_id, "region": f.region,
-        "start": fmt_iso(f.window[0]), "end": fmt_iso(f.window[1]),
+        "start": reports.fmt_hour(f.window[0]), "end": reports.fmt_hour(f.window[1]),
         "min_baseline": f.min_baseline,
         "max_drop_fraction": f.max_drop_fraction,
     } for f in findings))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .footprint import BackendServer
 from .ingest import StudyWindow
 from .netutil import PrefixIndex, network_range, parse_prefix
-from .timeutil import ensure_utc
 
 DEFAULT_BASELINE_DAYS = 7
 DEFAULT_SUSTAIN_HOURS = 2
@@ -33,7 +32,7 @@ class InsufficientHistoryError(ValueError):
 class OutageFinding:
     provider_id: str
     region: str
-    window: tuple[datetime, datetime]  # flagged stretch, inclusive hour starts
+    window: tuple[int, int]  # flagged stretch: first and last epoch hour
     min_baseline: float
     observed: tuple[float, ...]
     max_drop_fraction: float
@@ -66,7 +65,7 @@ class RoutingEvent:
             object.__setattr__(self, "prefix", parse_prefix(self.prefix)[3])
 
 
-HourlySeries = Sequence[tuple[datetime, float]]
+HourlySeries = Sequence[tuple[int, float]]  # (epoch hour, value) points
 
 
 def outage_scan(
@@ -74,66 +73,47 @@ def outage_scan(
     scan_window: StudyWindow,
     baseline_days: int = DEFAULT_BASELINE_DAYS,
     sustain_hours: int = DEFAULT_SUSTAIN_HOURS,
-    per_hour_of_week: bool = False,
 ) -> list[OutageFinding]:
     """Flag stretches where observed volume drops below the prior-week floor.
 
     The baseline is the minimum over the `baseline_days` days immediately
-    before the scan window (a single scalar per provider/region; the
-    per-hour-of-week variant keeps one floor per weekly hour slot). A
-    finding needs at least `sustain_hours` consecutive sub-baseline hours;
-    its drop is 1 - min(observed)/baseline.
+    before the scan window (a single scalar per provider/region). A finding
+    needs at least `sustain_hours` consecutive sub-baseline hours; its drop
+    is 1 - min(observed)/baseline.
     """
     findings: list[OutageFinding] = []
-    baseline_start = scan_window.start - timedelta(days=baseline_days)
+    start, end = scan_window.epoch_bounds()
+    baseline_start = start - baseline_days * 86400
     expected_hours = baseline_days * 24
     for (provider_id, region) in sorted(series):
-        points = sorted((ensure_utc(ts), float(v)) for ts, v in series[(provider_id, region)])
-        history = [(ts, v) for ts, v in points
-                   if baseline_start <= ts < scan_window.start]
+        points = sorted((hour, float(v)) for hour, v in series[(provider_id, region)])
+        history = [v for hour, v in points if baseline_start <= hour * 3600 < start]
         if len(history) < expected_hours:
             raise InsufficientHistoryError(
                 f"{provider_id}/{region}: baseline needs {expected_hours} hourly "
                 f"points before {scan_window.start}, found {len(history)}")
-        observed = [(ts, v) for ts, v in points if scan_window.contains(ts)]
-        if not observed:
-            continue
-
-        if per_hour_of_week:
-            slot_min: dict[tuple[int, int], float] = {}
-            for ts, v in history:
-                slot = (ts.weekday(), ts.hour)
-                slot_min[slot] = min(slot_min.get(slot, v), v)
-
-            def floor_at(ts: datetime) -> float:
-                return slot_min[(ts.weekday(), ts.hour)]
-        else:
-            scalar = min(v for _, v in history)
-
-            def floor_at(ts: datetime) -> float:
-                return scalar
-
-        stretch: list[tuple[datetime, float]] = []
+        baseline = min(history)
+        stretch: list[tuple[int, float]] = []
 
         def flush() -> None:
             if len(stretch) >= sustain_hours:
-                baseline = min(floor_at(s_ts) for s_ts, _ in stretch)
-                low = min(s_v for _, s_v in stretch)
+                low = min(v for _, v in stretch)
                 findings.append(OutageFinding(
                     provider_id=provider_id, region=region,
                     window=(stretch[0][0], stretch[-1][0]),
                     min_baseline=baseline,
-                    observed=tuple(s_v for _, s_v in stretch),
+                    observed=tuple(v for _, v in stretch),
                     max_drop_fraction=1.0 - (low / baseline if baseline else 0.0),
                 ))
 
-        one_hour = timedelta(hours=1)
-        for ts, v in observed:
-            if v < floor_at(ts):
-                if stretch and ts - stretch[-1][0] != one_hour:
+        for hour, v in points:
+            if not start <= hour * 3600 < end:
+                continue
+            if v < baseline:
+                if stretch and hour - stretch[-1][0] != 1:
                     flush()  # gap in the series breaks the stretch
                     stretch = []
-                stretch.append((ts, v))
+                stretch.append((hour, v))
             else:
                 flush()
                 stretch = []

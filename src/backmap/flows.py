@@ -36,16 +36,15 @@ import socket
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import ProviderProfile
 from .footprint import BackendServer
 from .geo import region_class
-from .jsonl import Memo, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .netutil import canonical_ip, ip_family
-from .timeutil import LocalDays, from_epoch
+from .timeutil import LocalDays
 
 DOWN = "downstream"
 UP = "upstream"
@@ -138,9 +137,6 @@ class ServerIndex:
     @property
     def all_server_ips(self) -> set[str]:
         return set(self.facts)
-
-    def __len__(self) -> int:
-        return len(self.facts)
 
 
 # --- scanner handling -------------------------------------------------------------
@@ -283,8 +279,7 @@ def threshold_sweep(
 class FlowAggregate:
     """Aggregates of one pass over attributed flows.
 
-    Hour keys are epoch hours (ints); conversion to datetimes happens at
-    report emission.
+    Hour keys are epoch hours (ints), as in every series rolled up from it.
     """
 
     tz_name: str = "UTC"
@@ -444,13 +439,11 @@ def _rollup(agg: FlowAggregate, attributions: list[tuple],
 
     per_triple = [[0, 0, set()] for _ in attributions]  # down, up, lines
     for (line, day), slot in line_days.items():
-        ips: set[str] = set()
         per_provider: dict[str, tuple[int, int]] = {}
         per_port: dict[tuple[int, str], tuple[int, int]] = {}
         regions = agg.line_regions[line]
         for triple, (down, up) in slot.items():
-            pid, ip, pkey, _family, region, _cert = attributions[triple]
-            ips.add(ip)
+            pid, _ip, pkey, _family, region, _cert = attributions[triple]
             d, u = per_provider.get(pid, (0, 0))
             per_provider[pid] = (d + down, u + up)
             d, u = per_port.get(pkey, (0, 0))
@@ -460,7 +453,7 @@ def _rollup(agg: FlowAggregate, attributions: list[tuple],
             acc[0] += down
             acc[1] += up
             acc[2].add(line)
-        agg.line_day[(line, day)] = [ips, per_provider, per_port]
+        agg.line_day[(line, day)] = [per_provider, per_port]
     for (pid, ip, (port, transport), family, region, cert), (down, up, lines) in zip(
             attributions, per_triple):
         agg.provider_port_bytes[(pid, port, transport)] += down + up
@@ -474,23 +467,11 @@ def _rollup(agg: FlowAggregate, attributions: list[tuple],
 # --- derived metrics ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineDayProfile:
-    line_id: str
-    date: str
-    distinct_backend_ips: int
-    per_provider: Mapping[str, tuple[int, int]]  # pid -> (down, up) estimated bytes
-    per_port: Mapping[tuple[int, str], tuple[int, int]]
-
-
-def line_day_profiles(agg: FlowAggregate) -> list[LineDayProfile]:
-    return [
-        LineDayProfile(
-            line_id=line, date=date, distinct_backend_ips=len(slot[0]),
-            per_provider=dict(slot[1]), per_port=dict(slot[2]),
-        )
-        for (line, date), slot in sorted(agg.line_day.items())
-    ]
+def line_day_profiles(agg: FlowAggregate) -> list[tuple]:
+    """The ((line, local day), [per provider, per (port, transport)]) items
+    of `agg.line_day`, sorted and not copied; both map their key to (down,
+    up) estimated bytes."""
+    return sorted(agg.line_day.items())
 
 
 def visibility_per_provider(
@@ -515,20 +496,20 @@ def source_ablation(agg: FlowAggregate) -> dict[str, float]:
     return out
 
 
-def activity_series(agg: FlowAggregate) -> dict[str, list[tuple[datetime, int]]]:
-    """Hourly distinct active line counts per provider (unsuppressed)."""
-    series: dict[str, list[tuple[datetime, int]]] = defaultdict(list)
-    start = Memo(from_epoch)
+def activity_series(agg: FlowAggregate) -> dict[str, list[tuple[int, int]]]:
+    """Hourly distinct active line counts per provider (unsuppressed), as
+    (epoch hour, count) points."""
+    series: dict[str, list[tuple[int, int]]] = defaultdict(list)
     for (pid, hour), lines in sorted(agg.provider_hour_lines.items()):
-        series[pid].append((start[hour * 3600], len(lines)))
+        series[pid].append((hour, len(lines)))
     return dict(series)
 
 
 def suppress_low_counts(
-    series: list[tuple[datetime, int]], floor: int = ACTIVITY_SUPPRESSION_FLOOR,
-) -> list[tuple[datetime, int]]:
+    series: list[tuple[int, int]], floor: int = ACTIVITY_SUPPRESSION_FLOOR,
+) -> list[tuple[int, int]]:
     """Drop emitted buckets with positive counts under the privacy floor."""
-    return [(ts, n) for ts, n in series if n == 0 or n >= floor]
+    return [(hour, n) for hour, n in series if n == 0 or n >= floor]
 
 
 @dataclass(frozen=True)
@@ -539,18 +520,16 @@ class RatioResult:
 
 @dataclass(frozen=True)
 class TrafficSummary:
-    raw_down_series: Mapping[str, list[tuple[datetime, int]]]
-    normalized_down_series: Mapping[str, list[tuple[datetime, float]]]
+    normalized_down_series: Mapping[str, list[tuple[int, float]]]  # epoch-hour points
     down_up_ratio: Mapping[str, RatioResult]
 
 
 def traffic_series_and_ratio(agg: FlowAggregate) -> TrafficSummary:
     """Per-provider downstream series normalized by each provider's peak,
     plus the window-level downstream/upstream ratio."""
-    raw: dict[str, list[tuple[datetime, int]]] = defaultdict(list)
-    start = Memo(from_epoch)
+    raw: dict[str, list[tuple[int, int]]] = defaultdict(list)
     for (pid, hour), est in sorted(agg.provider_hour_down.items()):
-        raw[pid].append((start[hour * 3600], est))
+        raw[pid].append((hour, est))
     ratios = {}
     providers = set(agg.provider_down) | set(agg.provider_up)
     for pid in sorted(providers):
@@ -560,29 +539,27 @@ def traffic_series_and_ratio(agg: FlowAggregate) -> TrafficSummary:
             ratios[pid] = RatioResult(value=math.inf, undefined=True)
         else:
             ratios[pid] = RatioResult(value=down / up)
-    return TrafficSummary(raw_down_series=dict(raw),
-                          normalized_down_series=_peak_normalized(raw),
+    return TrafficSummary(normalized_down_series=_peak_normalized(raw),
                           down_up_ratio=ratios)
 
 
 def regional_down_series(
     agg: FlowAggregate,
-) -> dict[tuple[str, str], list[tuple[datetime, float]]]:
+) -> dict[tuple[str, str], list[tuple[int, float]]]:
     """Per (provider, region-token) hourly downstream series for outage
-    scanning, peak-normalized per series."""
-    raw: dict[tuple[str, str], list[tuple[datetime, float]]] = defaultdict(list)
-    start = Memo(from_epoch)
+    scanning, as (epoch hour, value) points peak-normalized per series."""
+    raw: dict[tuple[str, str], list[tuple[int, float]]] = defaultdict(list)
     for (pid, token, hour), est in sorted(agg.provider_region_hour_down.items()):
-        raw[(pid, token)].append((start[hour * 3600], float(est)))
+        raw[(pid, token)].append((hour, float(est)))
     return _peak_normalized(raw)
 
 
-def _peak_normalized(raw: Mapping[Hashable, list[tuple[datetime, float]]]) -> dict:
+def _peak_normalized(raw: Mapping[Hashable, list[tuple[int, float]]]) -> dict:
     """Each series of `raw` divided by its peak (0.0 throughout when that is 0)."""
     out = {}
     for key, series in raw.items():
         peak = max(v for _, v in series)
-        out[key] = [(ts, v / peak if peak else 0.0) for ts, v in series]
+        out[key] = [(hour, v / peak if peak else 0.0) for hour, v in series]
     return out
 
 
@@ -674,7 +651,7 @@ class Ecdf:
 
 
 def per_line_distribution(
-    profiles: Iterable[LineDayProfile],
+    profiles: Iterable[tuple],
     group_by: str = "all",
 ) -> dict[Hashable, Ecdf]:
     """ECDFs of estimated daily downstream bytes per subscriber line.
@@ -686,14 +663,14 @@ def per_line_distribution(
     if group_by not in ("all", "provider", "port"):
         raise ValueError(f"bad group_by {group_by!r}")
     groups: dict[Hashable, list[int]] = defaultdict(list)
-    for prof in profiles:
+    for _line_day, (per_provider, per_port) in profiles:
         if group_by == "all":
-            groups["all"].append(sum(down for down, _up in prof.per_provider.values()))
+            groups["all"].append(sum(down for down, _up in per_provider.values()))
         elif group_by == "provider":
-            for pid, (down, _up) in prof.per_provider.items():
+            for pid, (down, _up) in per_provider.items():
                 groups[pid].append(down)
         else:
-            for pkey, (down, _up) in prof.per_port.items():
+            for pkey, (down, _up) in per_port.items():
                 groups[pkey].append(down)
     return {k: Ecdf(values=tuple(sorted(v))) for k, v in groups.items()}
 

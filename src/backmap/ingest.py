@@ -46,9 +46,6 @@ class StudyWindow:
         if not self.start < self.end:
             raise ValueError("window start must precede end")
 
-    def contains(self, dt: datetime) -> bool:
-        return self.start <= ensure_utc(dt) < self.end
-
     def overlaps(self, start: datetime, end: datetime) -> bool:
         """Closed interval [start, end] vs half-open window [start, end)."""
         return ensure_utc(start) < self.end and ensure_utc(end) >= self.start

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from datetime import timedelta
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -513,10 +512,11 @@ def scan_outages(config: RunConfig, series: Mapping) -> list[OutageFinding]:
     """`outage_scan` over the regional series whose baseline week is fully
     covered; any other series is skipped (the scan itself refuses partial
     baselines)."""
-    baseline_start = config.window.start - timedelta(days=config.baseline_days)
+    start, _end = config.window.epoch_bounds()
+    baseline_start = start - config.baseline_days * 86400
     eligible = {}
     for key, points in series.items():
-        covered = sum(1 for ts, _ in points if baseline_start <= ts < config.window.start)
+        covered = sum(1 for hour, _ in points if baseline_start <= hour * 3600 < start)
         if covered >= config.baseline_days * 24:
             eligible[key] = points
     return outage_scan(eligible, config.window, config.baseline_days,

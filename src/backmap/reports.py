@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -37,7 +36,7 @@ from .footprint import DiversityRow, StabilityDiff
 from .fusion import CandidateAddress, source_contribution
 from .ingest import StudyWindow
 from .jsonl import Memo
-from .timeutil import fmt_iso
+from .timeutil import fmt_epoch
 
 FIGURE_FILES = {
     "fig3_sources": "fig3_sources.csv",
@@ -109,27 +108,30 @@ def write_confidence_histogram(path: Path, servers: Iterable) -> None:
     write_table(path, ["provider", "confidence", "servers"], rows)
 
 
+def fmt_hour(hour: int) -> str:
+    """An epoch hour as the ISO-8601 instant it starts at."""
+    return fmt_epoch(hour * 3600)
+
+
 def write_outage(path: Path, series: Mapping, findings: Sequence[OutageFinding],
                  window: StudyWindow) -> None:
     flagged = set()
     baselines: dict[tuple[str, str], float] = {}
     for f in findings:
         lo, hi = f.window
-        ts = lo
-        while ts <= hi:
-            flagged.add((f.provider_id, f.region, ts))
-            ts += timedelta(hours=1)
+        flagged.update((f.provider_id, f.region, hour) for hour in range(lo, hi + 1))
         baselines[(f.provider_id, f.region)] = f.min_baseline
     rows = []
-    iso = Memo(fmt_iso)
+    start, end = window.epoch_bounds()
+    iso = Memo(fmt_hour)
     for (pid, region) in sorted(series):
-        for ts, value in series[(pid, region)]:
-            if not window.contains(ts):
+        for hour, value in series[(pid, region)]:
+            if not start <= hour * 3600 < end:
                 continue
             base = baselines.get((pid, region))
-            rows.append([pid, region, iso[ts], _fmt(value),
+            rows.append([pid, region, iso[hour], _fmt(value),
                          _fmt(base) if base is not None else "",
-                         1 if (pid, region, ts) in flagged else 0])
+                         1 if (pid, region, hour) in flagged else 0])
     write_table(path, ["provider", "region", "hour", "normalized_down",
                        "baseline_min", "flagged"], rows)
 
@@ -147,18 +149,18 @@ def emit_flow_reports(out_dir: Path, agg: FlowAggregate, index: ServerIndex,
                 [[pid, _fmt(pct)] for pid, pct in sorted(ablation.items())])
 
     activity = activity_series(agg)
-    iso = Memo(fmt_iso)
+    iso = Memo(fmt_hour)
     rows = []
     for pid in sorted(activity):
-        for ts, count in suppress_low_counts(activity[pid], ACTIVITY_SUPPRESSION_FLOOR):
-            rows.append([pid, iso[ts], count])
+        for hour, count in suppress_low_counts(activity[pid], ACTIVITY_SUPPRESSION_FLOOR):
+            rows.append([pid, iso[hour], count])
     write_table(out_dir / "fig8_activity.csv", ["provider", "hour", "active_lines"], rows)
 
     summary = traffic_series_and_ratio(agg)
     rows = []
     for pid in sorted(summary.normalized_down_series):
-        for ts, value in summary.normalized_down_series[pid]:
-            rows.append([pid, iso[ts], _fmt(value)])
+        for hour, value in summary.normalized_down_series[pid]:
+            rows.append([pid, iso[hour], _fmt(value)])
     write_table(out_dir / "fig9_volume.csv", ["provider", "hour", "normalized_down"], rows)
 
     rows = []

@@ -2,9 +2,10 @@
 
 Records hold their instants as epoch seconds (ints): discovery records as
 their readers floor them (`epoch_second`, or `to_epoch` of `parse_iso`),
-flow records as their files hold them. Datetimes are kept for study
-windows, disruption series and the edges: exports carry epoch seconds,
-observation and candidate files ISO-8601 (`fmt_epoch`).
+flow records as their files hold them, and hourly series and outage
+findings as epoch hours (`ts // 3600`). Datetimes are kept for study
+windows, routing events and the edges: exports carry epoch seconds,
+observation, candidate and report files ISO-8601 (`fmt_epoch`).
 """
 
 from __future__ import annotations

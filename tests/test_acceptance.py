@@ -336,6 +336,29 @@ def test_c08_outage_replay():
               "7 clean days stay clean", started)
 
 
+@pytest.mark.parametrize("seed", [8, 2, 3])
+def test_outage_scan_flags_the_hours_the_oracle_replay_flags(seed):
+    """Criterion 8's outage universe: the (provider, region, hour) set the
+    scan flags over the regional series is the oracle's, and so are the
+    drops. Baselines are not compared: the scanned series are peak-normalized."""
+    universe = generate(outage_universe(seed, with_outage=True))
+    agg = aggregate_flows(universe.flow_stream(), build_index(universe))
+    findings = outage_scan(regional_down_series(agg), universe.config.window,
+                           baseline_days=7, sustain_hours=2)
+    oracle_findings = orc.oracle_outages(universe.truth)
+    assert oracle_findings
+    assert {(f.provider_id, f.region, hour) for f in findings
+            for hour in range(f.window[0], f.window[1] + 1)} == {
+        (f.provider_id, f.region_token, hour) for f in oracle_findings
+        for hour in f.flagged_hours}
+    drops = {}
+    for f in findings:
+        key = (f.provider_id, f.region)
+        drops[key] = max(drops.get(key, 0.0), f.max_drop_fraction)
+    assert drops == {(f.provider_id, f.region_token): pytest.approx(f.max_drop_fraction)
+                     for f in oracle_findings}
+
+
 def test_c09_stability_algebra():
     started = time.perf_counter()
     from backmap.fusion import CandidateAddress

@@ -14,14 +14,16 @@ from backmap.disruption import (BlocklistEntry, BlocklistIndex, InsufficientHist
 from backmap.footprint import BackendServer
 from backmap.geo import Location
 from backmap.ingest import StudyWindow
-from backmap.timeutil import utc
+from backmap.timeutil import to_epoch, utc
 
-T0 = utc(2022, 2, 21)  # baseline week start
 SCAN = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 1))
+T0 = to_epoch(utc(2022, 2, 21)) // 3600  # baseline week start, in epoch hours
+SCAN_HOUR = T0 + 7 * 24  # first hour of the scan day
 
 
 def series(values, start=T0):
-    return [(start + timedelta(hours=i), v) for i, v in enumerate(values)]
+    """(epoch hour, value) points, one per hour from `start`."""
+    return [(start + i, v) for i, v in enumerate(values)]
 
 
 def full_series(outage_hours=(), baseline=100.0, dip=85.0):
@@ -41,6 +43,8 @@ class TestOutageScan:
         assert f.provider_id == "p1"
         assert f.region == "us-east"
         assert f.max_drop_fraction == pytest.approx(0.15)
+        assert f.window == (SCAN_HOUR + 10, SCAN_HOUR + 12)
+        assert f.observed == (85.0, 85.0, 85.0)
 
     def test_no_finding_when_at_or_above_baseline(self):
         data = {("p1", "us-east"): full_series()}
@@ -50,26 +54,16 @@ class TestOutageScan:
         data = {("p1", "us-east"): full_series(outage_hours=(10,))}
         assert outage_scan(data, SCAN, sustain_hours=2) == []
 
+    def test_a_missing_hour_breaks_the_stretch(self):
+        data = {("p1", "us-east"): [point for point in full_series((10, 11, 13, 14))
+                                    if point[0] != SCAN_HOUR + 12]}
+        assert [f.window for f in outage_scan(data, SCAN)] == [
+            (SCAN_HOUR + 10, SCAN_HOUR + 11), (SCAN_HOUR + 13, SCAN_HOUR + 14)]
+
     def test_insufficient_history_is_an_error(self):
-        short = {("p1", "r"): series([100.0] * 24 * 3, start=SCAN.start - timedelta(days=3))}
+        short = {("p1", "r"): series([100.0] * 24 * 3, start=SCAN_HOUR - 3 * 24)}
         with pytest.raises(InsufficientHistoryError):
             outage_scan(short, SCAN)
-
-    def test_per_hour_of_week_variant(self):
-        # diurnal baseline: hour 3 always carries 10, others 100; a scan-day
-        # value of 50 at hour 12 is a drop for the slot-based floor only if
-        # it undercuts that slot's own floor
-        values = []
-        for day in range(7):
-            values.extend(10.0 if h == 3 else 100.0 for h in range(24))
-        scan_day = [10.0 if h == 3 else 100.0 for h in range(24)]
-        scan_day[12] = 50.0
-        scan_day[13] = 50.0
-        data = {("p1", "r"): series(values + scan_day)}
-        assert outage_scan(data, SCAN) == []  # global floor is 10
-        findings = outage_scan(data, SCAN, per_hour_of_week=True)
-        assert len(findings) == 1
-        assert findings[0].max_drop_fraction == pytest.approx(0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(scale=st.floats(min_value=0.01, max_value=1000.0))

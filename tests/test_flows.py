@@ -4,7 +4,7 @@ import math
 import re
 import socket
 import struct
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -130,10 +130,11 @@ class TestActivityAndTraffic:
         flows = [flow(line="L1", hours=0.1), flow(line="L1", hours=0.5),
                  flow(line="L2", hours=0.2), flow(line="L1", hours=1.2)]
         series = activity_series(make_agg(flows, index))["p1"]
-        assert [count for _, count in series] == [2, 1]
+        assert series == [(to_epoch(T0) // 3600, 2), (to_epoch(T0) // 3600 + 1, 1)]
 
     def test_suppression_drops_small_positive_counts(self):
-        series = [(T0, 0), (T0 + timedelta(hours=1), 3), (T0 + timedelta(hours=2), 20)]
+        hour = to_epoch(T0) // 3600
+        series = [(hour, 0), (hour + 1, 3), (hour + 2, 20)]
         kept = suppress_low_counts(series, floor=15)
         assert [c for _, c in kept] == [0, 20]
 
@@ -624,8 +625,8 @@ class TestLocalDay:
 
     def test_line_day_profiles(self, index):
         profiles = line_day_profiles(aggregate_flows(self.flows(), index, "Asia/Kolkata"))
-        assert [(p.date, p.distinct_backend_ips) for p in profiles] == [
-            ("2022-03-01", 1), ("2022-03-02", 1)]
+        assert [(line_day, per_provider) for line_day, (per_provider, _per_port) in profiles] == [
+            (("L1", "2022-03-01"), {"p1": (1500, 0)}), (("L1", "2022-03-02"), {"p1": (1500, 0)})]
 
     @pytest.mark.parametrize("tz", ZONES)
     def test_every_quarter_hour_of_2022(self, tz):
@@ -707,9 +708,8 @@ def reference_aggregate(flows, index, tz_name="UTC", cert_ips=None):
             agg.provider_lines_cert[pid].add(f.line_id)
         agg.line_regions[f.line_id].add(facts.region)
         agg.region_bytes[facts.region] += est
-        slot = agg.line_day.setdefault((f.line_id, days.date(f.ts)), [set(), {}, {}])
-        slot[0].add(f.server_ip)
-        for per, key in ((slot[1], pid), (slot[2], (f.server_port, f.transport))):
+        slot = agg.line_day.setdefault((f.line_id, days.date(f.ts)), [{}, {}])
+        for per, key in ((slot[0], pid), (slot[1], (f.server_port, f.transport))):
             d, u = per.get(key, (0, 0))
             per[key] = (d + est, u) if down else (d, u + est)
     return agg

@@ -1025,6 +1025,18 @@ def test_outputs_do_not_depend_on_the_hash_seed(universe_dir, tmp_path):
         assert trees[0][rel] == trees[1][rel], rel
 
 
+def test_outage_drill_runs_with_its_defaults():
+    """`scripts/outage_drill.py` flags its injected 4-hour us-east drop, at
+    10:00 to 13:00 UTC, under a 2-hour sustain window."""
+    src = Path(backmap.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "outage_drill.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    line = next(line for line in result.stdout.splitlines() if line.startswith("sustain=2h"))
+    assert line.startswith("sustain=2h -> 1 finding(s): t1/us-east ")
+    assert line.endswith(" 10:00..13:00")
+
+
 def test_runtime_imports_leave_numpy_out():
     """numpy is a test dependency only: importing it would add to every
     run's start-up time and resident memory."""
