@@ -170,12 +170,21 @@ def line_contact_sets(
     backend: dict = {}  # address key -> its backend IP, or ""
     day, start, end = "", 0, 0
     seen: set = set()  # pairs seen on `day`
+    # the day the pass was on before `day`, with its bounds and pairs: rows
+    # that go back over a local midnight swap to it, without `days.day`
+    other = ("", 0, 0, set())
     try:
         for rows in batches:
             for ts, pair in rows:
                 if not start <= ts < end:
-                    day, start, end = days.day(ts)
-                    seen.clear()
+                    if other[1] <= ts < other[2]:
+                        (day, start, end, seen), other = other, (day, start, end, seen)
+                    else:
+                        stale = other[3]
+                        other = (day, start, end, seen)
+                        day, start, end = days.day(ts)
+                        seen = stale
+                        seen.clear()
                 if pair in seen:
                     continue
                 seen.add(pair)
@@ -375,12 +384,22 @@ def aggregate_flows(
     today_get = today.get
     attributed = unattributed = 0
     day, start, end = "", 0, 0
+    # the day the pass was on before `day`, with its bounds and entries:
+    # rows that go back over a local midnight swap to it, without `days.day`
+    other = ("", 0, 0, {})
     try:
         for rows in batches:
             for ts, pair, direction, sampled_bytes, rate in rows:
                 if not start <= ts < end:
-                    day, start, end = days.day(ts)
-                    today.clear()
+                    if other[1] <= ts < other[2]:
+                        (day, start, end, today), other = other, (day, start, end, today)
+                    else:
+                        stale = other[3]
+                        other = (day, start, end, today)
+                        day, start, end = days.day(ts)
+                        today = stale
+                        today.clear()
+                    today_get = today.get
                 entry = today_get(pair)
                 if entry is None:
                     entry = today[pair] = first_sight(pair, day)
@@ -403,7 +422,7 @@ def aggregate_flows(
         _locate(flows)
         raise
     # the key caches go before the rollup, where the pass holds the most
-    for cache in (lines, keys, today):
+    for cache in (lines, keys, today, other[3]):
         cache.clear()
 
     region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)

@@ -9,22 +9,31 @@ shared hosting rather than a dedicated gateway.
 from __future__ import annotations
 
 import ipaddress
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 # names are matched through ingest.NameMatches; `match_fqdn` stays bound here
 # because perfbench/layers.py wraps it at this name
 from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
-from .ingest import NameMatches, Observation, name_matches
-from .jsonl import (Memo, naming_fields, quote, quote_list, quote_sorted, read_jsonl, text, texts,
-                    write_lines)
+from .ingest import SOURCES, NameMatches, Observation, name_matches
+from .jsonl import Memo, naming_fields, quote, quote_sorted, read_jsonl, text, texts, write_lines
 from .netutil import canonical_ip, ip_family, parse_network
 from .timeutil import fmt_epoch, parse_iso, to_epoch
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
 
 _SOLO_CLASS = {"tls-cert": "tls-only", "passive-dns": "pdns-only", "active-dns": "adns-only"}
+
+# what a candidate holds of one day's observations: (sources, first_seen,
+# last_seen, fqdns)
+Slot = tuple[frozenset[str], int, int, frozenset[str]]
+
+# fuse gathers a slot's sources as bits, and each set of them is one object
+_SOURCE_BIT = {source: 1 << i for i, source in enumerate(SOURCES)}
+_SOURCE_SETS = tuple(frozenset(s for s, bit in _SOURCE_BIT.items() if bits & bit)
+                     for bits in range(1 << len(SOURCES)))
 
 
 class ReverseIndexMissError(KeyError):
@@ -91,29 +100,51 @@ class CoverageReport:
     missed_active: frozenset[str]
 
 
-def fuse(observations: Iterable[Observation]) -> dict[tuple[str, str], CandidateAddress]:
-    """Collapse observations to one candidate per (provider, ip).
+def fuse(observations: Iterable[Observation], day_of: Callable[[int], str]
+         ) -> tuple[dict[tuple[str, str], CandidateAddress],
+                    dict[str, dict[tuple[str, str], Slot]]]:
+    """Collapse observations to one candidate per (provider, ip) for the
+    run, and to one slot per (provider, ip) for each local day, `day_of`
+    giving the date of an instant.
 
-    Order-independent and idempotent: sources/names union, timestamps span.
+    A slot holds what a candidate holds: (sources, first_seen, last_seen,
+    fqdns). Each observation goes to its day's slot once; the run's
+    candidates are the union of their keys' slots. Candidates come in
+    (provider, ip) order, days in date order and each day's slots in
+    (provider, ip) order. Order-independent and idempotent: sources and
+    names union, timestamps span.
     """
-    acc: dict[tuple[str, str], list] = {}
+    acc: dict[tuple[str, str, str], list] = {}
     for obs in observations:
-        key = (obs.provider_id, obs.ip)
+        seen = obs.seen_at
+        key = (obs.provider_id, obs.ip, day_of(seen))
         slot = acc.get(key)
         if slot is None:
-            acc[key] = [{obs.source}, obs.seen_at, obs.seen_at, {obs.fqdn}]
+            acc[key] = [_SOURCE_BIT[obs.source], seen, seen, {obs.fqdn}]
         else:
-            slot[0].add(obs.source)
-            slot[1] = min(slot[1], obs.seen_at)
-            slot[2] = max(slot[2], obs.seen_at)
+            slot[0] |= _SOURCE_BIT[obs.source]
+            if seen < slot[1]:
+                slot[1] = seen
+            elif seen > slot[2]:
+                slot[2] = seen
             slot[3].add(obs.fqdn)
-    return {
-        (pid, ip): CandidateAddress(
-            ip=ip, provider_id=pid, sources=frozenset(s),
-            first_seen=first, last_seen=last, fqdns=frozenset(names),
-        )
-        for (pid, ip), (s, first, last, names) in acc.items()
-    }
+    run: dict[tuple[str, str], list] = {}
+    days: dict[str, dict[tuple[str, str], Slot]] = defaultdict(dict)
+    for (pid, ip, day), (bits, first, last, fqdns) in sorted(acc.items()):
+        key, fqdns = (pid, ip), frozenset(fqdns)
+        days[day][key] = (_SOURCE_SETS[bits], first, last, fqdns)
+        union = run.get(key)
+        if union is None:
+            run[key] = [bits, first, last, fqdns]
+        else:
+            union[0] |= bits
+            union[1] = min(union[1], first)
+            union[2] = max(union[2], last)
+            if fqdns != union[3]:
+                union[3] |= fqdns
+    candidates = {(pid, ip): CandidateAddress(ip, pid, _SOURCE_SETS[bits], first, last, fqdns)
+                  for (pid, ip), (bits, first, last, fqdns) in run.items()}
+    return candidates, dict(sorted(days.items()))
 
 
 @dataclass(frozen=True)
@@ -219,17 +250,41 @@ def validate_against_ground_truth(
 # --- candidate snapshots -------------------------------------------------------
 
 
+class CandidateLines:
+    """`line(pid, ip, sources, first_seen, last_seen, fqdns)` is a candidate
+    file's line for those values, byte for byte as `json.dumps` writes the
+    document `read_candidates` reads. A run's candidate file and day
+    snapshots share one formatter, so each distinct instant, source set and
+    name set is formatted once."""
+
+    def __init__(self) -> None:
+        self.instants = Memo(lambda ts: quote(fmt_epoch(ts)))
+        self.sources = Memo(quote_sorted)
+        self.fqdns = Memo(quote_sorted)
+
+    def __call__(self, pid: str, ip: str, sources: frozenset[str], first: int, last: int,
+                 fqdns: frozenset[str]) -> str:
+        instants = self.instants
+        return (f'{{"provider_id": {quote(pid)}, "ip": {quote(ip)}, '
+                f'"sources": {self.sources[sources]}, '
+                f'"first_seen": {instants[first]}, "last_seen": {instants[last]}, '
+                f'"fqdns": {self.fqdns[fqdns]}}}\n')
+
+
 def write_candidates(path: str | Path,
-                     candidates: Mapping[tuple[str, str], CandidateAddress]) -> None:
-    """Dated snapshot file, one line per (provider, ip), byte-stable order."""
-    iso = Memo(fmt_epoch)
-    sources = Memo(quote_sorted)  # the candidates share a few distinct source sets
-    write_lines(path, (
-        f'{{"provider_id": {quote(c.provider_id)}, "ip": {quote(c.ip)}, '
-        f'"sources": {sources[c.sources]}, '
-        f'"first_seen": {quote(iso[c.first_seen])}, "last_seen": {quote(iso[c.last_seen])}, '
-        f'"fqdns": {quote_list(sorted(c.fqdns))}}}\n'
-        for _, c in sorted(candidates.items())))
+                     candidates: Mapping[tuple[str, str], CandidateAddress],
+                     line: CandidateLines | None = None) -> None:
+    """Candidate file, one line per (provider, ip), byte-stable order."""
+    line = line or CandidateLines()
+    write_lines(path, (line(c.provider_id, c.ip, c.sources, c.first_seen, c.last_seen, c.fqdns)
+                       for _, c in sorted(candidates.items())))
+
+
+def write_snapshot(path: str | Path, slots: Mapping[tuple[str, str], Slot],
+                   line: CandidateLines) -> None:
+    """Dated snapshot file of one day's `fuse` slots, in their order: the
+    candidate file those slots' candidates would make."""
+    write_lines(path, (line(pid, ip, *slot) for (pid, ip), slot in slots.items()))
 
 
 def _candidate(doc: dict) -> CandidateAddress:

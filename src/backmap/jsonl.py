@@ -5,13 +5,18 @@ so they share one error policy: a bad line names its file and line number
 and, when a field is missing or a builder wrapped in `naming_fields`
 rejects its value, the field.
 
+A line is decoded by one call of the C scanner behind `json.loads`, at
+index 0 of the stripped line. Only a line the scanner rejects, or one with
+text left after its value, goes on to `json.loads`, which runs the same
+scan and raises the error every reader reports.
+
 Every line written is `json.dumps` of its document, with the keys in the
 order written. The hot artifact writers (observations, candidates, sharing,
 servers) format their lines themselves, byte for byte as `json.dumps`
-would: text through `quote`, `quote_optional`, `quote_list` and
-`quote_sorted` (a repeated value once, through a `Memo`), and an int as
-`{n}`, which reads as `json.dumps` writes an int (a bool would not). The
-others build a dict per row for `write_jsonl`.
+would: text through `quote`, `quote_optional` and `quote_sorted` (a
+repeated value once, through a `Memo`), and an int as `{n}`, which reads
+as `json.dumps` writes an int (a bool would not). The others build a dict
+per row for `write_jsonl`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ M = TypeVar("M")
 
 # what a builder or a field check raises for a value it rejects
 REJECTS = (TypeError, ValueError, AttributeError, OverflowError)
+
+# the scanner of a decoder with `json.loads`' defaults; a line decodes when
+# its value starts at index 0 and ends the line
+_SCAN = json.JSONDecoder().scan_once
 
 
 def read_jsonl(path: str | Path, build: Callable[[dict], T],
@@ -42,7 +51,12 @@ def read_jsonl(path: str | Path, build: Callable[[dict], T],
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                try:
+                    doc, end = _SCAN(line, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(line):
+                    doc = json.loads(line)  # raises the error json.loads gives
                 if not isinstance(doc, dict):
                     raise TypeError("record is not a JSON object")
                 item = build(doc)
@@ -75,13 +89,9 @@ def quote_optional(value: str | None) -> str:
     return "null" if value is None else quote(value)
 
 
-def quote_list(values: Iterable[str]) -> str:
-    """A list of texts, as `json.dumps` writes it."""
-    return "[" + ", ".join(map(quote, values)) + "]"
-
-
 def quote_sorted(values: Iterable[str]) -> str:
-    return quote_list(sorted(values))
+    """The sorted list of some texts, as `json.dumps` writes it."""
+    return "[" + ", ".join(map(quote, sorted(values))) + "]"
 
 
 class Memo(dict):

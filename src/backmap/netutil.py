@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ipaddress
 import re
+from socket import inet_aton
 from typing import Callable, Generic, TypeVar
 
 V = TypeVar("V")
@@ -57,8 +58,9 @@ def parse_network(text: str) -> ipaddress.IPv4Network | ipaddress.IPv6Network:
 
 
 def _v4_int(quad: str) -> int:
-    a, b, c, d = quad.split(".")
-    return int(a) << 24 | int(b) << 16 | int(c) << 8 | int(d)
+    """The integer of a quad that `_CANONICAL_V4` matches; `inet_aton` would
+    also take the shorter and hex forms, which never get here."""
+    return int.from_bytes(inet_aton(quad), "big")
 
 
 def _v4_text(value: int) -> str:

@@ -26,8 +26,8 @@ from .flows import (FlowAggregate, ScannerVerdict, ServerIndex, SweepPoint, aggr
                     regional_down_series, scanner_line_ids, threshold_sweep)
 from .footprint import (BackendServer, diff_snapshots, diversity_report, enrich_candidates,
                         load_prefix_table)
-from .fusion import (CandidateAddress, build_reverse_index, classify_sharing, fuse,
-                     read_candidates, snapshot_filename, write_candidates)
+from .fusion import (CandidateAddress, CandidateLines, build_reverse_index, classify_sharing,
+                     fuse, read_candidates, snapshot_filename, write_candidates, write_snapshot)
 from .geo import Location
 from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
                      ingest_passive_dns, name_matches, observations_from_resolutions,
@@ -310,32 +310,27 @@ def _stage_discover(state: RunState) -> None:
 
 def _stage_fuse(state: RunState) -> None:
     cfg = state.config
-    observations = state.observations()
-    # in file order, as read_candidates returns them
-    candidates = dict(sorted(fuse(observations).items()))
-    write_candidates(cfg.out_dir / "candidates.jsonl", candidates)
+    # one pass fuses the run and its local days; the observations share a
+    # few distinct seconds, and each is dated once
+    candidates, days = fuse(state.observations(),
+                            Memo(LocalDays(cfg.timezone).date).__getitem__)
+    line = CandidateLines()  # the candidate file and snapshots share its memos
+    write_candidates(cfg.out_dir / "candidates.jsonl", candidates, line)
     state.held["candidates"] = candidates
     reports.write_sources(cfg.out_dir / "fig3_sources.csv", candidates.values())
 
     # dated per-day snapshots for stability diffing, of this run's days only
     snap_dir = cfg.out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
-    by_day: dict[str, list] = {}
-    # the observations share a few distinct seconds; each is dated once
-    dates = Memo(LocalDays(cfg.timezone).date)
-    for obs in observations:
-        by_day.setdefault(dates[obs.seen_at], []).append(obs)
     for path in snap_dir.glob("candidates-*"):
-        if path.name.split("candidates-")[1] not in by_day:
+        if path.name.split("candidates-")[1] not in days:
             path.unlink()
-    index, snapshots = {}, {}
-    for date in sorted(by_day):
-        day_candidates = fuse(by_day[date])
+    index = {}
+    for date, slots in days.items():
         path = snap_dir / snapshot_filename(date)
-        write_candidates(path, day_candidates)
+        write_snapshot(path, slots, line)
         index[date] = file_digest(path)
-        snapshots[date] = frozenset(day_candidates)
-    state.held["snapshots"] = snapshots
+    state.held["snapshots"] = {date: frozenset(slots) for date, slots in days.items()}
     with open(snap_dir / "index.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -406,12 +401,12 @@ def write_servers(path: Path, servers: Iterable[BackendServer]) -> list[BackendS
     return rows
 
 
-def _server(doc: dict) -> BackendServer:
+def _server(doc: dict, locations: Memo) -> BackendServer:
     # BackendServer checks the ip, prefix, asn and sharing values; the other
     # text fields are checked here
     return BackendServer(
         ip=doc["ip"], provider_id=text(doc["provider_id"]),
-        location=Location(doc["country"], optional_text(doc.get("city")), doc["continent"]),
+        location=locations[doc["country"], optional_text(doc.get("city")), doc["continent"]],
         location_confidence=text(doc["location_confidence"]),
         prefix=doc["prefix"], asn=doc["asn"], sharing=doc["sharing"],
         sources=frozenset(texts(doc["sources"])),
@@ -427,7 +422,10 @@ _SERVER_CHECKS = {
 
 
 def read_servers(path: Path) -> list[BackendServer]:
-    return list(read_jsonl(path, naming_fields(_server, _SERVER_CHECKS)))
+    # the servers share a few distinct locations; each is built once
+    locations = Memo(lambda fields: Location(*fields))
+    return list(read_jsonl(path, naming_fields(lambda doc: _server(doc, locations),
+                                               _SERVER_CHECKS)))
 
 
 def _stage_footprint(state: RunState) -> None:

@@ -30,9 +30,10 @@ from backmap.ingest import (StudyWindow, ingest_cert_scan, ingest_passive_dns,
                             observations_from_resolutions)
 from backmap.synth import (OutageSpec, ProviderSpec, RegionSpec, ScannerSpec,
                            UniverseConfig, generate)
-from backmap.timeutil import to_epoch, utc
+from backmap.timeutil import LocalDays, to_epoch, utc
 
 DATA_DIR = Path(__file__).parent / "data"
+UTC_DATE = LocalDays("UTC").date  # the day of an instant, as fuse takes it
 
 
 def report(number: int, description: str, started: float, budget: float | None = None):
@@ -102,7 +103,7 @@ def test_c02_discovery_soundness():
     config = UniverseConfig(seed=2, window=WINDOW_1D, n_lines=0, providers=providers)
     universe = generate(config)
     assert sum(spec.n_servers for spec in providers) == 10_000
-    fused = fuse(ingest_all(universe, WINDOW_1D))
+    fused = fuse(ingest_all(universe, WINDOW_1D), UTC_DATE)[0]
     assert set(fused) == orc.oracle_candidates(universe.truth)
     report(2, "fused candidates over 16 providers x 10k servers equal the oracle "
               "union exactly", started, budget=10.0)
@@ -120,7 +121,7 @@ def test_c03_sni_ablation():
     universe = generate(config)
     patterns = compile_catalog(universe.profiles)
     tls_only = fuse(ingest_cert_scan(universe.cert_records, patterns,
-                                     WINDOW_1D).observations)
+                                     WINDOW_1D).observations, UTC_DATE)[0]
     assert tls_only == {}, "TLS-only discovery must yield zero servers"
     index = build_index(universe)
     cert_ips = {s.ip for s in universe.truth.servers if "tls-cert" in s.sources}
@@ -449,7 +450,7 @@ def test_c11_ground_truth_replay():
         deterministic_activity=True,
     )
     universe = generate(config)
-    candidates = fuse(ingest_all(universe, WINDOW_1D))
+    candidates = fuse(ingest_all(universe, WINDOW_1D), UTC_DATE)[0]
     identified_ips = {ip for (_pid, ip) in candidates}
     assert len(identified_ips) == 56  # 60 minus the 4 hidden actives
 

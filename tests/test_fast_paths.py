@@ -31,7 +31,7 @@ from backmap.catalog import (default_catalog_path, load_default_catalog, match_f
 from backmap.disruption import BlocklistEntry, BlocklistIndex
 from backmap.footprint import PrefixTable, RouteEntry, UnroutedError, _region_token
 from backmap.fusion import classify_sharing
-from backmap.netutil import (PrefixIndex, canonical_ip, ip_family, network_range,
+from backmap.netutil import (PrefixIndex, _v4_int, canonical_ip, ip_family, network_range,
                              parse_prefix, prefix_contains, truncate_prefix)
 from backmap.synth import write_synthetic_catalog
 from backmap.jsonl import Memo
@@ -504,6 +504,30 @@ def test_truncate_prefix_edge_cases(ip, bits):
        v4_bits=st.integers(-1, 33), v6_bits=st.integers(0, 128))
 def test_truncate_prefix_agrees_with_ipaddress(ip, v4_bits, v6_bits):
     assert_same_truncation(ip, v4_bits, v6_bits)
+
+
+@settings(max_examples=500, deadline=None)
+@given(address=st.ip_addresses(v=4))
+def test_v4_int_reads_a_canonical_quad_as_ipaddress_does(address):
+    assert _v4_int(str(address)) == int(address)
+
+
+@pytest.mark.parametrize("quad", ["1.2.3", "127.1", "0x7f.0.0.1", "1.2.3.04", " 1.2.3.4"])
+def test_quads_only_inet_aton_takes_reach_the_general_code(quad):
+    """`_v4_int` reads a quad with `inet_aton`, which also takes these forms.
+    Its four callers send them to `ipaddress` instead, so each gives the
+    general code's value or error."""
+    assert_same_truncation(quad)
+    assert_same_prefix(f"{quad}/32", "127.0.0.1")  # parse_prefix, through network_range
+    assert_same_prefix("0.0.0.0/0", quad)
+    index = PrefixIndex()
+    index.insert(parse_prefix("0.0.0.0/0"), lambda text, _: text)
+
+    def reference(ip):
+        ipaddress.ip_address(ip)  # every address is in 0.0.0.0/0; a bad one raises
+        return ["0.0.0.0/0"]
+
+    assert outcome_with_message(index.containing, quad) == outcome_with_message(reference, quad)
 
 
 @settings(max_examples=300, deadline=None)

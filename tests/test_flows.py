@@ -942,6 +942,27 @@ def synth_order_trace():
     return flows
 
 
+@pytest.mark.parametrize("tz", ["Asia/Kolkata", "America/St_Johns", "UTC"])
+def test_a_pass_resolves_each_local_day_once(catalog_profiles, tmp_path, monkeypatch, tz):
+    """In synth's order the rows go back and forth over a local midnight; a
+    pass keeps the day it left and swaps back to it, so it asks zoneinfo
+    for each local day once, plus at most once more."""
+    flows = synth_order_trace()
+    local_days = len({LocalDays(tz).date(f.ts) for f in flows})
+    write_flows_binary(tmp_path / "flows.bmf", flows)
+    google = next(p for p in catalog_profiles if p.provider_id == "google")
+    index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google})
+    calls = []
+    day = LocalDays.day
+    monkeypatch.setattr(LocalDays, "day", lambda self, ts: calls.append(ts) or day(self, ts))
+    for trace in (flows, read_flows(tmp_path / "flows.bmf")):
+        for run_pass in (lambda: line_contact_sets(trace, index.all_server_ips, tz),
+                         lambda: aggregate_flows(trace, index, tz)):
+            calls.clear()
+            run_pass()
+            assert len(calls) <= local_days + 1
+
+
 @pytest.mark.parametrize("tz", ["Asia/Kolkata", "America/St_Johns"])
 def test_a_trace_in_synth_order_matches_the_references(catalog_profiles, tmp_path, tz):
     """In Asia/Kolkata (+05:30) and America/St_Johns (-03:30) each line's

@@ -11,9 +11,10 @@ from backmap.footprint import (BackendServer, LocationHint, PrefixTable,
 from backmap.fusion import fuse
 from backmap.geo import Location
 from backmap.ingest import Observation
-from backmap.timeutil import to_epoch, utc
+from backmap.timeutil import LocalDays, to_epoch, utc
 
 T0 = to_epoch(utc(2022, 2, 28))
+UTC_DATE = LocalDays("UTC").date  # the day of an instant, as fuse takes it
 
 
 def hint(country, source="scan-metadata", city=None):
@@ -159,7 +160,7 @@ def server(ip, pid="p1", asn=100, country="DE", sharing="dedicated", prefix=None
 
 def candidate_set(pid, ips):
     return fuse([Observation(provider_id=pid, fqdn=f"d.{pid}.example", ip=ip,
-                             source="tls-cert", seen_at=T0) for ip in ips])
+                             source="tls-cert", seen_at=T0) for ip in ips], UTC_DATE)[0]
 
 
 class TestDiffSnapshots:

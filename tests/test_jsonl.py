@@ -11,11 +11,13 @@ from backmap.ingest import (CertScanRecord, MalformedRecord, Observation, Passiv
                             ResolutionResult, read_cert_scan_export, read_observations,
                             read_pdns_export, read_resolutions, write_observations,
                             write_resolutions)
+from backmap.jsonl import read_jsonl
 from backmap.pipeline import _read_sharing, read_servers, write_servers, write_sharing
-from backmap.timeutil import fmt_iso, from_epoch, to_epoch, utc
+from backmap.timeutil import LocalDays, fmt_iso, from_epoch, to_epoch, utc
 
 T0 = to_epoch(utc(2022, 2, 28, 6))
 IPS = ("192.0.2.1", "192.0.2.2")
+UTC_DATE = LocalDays("UTC").date  # the day of an instant, as fuse takes it
 
 
 def observations():
@@ -48,10 +50,12 @@ STRICT_READERS = {
     "resolutions": (read_resolutions, write_two_resolutions, "vantage_id"),
     "observations": (read_observations, lambda p: write_observations(p, observations()),
                      "ip"),
-    "candidates": (read_candidates, lambda p: write_candidates(p, fuse(observations())),
+    "candidates": (read_candidates,
+                   lambda p: write_candidates(p, fuse(observations(), UTC_DATE)[0]),
                    "first_seen"),
     "flows": (read_flows_jsonl, write_two_flows, "sampling_rate"),
-    "sharing": (_read_sharing, lambda p: write_sharing(p, fuse(observations()), {}, [], 2),
+    "sharing": (_read_sharing,
+                lambda p: write_sharing(p, fuse(observations(), UTC_DATE)[0], {}, [], 2),
                 "verdict"),
     "servers": (read_servers, write_two_servers, "prefix"),
 }
@@ -225,7 +229,7 @@ def test_lines_of_a_window_before_year_1000_read_back(tmp_path, year):
                        seen_at=at) for ip in IPS for at in seen]
     write_observations(tmp_path / "observations.jsonl", obs)
     assert list(read_observations(tmp_path / "observations.jsonl")) == obs
-    candidates = fuse(obs)
+    candidates = fuse(obs, UTC_DATE)[0]
     write_candidates(tmp_path / "candidates.jsonl", candidates)
     assert read_candidates(tmp_path / "candidates.jsonl") == candidates
     assert {(c.first_seen, c.last_seen) for c in candidates.values()} == {seen}
@@ -271,10 +275,11 @@ def server_docs(servers):
 HOT_WRITERS = {
     "observations": (lambda p: write_observations(p, hostile_observations()),
                      lambda: observation_docs(hostile_observations())),
-    "candidates": (lambda p: write_candidates(p, fuse(hostile_observations())),
-                   lambda: candidate_docs(fuse(hostile_observations()))),
-    "sharing": (lambda p: write_sharing(p, fuse(hostile_observations()), REVERSE, [], 1),
-                lambda: sharing_docs(fuse(hostile_observations()), REVERSE, 1)),
+    "candidates": (lambda p: write_candidates(p, fuse(hostile_observations(), UTC_DATE)[0]),
+                   lambda: candidate_docs(fuse(hostile_observations(), UTC_DATE)[0])),
+    "sharing": (lambda p: write_sharing(p, fuse(hostile_observations(), UTC_DATE)[0],
+                                        REVERSE, [], 1),
+                lambda: sharing_docs(fuse(hostile_observations(), UTC_DATE)[0], REVERSE, 1)),
     "servers": (lambda p: write_servers(p, hostile_servers()),
                 lambda: server_docs(hostile_servers())),
 }
@@ -295,3 +300,42 @@ def test_hot_writer_lines_are_json_dumps_of_their_documents(tmp_path, name):
         assert f'"{flag}": true' in text and f'"{flag}": false' in text
     if name == "servers":
         assert '"city": null' in text and '"region_token": null' in text
+
+
+# a bad line -> the reason `json.loads` gives for it, or "record is not a
+# JSON object"
+BAD_LINES = {
+    "text-after-the-object": ('{} x', "Extra data: line 1 column 4 (char 3)"),
+    "two-objects": ('{}{}', "Extra data: line 1 column 3 (char 2)"),
+    "stray-bracket": ('{"a": 1}]', "Extra data: line 1 column 9 (char 8)"),
+    "no-value": ('{"a": }', "Expecting value: line 1 column 7 (char 6)"),
+    "unclosed": ('{"a": 1', "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    "no-json": ('nul', "Expecting value: line 1 column 1 (char 0)"),
+    "list": ('[1, 2]', "record is not a JSON object"),
+    "string": ('"text"', "record is not a JSON object"),
+    "byte-order-mark": ('\ufeff{"a": 1}',
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LINES))
+def test_a_bad_line_gives_the_reason_json_loads_gives(tmp_path, name):
+    """Each line is decoded by one scan; a line the scan rejects, or one with
+    text after its value, keeps `json.loads`' error, raised or quarantined."""
+    line, reason = BAD_LINES[name]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"a": 0}}\n\n  {line}  \n{{"a": 3}}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        list(read_jsonl(path, dict))
+    assert str(raised.value) == f"{path}:3: {reason}"
+    assert list(read_jsonl(path, dict, lambda n, why: (n, why))) == [
+        {"a": 0}, (3, reason), {"a": 3}]
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("NaN", "nan"), ("-Infinity", "-inf"), ("1e400", "inf"), ("-0.0", "-0.0")])
+def test_values_json_loads_accepts_read_as_it_reads_them(tmp_path, value, expected):
+    path = tmp_path / "odd.jsonl"
+    path.write_text(f'{{"a": {value}}}\n', encoding="utf-8")
+    [doc] = read_jsonl(path, dict)
+    assert repr(doc["a"]) == expected == repr(json.loads(f'{{"a": {value}}}')["a"])

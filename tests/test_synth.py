@@ -12,9 +12,10 @@ from backmap.pipeline import RunConfig, run_pipeline
 from backmap.synth import (FlowTruth, ProviderSpec, RegionSpec, ScannerSpec,
                            UniverseConfig, generate, largest_remainder, read_truth,
                            write_truth)
-from backmap.timeutil import to_epoch, utc
+from backmap.timeutil import LocalDays, to_epoch, utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 2))
+UTC_DATE = LocalDays("UTC").date  # the day of an instant, as fuse takes it
 
 
 def small_config(**kw):
@@ -80,7 +81,7 @@ class TestStructure:
         universe = generate(small_config())
         patterns = compile_catalog(universe.profiles)
         result = ingest_cert_scan(universe.cert_records, patterns, WINDOW)
-        fused = fuse(result.observations)
+        fused = fuse(result.observations, UTC_DATE)[0]
         cert_truth = {(s.provider_id, s.ip) for s in universe.truth.servers
                       if "tls-cert" in s.sources}
         assert set(fused) == cert_truth
@@ -96,7 +97,7 @@ class TestStructure:
                                            WINDOW).observations
         observations += observations_from_resolutions(universe.resolutions, patterns,
                                                       WINDOW).observations
-        assert set(fuse(observations)) == orc.oracle_candidates(universe.truth)
+        assert set(fuse(observations, UTC_DATE)[0]) == orc.oracle_candidates(universe.truth)
 
     def test_infeasible_scanner_breadth_rejected(self):
         with pytest.raises(ValueError, match="breadth"):
