@@ -218,7 +218,7 @@ def _probe_tls(target: TlsTarget, timeout: float, now: int) -> TlsProbeResult:
         return TlsProbeResult(target, failure="handshake-failure")
     names, not_before, not_after = _extract_names(der)
     record = CertScanRecord(
-        ip=target.ip, port=target.port, names=names,
+        ip=canonical_ip(target.ip), port=target.port, names=names,
         not_before=not_before, not_after=not_after, observed_at=now,
     )
     return TlsProbeResult(target, record=record)

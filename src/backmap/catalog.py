@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -114,8 +115,7 @@ class DomainPattern:
             raise ValueError("pattern expression must be suffix-anchored")
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     provider_id: str
     matched: bool
     region_token: str | None

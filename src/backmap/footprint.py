@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 # names are matched through ingest.NameMatches; `match_fqdn` stays bound here
 # because perfbench/layers.py wraps it at this name
@@ -20,7 +20,7 @@ from .catalog import DomainPattern, ProviderProfile, match_fqdn  # noqa: F401
 from .fusion import CandidateAddress
 from .geo import Location
 from .ingest import NameMatches, name_matches
-from .netutil import PrefixIndex, ip_family, parse_prefix, prefix_contains, truncate_prefix
+from .netutil import PrefixIndex, ip_family, parse_prefix, truncate_prefix
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
 
@@ -46,8 +46,11 @@ class LocationHint:
             raise ValueError(f"bad hint source {self.source!r}")
 
 
-@dataclass(frozen=True)
-class BackendServer:
+class BackendServer(NamedTuple):
+    """A located, routed server. `enrich_candidates` builds it from its own
+    prefix lookup, so the prefix holds the address; `pipeline.read_servers`
+    checks what it reads."""
+
     ip: str
     provider_id: str
     location: Location
@@ -57,14 +60,6 @@ class BackendServer:
     sharing: str  # dedicated | shared
     sources: frozenset[str]
     region_token: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.asn <= 0:
-            raise ValueError("asn must be positive")
-        if not prefix_contains(self.prefix, self.ip):
-            raise ValueError(f"prefix {self.prefix} does not contain {self.ip}")
-        if self.sharing not in ("dedicated", "shared"):
-            raise ValueError(f"bad sharing class {self.sharing!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +115,7 @@ def locate(
 # --- prefix -> origin AS table -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(NamedTuple):
     prefix: str
     origins: tuple[int, ...]
 
@@ -165,6 +159,8 @@ def load_prefix_table(path: str | Path) -> PrefixTable:
                 origins = [int(a) for a in asn_field.split("_")]
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: field 'asn': {exc}") from None
+            if min(origins) <= 0:  # a server takes the least origin as its asn
+                raise ValueError(f"{path}:{line_no}: field 'asn': asn must be positive")
             try:
                 table.add(f"{prefix}/{int(length)}", origins)
             except ValueError as exc:

@@ -12,7 +12,7 @@ import ipaddress
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # names are matched through ingest.NameMatches; `match_fqdn` stays bound here
 # because perfbench/layers.py wraps it at this name
@@ -20,7 +20,7 @@ from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
 from .ingest import SOURCES, NameMatches, Observation, name_matches
 from .jsonl import Memo, naming_fields, quote, quote_sorted, read_jsonl, text, texts, write_lines
 from .netutil import canonical_ip, ip_family, parse_network
-from .timeutil import fmt_epoch, parse_iso, to_epoch
+from .timeutil import fmt_epoch, iso_second, parse_iso
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
 
@@ -41,8 +41,10 @@ class ReverseIndexMissError(KeyError):
     empty row, which legitimately counts zero non-matching names)."""
 
 
-@dataclass(frozen=True)
-class CandidateAddress:
+class CandidateAddress(NamedTuple):
+    """One (provider, ip) candidate: `fuse` builds it from observations and
+    `read_candidates` checks what it reads."""
+
     ip: str
     provider_id: str
     sources: frozenset[str]
@@ -50,20 +52,13 @@ class CandidateAddress:
     last_seen: int
     fqdns: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if not self.sources:
-            raise ValueError("sources must be non-empty")
-        if self.first_seen > self.last_seen:
-            raise ValueError("first_seen after last_seen")
-
     def source_class(self) -> str:
         if len(self.sources) >= 2:
             return "multiple"
         return _SOLO_CLASS[next(iter(self.sources))]
 
 
-@dataclass(frozen=True)
-class SharingVerdict:
+class SharingVerdict(NamedTuple):
     ip: str
     provider_id: str
     non_matching_domain_count: int
@@ -287,15 +282,18 @@ def write_snapshot(path: str | Path, slots: Mapping[tuple[str, str], Slot],
     write_lines(path, (line(pid, ip, *slot) for (pid, ip), slot in slots.items()))
 
 
-def _candidate(doc: dict) -> CandidateAddress:
-    # CandidateAddress checks no types, so the text fields are checked here
-    return CandidateAddress(
-        ip=text(doc["ip"]), provider_id=text(doc["provider_id"]),
-        sources=frozenset(texts(doc["sources"])),
-        first_seen=to_epoch(parse_iso(doc["first_seen"])),
-        last_seen=to_epoch(parse_iso(doc["last_seen"])),
-        fqdns=frozenset(texts(doc["fqdns"])),
-    )
+def _candidate(instants: Memo) -> Callable[[dict], CandidateAddress]:
+    def build(doc: dict) -> CandidateAddress:
+        ip, provider_id = text(doc["ip"]), text(doc["provider_id"])
+        sources = frozenset(texts(doc["sources"]))
+        first_seen, last_seen = instants(doc["first_seen"]), instants(doc["last_seen"])
+        fqdns = frozenset(texts(doc["fqdns"]))
+        if not sources:
+            raise ValueError("sources must be non-empty")
+        if first_seen > last_seen:
+            raise ValueError("first_seen after last_seen")
+        return CandidateAddress(ip, provider_id, sources, first_seen, last_seen, fqdns)
+    return build
 
 
 _CANDIDATE_CHECKS = {
@@ -306,8 +304,9 @@ _CANDIDATE_CHECKS = {
 
 
 def read_candidates(path: str | Path) -> dict[tuple[str, str], CandidateAddress]:
+    build = _candidate(Memo(iso_second))  # the candidates share a few instants
     return {(c.provider_id, c.ip): c
-            for c in read_jsonl(path, naming_fields(_candidate, _CANDIDATE_CHECKS))}
+            for c in read_jsonl(path, naming_fields(build, _CANDIDATE_CHECKS))}
 
 
 def snapshot_filename(date: str) -> str:

@@ -4,10 +4,20 @@ Three exports feed the pipeline: certificate scans, passive DNS and active-DNS
 resolutions (`active` holds the live probes). Each ingest operation restricts
 its output to a study window and tags every observation with its source.
 
+Records are plain tuples (`typing.NamedTuple`) that check nothing. Each
+reader checks and canonicalises every field of a line: addresses in their
+canonical text (`canonical_ip`), names normalized and non-empty, ports and
+intervals in range. It does so once per distinct raw address, name and
+ISO-8601 instant of the file, through a `jsonl.Memo` local to the read, and
+names the field of a value it rejects. Code inside the process builds records
+from values that are already canonical and trusts them: the ingesters copy a
+record's address and names into its observations as they are.
+
 Records hold every instant as an int of epoch seconds. The readers turn each
 epoch value into the second it falls in (`timeutil.epoch_second`) and each
-ISO-8601 text into its second; the ingesters compare those ints with the
-window's bounds in seconds; the writers format each distinct second once.
+ISO-8601 text into its second (`timeutil.iso_second`); the ingesters compare
+those ints with the window's bounds in seconds; the writers format each
+distinct second once.
 
 File formats (all line-delimited JSON, one record per line):
 
@@ -25,14 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
 from .jsonl import Memo, naming_fields, quote, read_jsonl, text, texts, write_jsonl, write_lines
-from .netutil import canonical_ip, ip_family
-from .timeutil import ensure_utc, epoch_second, fmt_epoch, parse_iso, to_epoch
+from .netutil import canonical_ip
+from .timeutil import ensure_utc, epoch_second, fmt_epoch, iso_second, parse_iso, to_epoch
 
 SOURCES = ("tls-cert", "passive-dns", "active-dns")
+
+# builds a record from a tuple of its fields, without the Python-level
+# __new__ of its NamedTuple: the hot readers and ingesters build thousands
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -57,8 +71,7 @@ class StudyWindow:
                      for bound in (self.start, self.end))
 
 
-@dataclass(frozen=True)
-class CertScanRecord:
+class CertScanRecord(NamedTuple):
     ip: str
     port: int
     names: tuple[str, ...]
@@ -66,69 +79,30 @@ class CertScanRecord:
     not_after: int
     observed_at: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ip", canonical_ip(self.ip))
-        object.__setattr__(self, "names", tuple(normalize_fqdn(n) for n in self.names))
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
-        if self.not_before > self.not_after:
-            raise ValueError("certificate validity interval is inverted")
 
-
-@dataclass(frozen=True)
-class PassiveDnsRecord:
+class PassiveDnsRecord(NamedTuple):
     rrname: str
     rrtype: str
     rdata: str
     first_seen: int
     last_seen: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rrname", normalize_fqdn(self.rrname))
-        object.__setattr__(self, "rrtype", self.rrtype.upper())
-        if self.rrtype in ("A", "AAAA"):
-            rdata = canonical_ip(self.rdata)
-            object.__setattr__(self, "rdata", rdata)
-            want = 4 if self.rrtype == "A" else 6
-            if ip_family(rdata) != want:
-                raise ValueError(f"rdata {rdata} inconsistent with rrtype {self.rrtype}")
-        if self.first_seen > self.last_seen:
-            raise ValueError("first_seen after last_seen")
 
-
-@dataclass(frozen=True)
-class ResolutionResult:
+class ResolutionResult(NamedTuple):
     fqdn: str
     vantage_id: str
     answers: tuple[str, ...]
     resolved_at: int
     status: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fqdn", normalize_fqdn(self.fqdn))
-        object.__setattr__(self, "answers", tuple(canonical_ip(a) for a in self.answers))
-        if self.status not in ("ok", "nxdomain", "timeout", "servfail"):
-            raise ValueError(f"bad status {self.status!r}")
-        if (self.status == "ok") != bool(self.answers):
-            raise ValueError("answers must be non-empty exactly when status=ok")
 
-
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     provider_id: str
     fqdn: str
     ip: str
     source: str
     seen_at: int
-    wildcard: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ip", canonical_ip(self.ip))
-        if self.source not in SOURCES:
-            raise ValueError(f"bad source {self.source!r}")
-
-    def sort_key(self) -> tuple:
-        return (self.provider_id, self.fqdn, self.ip, self.source, self.seen_at)
+    wildcard: bool = False  # the ingesters set it when fqdn starts with "*."
 
 
 @dataclass(frozen=True)
@@ -224,14 +198,9 @@ def ingest_cert_scan(
                 stats.unmatched_names += 1
                 continue
             for result, wildcard in matches:
-                observations.append(Observation(
-                    provider_id=result.provider_id,
-                    fqdn=normalize_fqdn(name),
-                    ip=record.ip,
-                    source="tls-cert",
-                    seen_at=record.observed_at,
-                    wildcard=wildcard,
-                ))
+                observations.append(_new(Observation, (
+                    result.provider_id, name, record.ip, "tls-cert", record.observed_at,
+                    wildcard)))
                 stats.emitted += 1
     return IngestResult(tuple(observations), stats)
 
@@ -263,14 +232,9 @@ def ingest_passive_dns(
             continue
         seen_at = max(record.first_seen, start)
         for result, wildcard in matches:
-            observations.append(Observation(
-                provider_id=result.provider_id,
-                fqdn=record.rrname,
-                ip=record.rdata,
-                source="passive-dns",
-                seen_at=seen_at,
-                wildcard=wildcard,
-            ))
+            observations.append(_new(Observation, (
+                result.provider_id, record.rrname, record.rdata, "passive-dns", seen_at,
+                wildcard)))
             stats.emitted += 1
     return IngestResult(tuple(observations), stats)
 
@@ -297,14 +261,9 @@ def observations_from_resolutions(
             continue
         for result, wildcard in matches:
             for ip in res.answers:
-                observations.append(Observation(
-                    provider_id=result.provider_id,
-                    fqdn=res.fqdn,
-                    ip=ip,
-                    source="active-dns",
-                    seen_at=res.resolved_at,
-                    wildcard=wildcard,
-                ))
+                observations.append(_new(Observation, (
+                    result.provider_id, res.fqdn, ip, "active-dns", res.resolved_at,
+                    wildcard)))
                 stats.emitted += 1
     return IngestResult(tuple(observations), stats)
 
@@ -312,19 +271,46 @@ def observations_from_resolutions(
 # --- file formats -------------------------------------------------------------
 
 
-def _cert_record(doc: dict) -> CertScanRecord:
-    return CertScanRecord(
-        ip=doc["ip"],
-        port=int(doc["port"]),
-        names=tuple(doc["names"]),
-        not_before=epoch_second(doc["validity"]["start"]),
-        not_after=epoch_second(doc["validity"]["end"]),
-        observed_at=epoch_second(doc["observed_at"]),
-    )
+def _name(value: object) -> str:
+    """A name as records hold it: text, normalized and, as `match_fqdn`
+    requires, non-empty."""
+    name = normalize_fqdn(text(value))
+    if not name:
+        raise ValueError("fqdn must be non-empty")
+    return name
+
+
+def _validity(value: object) -> tuple[int, int]:
+    """A certificate's validity object as (not_before, not_after) seconds."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, not {type(value).__name__}")
+    return epoch_second(value["start"]), epoch_second(value["end"])
+
+
+def _cert_record(addresses: Memo, names: Memo) -> Callable[[dict], CertScanRecord]:
+    def build(doc: dict) -> CertScanRecord:
+        ip, port, listed = doc["ip"], int(doc["port"]), texts(doc["names"])
+        not_before, not_after = _validity(doc["validity"])
+        observed_at = epoch_second(doc["observed_at"])
+        ip = addresses(ip)
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port out of range: {port}")
+        if not_before > not_after:
+            raise ValueError("certificate validity interval is inverted")
+        return _new(CertScanRecord, (ip, port, tuple(map(names, listed)),
+                                     not_before, not_after, observed_at))
+    return build
+
+
+_CERT_CHECKS = {
+    "ip": canonical_ip, "port": int, "names": lambda v: [_name(n) for n in texts(v)],
+    "validity": _validity, "observed_at": epoch_second,
+}
 
 
 def read_cert_scan_export(path: str | Path) -> Iterator[CertScanRecord | MalformedRecord]:
-    return read_jsonl(path, _cert_record, MalformedRecord)
+    build = _cert_record(Memo(canonical_ip), Memo(_name))
+    return read_jsonl(path, naming_fields(build, _CERT_CHECKS), MalformedRecord)
 
 
 def write_cert_scan_export(path: str | Path, records: Iterable[CertScanRecord]) -> None:
@@ -335,18 +321,33 @@ def write_cert_scan_export(path: str | Path, records: Iterable[CertScanRecord]) 
     } for r in records))
 
 
-def _pdns_record(doc: dict) -> PassiveDnsRecord:
-    return PassiveDnsRecord(
-        rrname=doc["rrname"],
-        rrtype=doc["rrtype"],
-        rdata=doc["rdata"],
-        first_seen=epoch_second(doc["time_first"]),
-        last_seen=epoch_second(doc["time_last"]),
-    )
+def _pdns_record(addresses: Memo, names: Memo) -> Callable[[dict], PassiveDnsRecord]:
+    def build(doc: dict) -> PassiveDnsRecord:
+        rrname, rrtype, rdata = doc["rrname"], doc["rrtype"], doc["rdata"]
+        first_seen, last_seen = epoch_second(doc["time_first"]), epoch_second(doc["time_last"])
+        rrname, rrtype = names(rrname), rrtype.upper()
+        if rrtype == "A" or rrtype == "AAAA":
+            try:
+                rdata = addresses(rdata)
+            except ValueError as exc:
+                raise ValueError(f"field 'rdata': {exc}") from None
+            # canonical text holds a colon exactly when it is IPv6
+            if (":" in rdata) != (rrtype == "AAAA"):
+                raise ValueError(f"rdata {rdata} inconsistent with rrtype {rrtype}")
+        if first_seen > last_seen:
+            raise ValueError("first_seen after last_seen")
+        return _new(PassiveDnsRecord, (rrname, rrtype, rdata, first_seen, last_seen))
+    return build
+
+
+_PDNS_CHECKS = {
+    "rrname": _name, "rrtype": text, "time_first": epoch_second, "time_last": epoch_second,
+}
 
 
 def read_pdns_export(path: str | Path) -> Iterator[PassiveDnsRecord | MalformedRecord]:
-    return read_jsonl(path, _pdns_record, MalformedRecord)
+    build = _pdns_record(Memo(canonical_ip), Memo(_name))
+    return read_jsonl(path, naming_fields(build, _PDNS_CHECKS), MalformedRecord)
 
 
 def write_pdns_export(path: str | Path, records: Iterable[PassiveDnsRecord]) -> None:
@@ -356,25 +357,32 @@ def write_pdns_export(path: str | Path, records: Iterable[PassiveDnsRecord]) -> 
     } for r in records))
 
 
-def _resolution(doc: dict) -> ResolutionResult:
-    return ResolutionResult(
-        fqdn=doc["fqdn"],
-        vantage_id=doc["vantage_id"],
-        answers=tuple(doc["answers"]),
-        resolved_at=epoch_second(doc["resolved_at"]),
-        status=doc["status"],
-    )
+STATUSES = ("ok", "nxdomain", "timeout", "servfail")
+
+
+def _resolution(addresses: Memo, names: Memo) -> Callable[[dict], ResolutionResult]:
+    def build(doc: dict) -> ResolutionResult:
+        fqdn, vantage_id, answers = doc["fqdn"], text(doc["vantage_id"]), doc["answers"]
+        resolved_at, status = epoch_second(doc["resolved_at"]), doc["status"]
+        fqdn, answers = names(fqdn), tuple(map(addresses, answers))
+        if status not in STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        if (status == "ok") != bool(answers):
+            raise ValueError("answers must be non-empty exactly when status=ok")
+        return _new(ResolutionResult, (fqdn, vantage_id, answers, resolved_at, status))
+    return build
 
 
 _RESOLUTION_CHECKS = {
-    "fqdn": text, "vantage_id": text,
+    "fqdn": _name, "vantage_id": text,
     "answers": lambda v: [canonical_ip(a) for a in texts(v)],
     "resolved_at": epoch_second, "status": text,
 }
 
 
 def read_resolutions(path: str | Path) -> Iterator[ResolutionResult]:
-    return read_jsonl(path, naming_fields(_resolution, _RESOLUTION_CHECKS))
+    build = _resolution(Memo(canonical_ip), Memo(_name))
+    return read_jsonl(path, naming_fields(build, _RESOLUTION_CHECKS))
 
 
 def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> None:
@@ -384,16 +392,15 @@ def write_resolutions(path: str | Path, results: Iterable[ResolutionResult]) -> 
     } for r in results))
 
 
-def _observation(doc: dict) -> Observation:
-    # Observation checks no text types, so provider_id and fqdn are checked here
-    return Observation(
-        provider_id=text(doc["provider_id"]),
-        fqdn=text(doc["fqdn"]),
-        ip=doc["ip"],
-        source=doc["source"],
-        seen_at=to_epoch(parse_iso(doc["seen_at"])),
-        wildcard=bool(doc.get("wildcard", False)),
-    )
+def _observation(addresses: Memo, instants: Memo) -> Callable[[dict], Observation]:
+    def build(doc: dict) -> Observation:
+        provider_id, fqdn = text(doc["provider_id"]), text(doc["fqdn"])
+        ip, source = addresses(doc["ip"]), doc["source"]
+        seen_at, wildcard = instants(doc["seen_at"]), bool(doc.get("wildcard", False))
+        if source not in SOURCES:
+            raise ValueError(f"bad source {source!r}")
+        return _new(Observation, (provider_id, fqdn, ip, source, seen_at, wildcard))
+    return build
 
 
 _OBSERVATION_CHECKS = {
@@ -403,7 +410,8 @@ _OBSERVATION_CHECKS = {
 
 
 def read_observations(path: str | Path) -> Iterator[Observation]:
-    return read_jsonl(path, naming_fields(_observation, _OBSERVATION_CHECKS))
+    build = _observation(Memo(canonical_ip), Memo(iso_second))
+    return read_jsonl(path, naming_fields(build, _OBSERVATION_CHECKS))
 
 
 def write_observations(path: str | Path, observations: Iterable[Observation]) -> None:

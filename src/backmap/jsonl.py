@@ -96,8 +96,12 @@ def quote_sorted(values: Iterable[str]) -> str:
 
 class Memo(dict):
     """`memo[key]` is `fn(key)`, computed on the key's first lookup only: a
-    writer's or a rollup's rows share a few distinct values, such as
-    source sets and instants."""
+    reader's, a writer's or a rollup's rows share a few distinct values,
+    such as addresses, names, source sets and instants.
+
+    `memo(value)` is the same lookup for a JSON value that a reader has not
+    checked yet: text goes through the memo, and any other value straight
+    to `fn`, which rejects it as it would (a list is no dict key)."""
 
     def __init__(self, fn: Callable) -> None:
         self.fn = fn  # dict.__new__ has made the empty dict
@@ -105,6 +109,9 @@ class Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+    def __call__(self, value):
+        return self[value] if type(value) is str else self.fn(value)
 
 
 def naming_fields(build: Callable[[dict], T],

@@ -35,6 +35,7 @@ from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
                      read_resolutions, write_observations)
 from .jsonl import (Memo, integer, naming_fields, optional_text, quote, quote_optional,
                     quote_sorted, read_jsonl, text, texts, write_jsonl, write_lines)
+from .netutil import prefix_contains
 from .timeutil import LocalDays, fmt_iso, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
@@ -303,7 +304,7 @@ def _stage_discover(state: RunState) -> None:
         observations.extend(result.observations)
     if not observations and not (cfg.certs or cfg.pdns or cfg.resolutions):
         raise UpstreamMissingError("certs/pdns/resolutions inputs", "discover")
-    observations.sort(key=Observation.sort_key)
+    observations.sort()  # by fields; an ingested wildcard flag follows from the fqdn
     write_observations(cfg.out_dir / "observations.jsonl", observations)
     state.held["observations"] = observations
 
@@ -375,8 +376,14 @@ def _stage_classify(state: RunState) -> None:
                                           cfg.sharing_threshold)
 
 
+SHARING_CLASSES = ("dedicated", "shared")
+
+
 def _sharing_row(doc: dict) -> tuple[tuple[str, str], str]:
-    return (text(doc["provider_id"]), text(doc["ip"])), text(doc["verdict"])
+    key, verdict = (text(doc["provider_id"]), text(doc["ip"])), doc["verdict"]
+    if verdict not in SHARING_CLASSES:
+        raise ValueError(f"bad sharing class {verdict!r}")
+    return key, verdict
 
 
 def _read_sharing(path: Path) -> dict[tuple[str, str], str]:
@@ -402,16 +409,22 @@ def write_servers(path: Path, servers: Iterable[BackendServer]) -> list[BackendS
 
 
 def _server(doc: dict, locations: Memo) -> BackendServer:
-    # BackendServer checks the ip, prefix, asn and sharing values; the other
-    # text fields are checked here
-    return BackendServer(
-        ip=doc["ip"], provider_id=text(doc["provider_id"]),
+    ip, prefix, asn, sharing = doc["ip"], doc["prefix"], doc["asn"], doc["sharing"]
+    server = BackendServer(
+        ip=ip, provider_id=text(doc["provider_id"]),
         location=locations[doc["country"], optional_text(doc.get("city")), doc["continent"]],
         location_confidence=text(doc["location_confidence"]),
-        prefix=doc["prefix"], asn=doc["asn"], sharing=doc["sharing"],
+        prefix=prefix, asn=asn, sharing=sharing,
         sources=frozenset(texts(doc["sources"])),
         region_token=optional_text(doc.get("region_token")),
     )
+    if asn <= 0:
+        raise ValueError("asn must be positive")
+    if not prefix_contains(prefix, ip):
+        raise ValueError(f"prefix {prefix} does not contain {ip}")
+    if sharing not in SHARING_CLASSES:
+        raise ValueError(f"bad sharing class {sharing!r}")
+    return server
 
 
 _SERVER_CHECKS = {

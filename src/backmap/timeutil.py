@@ -1,7 +1,7 @@
 """UTC timestamp helpers shared across ingest, flow and disruption code.
 
 Records hold their instants as epoch seconds (ints): discovery records as
-their readers floor them (`epoch_second`, or `to_epoch` of `parse_iso`),
+their readers floor them (`epoch_second`, or `iso_second` of ISO text),
 flow records as their files hold them, and hourly series and outage
 findings as epoch hours (`ts // 3600`). Datetimes are kept for study
 windows, routing events and the edges: exports carry epoch seconds,
@@ -55,6 +55,11 @@ def epoch_second(value: int | float) -> int:
     if type(value) is int and _FIRST_SECOND <= value <= _LAST_SECOND:
         return value
     return to_epoch(from_epoch(value))
+
+
+def iso_second(text: str) -> int:
+    """The epoch second an ISO-8601 instant falls in (`parse_iso`)."""
+    return to_epoch(parse_iso(text))
 
 
 def fmt_iso(dt: datetime) -> str:

@@ -11,6 +11,7 @@ from backmap.footprint import (BackendServer, LocationHint, PrefixTable,
 from backmap.fusion import fuse
 from backmap.geo import Location
 from backmap.ingest import Observation
+from backmap.pipeline import read_servers, write_servers
 from backmap.timeutil import LocalDays, to_epoch, utc
 
 T0 = to_epoch(utc(2022, 2, 28))
@@ -115,6 +116,7 @@ class TestPrefixTable:
          "'10.0.0.0/33' does not appear to be an IPv4 or IPv6 network"),
         ("10.0.0.0\tx\t1", "length", "invalid literal for int() with base 10: 'x'"),
         ("10.0.0.0\t8\tAS1", "asn", "invalid literal for int() with base 10: 'AS1'"),
+        ("10.0.0.0\t8\t64500_0", "asn", "asn must be positive"),
     ])
     def test_bad_row_names_its_file_line_and_field(self, tmp_path, row, field, reason):
         path = tmp_path / "prefix2as.tsv"
@@ -223,32 +225,37 @@ class TestDiversity:
         assert second.country_count >= first.country_count
 
 
-def backend_server(ip, prefix):
-    return BackendServer(ip=ip, provider_id="p1", location=Location.of("DE"),
-                         location_confidence="unanimous", prefix=prefix, asn=64500,
-                         sharing="dedicated", sources=frozenset({"tls-cert"}))
+def backend_server(tmp_path, ip, prefix):
+    """The server of one servers.jsonl row, as `read_servers` reads it back."""
+    path = tmp_path / "servers.jsonl"
+    write_servers(path, [BackendServer(
+        ip=ip, provider_id="p1", location=Location.of("DE"),
+        location_confidence="unanimous", prefix=prefix, asn=64500,
+        sharing="dedicated", sources=frozenset({"tls-cert"}))])
+    [server] = read_servers(path)
+    return server
 
 
 class TestBackendServerPrefixCheck:
-    """The containment check skips `ipaddress` for canonical IPv4 text and
-    keeps its messages for everything else."""
+    """The servers reader's containment check skips `ipaddress` for
+    canonical IPv4 text and keeps its messages for everything else."""
 
     @pytest.mark.parametrize("ip, prefix", [
         ("192.0.2.7", "192.0.2.0/24"), ("192.0.2.7", "192.0.2.7/32"), ("10.1.2.3", "0.0.0.0/0"),
         ("2001:db8::7", "2001:db8::/64"),
     ])
-    def test_address_inside_its_prefix(self, ip, prefix):
-        assert backend_server(ip, prefix).prefix == prefix
+    def test_address_inside_its_prefix(self, tmp_path, ip, prefix):
+        assert backend_server(tmp_path, ip, prefix).prefix == prefix
 
     @pytest.mark.parametrize("ip, prefix", [
         ("192.0.3.7", "192.0.2.0/24"), ("10.0.0.2", "10.0.0.1/32"),
         ("2001:db9::7", "2001:db8::/64"), ("192.0.2.7", "2001:db8::/64"),
         ("2001:db8::7", "0.0.0.0/0"),
     ])
-    def test_address_outside_its_prefix(self, ip, prefix):
-        with pytest.raises(ValueError, match=rf"^prefix {re.escape(prefix)} does not contain "
+    def test_address_outside_its_prefix(self, tmp_path, ip, prefix):
+        with pytest.raises(ValueError, match=rf":1: prefix {re.escape(prefix)} does not contain "
                                              rf"{re.escape(ip)}$"):
-            backend_server(ip, prefix)
+            backend_server(tmp_path, ip, prefix)
 
     @pytest.mark.parametrize("ip, prefix, message", [
         ("192.0.2.7", "192.0.2.1/24", "192.0.2.1/24 has host bits set"),
@@ -258,6 +265,7 @@ class TestBackendServerPrefixCheck:
         ("192.0.2.7", "not-a-net", "'not-a-net' does not appear to be an IPv4 or IPv6 network"),
         ("999.0.2.7", "192.0.2.0/24", "'999.0.2.7' does not appear to be an IPv4 or IPv6 address"),
     ])
-    def test_bad_prefix_or_address_keeps_the_ipaddress_message(self, ip, prefix, message):
+    def test_bad_prefix_or_address_keeps_the_ipaddress_message(self, tmp_path, ip, prefix,
+                                                                message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            backend_server(ip, prefix)
+            backend_server(tmp_path, ip, prefix)

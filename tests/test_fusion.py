@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -96,7 +95,7 @@ def test_one_pass_fuses_the_run_and_each_local_day(rows, anchors, tz):
     key, and each local day's slots are what fusing that day alone gives,
     in (provider, ip) order. Three anchors at 02:00 UTC on three days put
     the observations on at least three local days in each zone."""
-    rows = rows + [replace(a, seen_at=T0 + day * 86400 + 7200) for day, a in enumerate(anchors)]
+    rows = rows + [a._replace(seen_at=T0 + day * 86400 + 7200) for day, a in enumerate(anchors)]
     day_of = LocalDays(tz).date
     candidates, days = fuse(rows, day_of)
 

@@ -1,21 +1,25 @@
+import json
+import re
 import time
-from dataclasses import replace
+from collections import Counter
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backmap import fusion, ingest
 from backmap.active import ResolverEndpoint, TlsTarget, collect_tls, resolve_active
 from backmap.catalog import default_catalog_path
-from backmap.ingest import (CertScanRecord, MalformedRecord,
+from backmap.ingest import (CertScanRecord, MalformedRecord, Observation,
                             PassiveDnsRecord, ResolutionResult, StudyWindow,
                             ingest_cert_scan, ingest_passive_dns,
                             observations_from_resolutions, read_cert_scan_export,
-                            read_pdns_export, write_cert_scan_export,
-                            read_observations)
+                            read_pdns_export, read_resolutions, write_cert_scan_export,
+                            read_observations, write_resolutions)
 from backmap.pipeline import RunConfig, run_pipeline
-from backmap.timeutil import from_epoch, to_epoch, utc
+from backmap.synth import ProviderSpec, RegionSpec, UniverseConfig, generate
+from backmap.timeutil import LocalDays, from_epoch, to_epoch, utc
 
 WINDOW = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 7))
 START, END = to_epoch(WINDOW.start), to_epoch(WINDOW.end)
@@ -113,10 +117,12 @@ class TestPdnsIngest:
         assert result.observations == ()
         assert result.stats.skipped_rrtype == 1
 
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            PassiveDnsRecord(rrname="a.example", rrtype="A", rdata="2001:db8::1",
-                             first_seen=START, last_seen=END)
+    def test_family_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "pdns.jsonl"
+        path.write_text(json.dumps({"rrname": "a.example", "rrtype": "A", "rdata": "2001:db8::1",
+                                    "time_first": START, "time_last": END}) + "\n")
+        [row] = read_pdns_export(path)
+        assert row == MalformedRecord(1, "rdata 2001:db8::1 inconsistent with rrtype A")
 
 
 def test_study_window_rejects_inverted_bounds():
@@ -124,18 +130,22 @@ def test_study_window_rejects_inverted_bounds():
         StudyWindow(utc(2022, 3, 7), utc(2022, 2, 28))
 
 
-def test_cert_record_rejects_inverted_validity():
-    with pytest.raises(ValueError, match="inverted"):
-        cert(["x.example"], not_before=END, not_after=START)
+def test_cert_record_rejects_inverted_validity(tmp_path):
+    path = tmp_path / "certs.jsonl"
+    write_cert_scan_export(path, [cert(["x.example"], not_before=END, not_after=START)])
+    [row] = read_cert_scan_export(path)
+    assert row == MalformedRecord(1, "certificate validity interval is inverted")
 
 
-def test_resolution_result_invariant():
-    with pytest.raises(ValueError, match="answers"):
-        ResolutionResult(fqdn="a.example", vantage_id="v1", answers=(),
-                         resolved_at=START, status="ok")
-    with pytest.raises(ValueError, match="answers"):
-        ResolutionResult(fqdn="a.example", vantage_id="v1", answers=("192.0.2.1",),
-                         resolved_at=START, status="timeout")
+def test_resolution_result_invariant(tmp_path):
+    path = tmp_path / "resolutions.jsonl"
+    for answers, status in (((), "ok"), (("192.0.2.1",), "timeout")):
+        write_resolutions(path, [ResolutionResult(fqdn="a.example", vantage_id="v1",
+                                                  answers=answers, resolved_at=START,
+                                                  status=status)])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: answers must be "
+                                             rf"non-empty exactly when status=ok$"):
+            list(read_resolutions(path))
 
 
 def test_observations_from_resolutions(catalog_patterns):
@@ -245,7 +255,7 @@ def test_observations_sorted_output_is_byte_stable(tmp_path):
     records = [cert(["b.iot.us-east-1.amazonaws.com", "a.iot.us-east-1.amazonaws.com"]),
                cert(["c.iot.us-east-1.amazonaws.com"], ip="192.0.2.9")]
     written = []
-    for name, rows in (("a", records), ("b", [replace(r, names=r.names[::-1])
+    for name, rows in (("a", records), ("b", [r._replace(names=r.names[::-1])
                                               for r in reversed(records)])):
         write_cert_scan_export(tmp_path / f"{name}.jsonl", rows)
         out_dir = tmp_path / f"out-{name}"
@@ -259,6 +269,90 @@ def test_observations_sorted_output_is_byte_stable(tmp_path):
         ("a.iot.us-east-1.amazonaws.com", "192.0.2.10"),
         ("b.iot.us-east-1.amazonaws.com", "192.0.2.10"),
         ("c.iot.us-east-1.amazonaws.com", "192.0.2.9")]
+
+
+def test_discover_quarantines_a_row_with_an_empty_name(tmp_path):
+    """An empty name is the row's fault, not the stage's: the discover stage
+    goes on with the rows that remain."""
+    path = tmp_path / "certs.jsonl"
+    write_cert_scan_export(path, [cert(["x.iot.us-east-1.amazonaws.com", "."]),
+                                  cert(["y.iot.us-east-1.amazonaws.com"])])
+    out_dir = tmp_path / "out"
+    run_pipeline(RunConfig(catalog=default_catalog_path(), window=WINDOW, out_dir=out_dir,
+                           certs=path), ["discover"])
+    observations = list(read_observations(out_dir / "observations.jsonl"))
+    assert [o.fqdn for o in observations] == ["y.iot.us-east-1.amazonaws.com"]
+
+
+# the raw address and name texts of each export's rows, as the readers meet them
+EXPORT_VALUES = {
+    "certs.jsonl": lambda doc: ([doc["ip"]], doc["names"]),
+    "pdns.jsonl": lambda doc: ([doc["rdata"]] if doc["rrtype"] in ("A", "AAAA") else [],
+                               [doc["rrname"]]),
+    "resolutions.jsonl": lambda doc: (doc["answers"], [doc["fqdn"]]),
+}
+
+
+def counting(calls, kind, fn):
+    def count(value):
+        calls[kind] += 1
+        return fn(value)
+    return count
+
+
+def test_discover_canonicalises_each_distinct_value_once_per_export(tmp_path, monkeypatch):
+    """The readers canonicalise each distinct raw address and name text of
+    an export once; neither the records nor the ingesters do it again."""
+    window = StudyWindow(utc(2022, 2, 28), utc(2022, 3, 3))
+    generate(UniverseConfig(
+        seed=11, window=window, n_lines=20,
+        providers=(ProviderSpec("p1", n_servers=16, churn_rate=0.2, shared_count=2,
+                                ipv6_fraction=0.5),
+                   ProviderSpec("p2", n_servers=8, regions=(RegionSpec("r2", "JP"),))),
+    )).write_to(tmp_path)
+    rows, distinct = Counter(), Counter()
+    for export, values in EXPORT_VALUES.items():
+        seen = {"address": set(), "name": set()}
+        for line in (tmp_path / export).read_text().splitlines():
+            addresses, names = values(json.loads(line))
+            seen["address"].update(addresses)
+            seen["name"].update(names)
+            rows["address"] += len(addresses)
+            rows["name"] += len(names)
+        distinct.update({kind: len(texts) for kind, texts in seen.items()})
+    assert rows["address"] > distinct["address"] and rows["name"] > distinct["name"]
+
+    calls = Counter()
+    monkeypatch.setattr(ingest, "canonical_ip", counting(calls, "address", ingest.canonical_ip))
+    monkeypatch.setattr(ingest, "_name", counting(calls, "name", ingest._name))
+    run_pipeline(RunConfig(catalog=tmp_path / "catalog.yaml", window=window,
+                           out_dir=tmp_path / "out", certs=tmp_path / "certs.jsonl",
+                           pdns=tmp_path / "pdns.jsonl",
+                           resolutions=tmp_path / "resolutions.jsonl"), ["discover"])
+    assert calls == distinct
+
+
+def test_read_back_parses_each_distinct_instant_and_address_once(tmp_path, monkeypatch):
+    """A run that starts at fuse reads observations.jsonl back; each distinct
+    address and instant text is parsed once, and so are the instants of a
+    candidate file."""
+    path = tmp_path / "observations.jsonl"
+    observations = [Observation("p1", f"{n}.p1.example", ip, "tls-cert", START + hour * HOUR)
+                    for n in range(3) for ip in ("192.0.2.1", "2001:db8::1")
+                    for hour in range(4)]
+    ingest.write_observations(path, observations)
+    calls = Counter()
+    monkeypatch.setattr(ingest, "canonical_ip", counting(calls, "address", ingest.canonical_ip))
+    monkeypatch.setattr(ingest, "iso_second", counting(calls, "instant", ingest.iso_second))
+    assert list(read_observations(path)) == observations
+    assert calls == {"address": 2, "instant": 4}
+
+    candidates, _ = fusion.fuse(observations, LocalDays("UTC").date)
+    fusion.write_candidates(tmp_path / "candidates.jsonl", candidates)
+    calls.clear()
+    monkeypatch.setattr(fusion, "iso_second", counting(calls, "instant", fusion.iso_second))
+    assert fusion.read_candidates(tmp_path / "candidates.jsonl") == candidates
+    assert calls == {"instant": 2}
 
 
 # --- live resolution against local fixtures ----------------------------------------------

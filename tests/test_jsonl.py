@@ -152,6 +152,28 @@ def test_well_typed_bad_value_keeps_the_record_s_reason(tmp_path, name, field, v
         list(read(path))
 
 
+# (reader, field, a well-typed value a record check rejects, its reason): the
+# checks the records' constructors used to run, now run by their readers
+RECORD_CHECKS = [
+    ("candidates", "sources", [], "sources must be non-empty"),
+    ("candidates", "first_seen", "2022-03-01T00:00:00Z", "first_seen after last_seen"),
+    ("servers", "asn", 0, "asn must be positive"),
+    ("servers", "sharing", "maybe", "bad sharing class 'maybe'"),
+    ("sharing", "verdict", "maybe", "bad sharing class 'maybe'"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, reason", RECORD_CHECKS)
+def test_strict_reader_runs_the_record_checks(tmp_path, name, field, value, reason):
+    read, write, _ = STRICT_READERS[name]
+    path = tmp_path / f"{name}.jsonl"
+    write(path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), field: value})}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {re.escape(reason)}$"):
+        list(read(path))
+
+
 EXPORT_ROWS = {
     "pdns": (read_pdns_export, PassiveDnsRecord, "rdata",
              {"rrname": "a.p1.example", "rrtype": "A", "rdata": "192.0.2.1",
@@ -175,8 +197,8 @@ def test_export_row_without_a_field_is_quarantined_by_name(tmp_path, name):
 
 
 def test_export_row_with_a_wrong_json_type_is_quarantined(tmp_path):
-    """A number where the address text belongs fails inside the record's
-    constructor with a ValueError that names the type; the row is still
+    """A number where the address text belongs fails the reader's address
+    check with a ValueError that names the type; the row is still
     quarantined."""
     read, _, _, good = EXPORT_ROWS["cert"]
     path = tmp_path / "cert.jsonl"
@@ -185,6 +207,91 @@ def test_export_row_with_a_wrong_json_type_is_quarantined(tmp_path):
     assert isinstance(first, MalformedRecord) and first.line_no == 1
     assert "address must be text, not int" in first.reason
     assert isinstance(second, CertScanRecord)
+
+
+# (export, field, wrong-typed value, the reason its row is quarantined with)
+EXPORT_WRONG_TYPES = [
+    ("pdns", "rrtype", 5, "expected text, not int"),
+    ("pdns", "rrname", 5, "expected text, not int"),
+    ("pdns", "rdata", 5, "address must be text, not int"),
+    ("pdns", "time_first", "noon", "'str' object cannot be interpreted as an integer"),
+    ("cert", "validity", 5, "expected an object, not int"),
+    ("cert", "ip", 3221225985, "address must be text, not int"),
+    ("cert", "port", "https", "invalid literal for int() with base 10: 'https'"),
+    ("cert", "names", ["a.p1.example", 5], "expected text, not int"),
+    ("cert", "observed_at", "noon", "'str' object cannot be interpreted as an integer"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, reason", EXPORT_WRONG_TYPES)
+def test_export_row_with_a_wrong_typed_value_is_quarantined_by_field(tmp_path, name, field,
+                                                                      value, reason):
+    read, record_type, _, good = EXPORT_ROWS[name]
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(f"{json.dumps({**good, field: value})}\n{json.dumps(good)}\n")
+    first, second = read(path)
+    assert first == MalformedRecord(1, f"field {field!r}: {reason}")
+    assert isinstance(second, record_type)
+
+
+# (export, field, a well-typed value a record check rejects, its reason)
+EXPORT_RECORD_CHECKS = [
+    ("cert", "port", 0, "port out of range: 0"),
+    ("cert", "validity", {"start": T0 + 1, "end": T0}, "certificate validity interval is inverted"),
+    ("pdns", "time_first", T0 + 1, "first_seen after last_seen"),
+    ("pdns", "rdata", "2001:db8::1", "rdata 2001:db8::1 inconsistent with rrtype A"),
+    ("pdns", "rdata", "192.0.2.300", "field 'rdata': '192.0.2.300' does not appear to be an "
+                                     "IPv4 or IPv6 address"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, reason", EXPORT_RECORD_CHECKS)
+def test_export_reader_quarantines_what_a_record_check_rejects(tmp_path, name, field, value,
+                                                                reason):
+    read, record_type, _, good = EXPORT_ROWS[name]
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(f"{json.dumps({**good, field: value})}\n{json.dumps(good)}\n")
+    first, second = read(path)
+    assert first == MalformedRecord(1, reason)
+    assert isinstance(second, record_type)
+
+
+@pytest.mark.parametrize("names", ["ab", "a.p1.example"])
+def test_cert_names_given_as_text_are_quarantined(tmp_path, names):
+    """A JSON string is no list of names: its characters are not names."""
+    read, _, _, good = EXPORT_ROWS["cert"]
+    path = tmp_path / "cert.jsonl"
+    path.write_text(f"{json.dumps({**good, 'names': names})}\n")
+    assert list(read(path)) == [MalformedRecord(1, "field 'names': expected a list, not str")]
+
+
+@pytest.mark.parametrize("empty", ["", ".", " "])
+def test_cert_row_with_an_empty_name_is_quarantined(tmp_path, empty):
+    read, _, _, good = EXPORT_ROWS["cert"]
+    path = tmp_path / "cert.jsonl"
+    path.write_text(f"{json.dumps({**good, 'names': ['a.p1.example', empty]})}\n")
+    assert list(read(path)) == [MalformedRecord(1, "field 'names': fqdn must be non-empty")]
+
+
+@pytest.mark.parametrize("empty", ["", ".", " "])
+def test_pdns_row_with_an_empty_rrname_is_quarantined(tmp_path, empty):
+    read, _, _, good = EXPORT_ROWS["pdns"]
+    path = tmp_path / "pdns.jsonl"
+    path.write_text(f"{json.dumps({**good, 'rrname': empty})}\n{json.dumps(good)}\n")
+    first, second = read(path)
+    assert first == MalformedRecord(1, "field 'rrname': fqdn must be non-empty")
+    assert isinstance(second, PassiveDnsRecord)
+
+
+@pytest.mark.parametrize("empty", ["", ".", " "])
+def test_resolution_with_an_empty_fqdn_names_the_field(tmp_path, empty):
+    path = tmp_path / "resolutions.jsonl"
+    write_two_resolutions(path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), 'fqdn': empty})}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: field 'fqdn': "
+                                         rf"fqdn must be non-empty$"):
+        list(read_resolutions(path))
 
 
 # a quote, a backslash, a control character and a non-ASCII letter
