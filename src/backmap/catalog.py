@@ -13,14 +13,15 @@ README for the schema).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import yaml
 
 from .geo import Location
+from .records import Checked
 
 SUBDOMAIN_KINDS = ("wildcard", "literal-set", "protocol-prefixed")
 GROUPS = ("top", "cloud", "other")
@@ -44,8 +45,7 @@ class CatalogError(ValueError):
     """Catalog file failed to parse or validate. Message carries the locus."""
 
 
-@dataclass(frozen=True)
-class SubdomainRule:
+class SubdomainRule(NamedTuple):
     """How the client-specific part of the FQDN is formed.
 
     kind "wildcard": any label sequence. kind "literal-set": one of a fixed
@@ -61,8 +61,7 @@ class SubdomainRule:
     optional: bool = False
 
 
-@dataclass(frozen=True)
-class RegionGrammar:
+class RegionGrammar(NamedTuple):
     """The region slot: explicit tokens, a token pattern, or both."""
 
     tokens: tuple[str, ...] = ()
@@ -70,14 +69,14 @@ class RegionGrammar:
     optional: bool = False
 
 
-@dataclass(frozen=True)
-class ProviderProfile:
+class ProviderProfile(NamedTuple):
     provider_id: str
     display_name: str
     parent_domain: str
     subdomain_rule: SubdomainRule
     region_grammar: RegionGrammar | None
-    region_map: dict[str, Location] = field(default_factory=dict)
+    # the default is read-only, as every profile that takes it shares it
+    region_map: Mapping[str, Location] = MappingProxyType({})
     documented_protocols: tuple[tuple[str, int, str], ...] = ()
     dedicated_protocols: tuple[str, ...] = ()
     org_asns: frozenset[int] = frozenset()
@@ -100,19 +99,27 @@ class ProviderProfile:
         )
 
 
-@dataclass(frozen=True)
-class DomainPattern:
+class _DomainPattern(NamedTuple):
     provider_id: str
     expression: str
     capture_map: str | None
-    compiled: re.Pattern = field(repr=False, compare=False)
+    compiled: re.Pattern
     # Every match ends with one of these (``$`` also matches before a final
     # newline); lets `match_fqdn` skip the regex for foreign names.
-    tails: tuple[str, ...] = field(default=("",), repr=False, compare=False)
+    tails: tuple[str, ...] = ("",)
 
-    def __post_init__(self) -> None:
+
+class DomainPattern(Checked, _DomainPattern):
+    """A provider's compiled naming grammar. `compiled` and `tails` follow
+    from `expression`, so two patterns compare as their first three fields
+    do."""
+
+    __slots__ = ()
+
+    def _checked(self) -> DomainPattern:
         if not self.expression.endswith("$"):
             raise ValueError("pattern expression must be suffix-anchored")
+        return self
 
 
 class MatchResult(NamedTuple):

@@ -10,14 +10,14 @@ the findings.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .footprint import BackendServer
 from .ingest import StudyWindow
 from .netutil import PrefixIndex, network_range, parse_prefix
+from .records import Checked
 
 DEFAULT_BASELINE_DAYS = 7
 DEFAULT_SUSTAIN_HOURS = 2
@@ -28,8 +28,7 @@ class InsufficientHistoryError(ValueError):
     silently wrong minima."""
 
 
-@dataclass(frozen=True)
-class OutageFinding:
+class OutageFinding(NamedTuple):
     provider_id: str
     region: str
     window: tuple[int, int]  # flagged stretch: first and last epoch hour
@@ -38,31 +37,42 @@ class OutageFinding:
     max_drop_fraction: float
 
 
-@dataclass(frozen=True)
-class BlocklistEntry:
+class _BlocklistEntry(NamedTuple):
     list_id: str
     cidr: str
-    net: tuple = field(init=False, repr=False, compare=False)  # parse_prefix(cidr)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "net", parse_prefix(self.cidr))
-        object.__setattr__(self, "cidr", self.net[3])
+    net: tuple | None = None  # parse_prefix(cidr), set by the constructor
 
 
-@dataclass(frozen=True)
-class RoutingEvent:
+class BlocklistEntry(Checked, _BlocklistEntry):
+    """A list's block, its cidr in canonical text. `net` follows from the
+    cidr, so two entries compare as their list ids and cidrs do."""
+
+    __slots__ = ()
+
+    def _checked(self) -> BlocklistEntry:
+        net = parse_prefix(self.cidr)
+        return tuple.__new__(type(self), (self.list_id, net[3], net))
+
+
+class _RoutingEvent(NamedTuple):
     kind: str  # leak | hijack | as-outage
     window: tuple[datetime, datetime]
     prefix: str | None = None
     asn: int | None = None
 
-    def __post_init__(self) -> None:
+
+class RoutingEvent(Checked, _RoutingEvent):
+    __slots__ = ()
+
+    def _checked(self) -> RoutingEvent:
         if self.kind not in ("leak", "hijack", "as-outage"):
             raise ValueError(f"bad event kind {self.kind!r}")
         if self.prefix is None and self.asn is None:
             raise ValueError("event needs a prefix or an asn")
-        if self.prefix is not None:
-            object.__setattr__(self, "prefix", parse_prefix(self.prefix)[3])
+        if self.prefix is None:
+            return self
+        return tuple.__new__(type(self), (self.kind, self.window, parse_prefix(self.prefix)[3],
+                                          self.asn))
 
 
 HourlySeries = Sequence[tuple[int, float]]  # (epoch hour, value) points
@@ -137,15 +147,13 @@ class BlocklistIndex:
         return set().union(*self._index.containing(ip))
 
 
-@dataclass(frozen=True)
-class BlocklistMatch:
+class BlocklistMatch(NamedTuple):
     provider_id: str
     ip: str
     list_ids: frozenset[str]
 
 
-@dataclass(frozen=True)
-class BlocklistReport:
+class BlocklistReport(NamedTuple):
     matches: tuple[BlocklistMatch, ...]
     excluded_matches: tuple[BlocklistMatch, ...]
 
@@ -209,8 +217,7 @@ def read_blocklist(path: str | Path, list_id: str | None = None) -> list[Blockli
 # --- routing events --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventOverlap:
+class EventOverlap(NamedTuple):
     event: RoutingEvent
     affected_servers: tuple[str, ...]
     affected_providers: tuple[str, ...]

@@ -35,7 +35,6 @@ import os
 import socket
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -142,8 +141,7 @@ class ServerIndex:
 # --- scanner handling -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScannerVerdict:
+class ScannerVerdict(NamedTuple):
     line_id: str
     date: str
     distinct_backend_ips: int
@@ -237,8 +235,7 @@ def exclude_scanner_lines(
     return (f for f in flows if f[1] not in scanners)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     threshold: int
     visible_server_fraction: float
     scanner_line_count: int
@@ -284,29 +281,52 @@ def threshold_sweep(
 # --- single-pass aggregation --------------------------------------------------------
 
 
-@dataclass
 class FlowAggregate:
     """Aggregates of one pass over attributed flows.
 
     Hour keys are epoch hours (ints), as in every series rolled up from it.
+    A dict left out starts empty: a defaultdict of ints or sets, or, for
+    `line_day`, a plain dict.
     """
 
-    tz_name: str = "UTC"
-    provider_hour_down: dict = field(default_factory=lambda: defaultdict(int))
-    provider_hour_up: dict = field(default_factory=lambda: defaultdict(int))
-    provider_hour_lines: dict = field(default_factory=lambda: defaultdict(set))
-    provider_region_hour_down: dict = field(default_factory=lambda: defaultdict(int))
-    provider_down: dict = field(default_factory=lambda: defaultdict(int))
-    provider_up: dict = field(default_factory=lambda: defaultdict(int))
-    provider_port_bytes: dict = field(default_factory=lambda: defaultdict(int))
-    provider_contacted: dict = field(default_factory=lambda: defaultdict(set))
-    provider_lines_full: dict = field(default_factory=lambda: defaultdict(set))
-    provider_lines_cert: dict = field(default_factory=lambda: defaultdict(set))
-    line_regions: dict = field(default_factory=lambda: defaultdict(set))
-    region_bytes: dict = field(default_factory=lambda: defaultdict(int))
-    line_day: dict = field(default_factory=dict)
-    attributed_records: int = 0
-    unattributed_records: int = 0
+    __slots__ = ("tz_name", "provider_hour_down", "provider_hour_up", "provider_hour_lines",
+                 "provider_region_hour_down", "provider_down", "provider_up",
+                 "provider_port_bytes", "provider_contacted", "provider_lines_full",
+                 "provider_lines_cert", "line_regions", "region_bytes", "line_day",
+                 "attributed_records", "unattributed_records")
+
+    def __init__(self, tz_name: str = "UTC", provider_hour_down: dict | None = None,
+                 provider_hour_up: dict | None = None, provider_hour_lines: dict | None = None,
+                 provider_region_hour_down: dict | None = None,
+                 provider_down: dict | None = None, provider_up: dict | None = None,
+                 provider_port_bytes: dict | None = None,
+                 provider_contacted: dict | None = None,
+                 provider_lines_full: dict | None = None,
+                 provider_lines_cert: dict | None = None, line_regions: dict | None = None,
+                 region_bytes: dict | None = None, line_day: dict | None = None,
+                 attributed_records: int = 0, unattributed_records: int = 0) -> None:
+        def sums(given):
+            return defaultdict(int) if given is None else given
+
+        def sets(given):
+            return defaultdict(set) if given is None else given
+
+        self.tz_name = tz_name
+        self.provider_hour_down = sums(provider_hour_down)
+        self.provider_hour_up = sums(provider_hour_up)
+        self.provider_hour_lines = sets(provider_hour_lines)
+        self.provider_region_hour_down = sums(provider_region_hour_down)
+        self.provider_down = sums(provider_down)
+        self.provider_up = sums(provider_up)
+        self.provider_port_bytes = sums(provider_port_bytes)
+        self.provider_contacted = sets(provider_contacted)
+        self.provider_lines_full = sets(provider_lines_full)
+        self.provider_lines_cert = sets(provider_lines_cert)
+        self.line_regions = sets(line_regions)
+        self.region_bytes = sums(region_bytes)
+        self.line_day = {} if line_day is None else line_day
+        self.attributed_records = attributed_records
+        self.unattributed_records = unattributed_records
 
 
 def aggregate_flows(
@@ -531,14 +551,12 @@ def suppress_low_counts(
     return [(hour, n) for hour, n in series if n == 0 or n >= floor]
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     value: float
     undefined: bool = False  # upstream total was zero
 
 
-@dataclass(frozen=True)
-class TrafficSummary:
+class TrafficSummary(NamedTuple):
     normalized_down_series: Mapping[str, list[tuple[int, float]]]  # epoch-hour points
     down_up_ratio: Mapping[str, RatioResult]
 
@@ -610,8 +628,7 @@ def port_label(port: int, transport: str,
     return f"{transport}/{port}"
 
 
-@dataclass(frozen=True)
-class PortShare:
+class PortShare(NamedTuple):
     port: int | None  # None for the bucketed udp-high entry
     transport: str
     label: str
@@ -646,8 +663,7 @@ def port_mix(
 # --- per-line daily distributions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ecdf:
+class Ecdf(NamedTuple):
     """Empirical CDF over per-line daily byte estimates."""
 
     values: tuple[int, ...]  # sorted ascending
@@ -700,8 +716,7 @@ def per_line_distribution(
 LINE_CATEGORIES = ("EU-only", "US-only", "EU+US", "Asia-only", "Other", "Mixed")
 
 
-@dataclass(frozen=True)
-class ContinentReport:
+class ContinentReport(NamedTuple):
     line_category_shares: Mapping[str, float]
     line_category_counts: Mapping[str, int]
     traffic_share: Mapping[str, float]

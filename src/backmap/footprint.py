@@ -10,7 +10,6 @@ text convention (multi-origin rows joined by underscores).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -21,6 +20,7 @@ from .fusion import CandidateAddress
 from .geo import Location
 from .ingest import NameMatches, name_matches
 from .netutil import PrefixIndex, ip_family, parse_prefix, truncate_prefix
+from .records import Checked
 
 HINT_SOURCES = ("region-token", "prefix-announcement", "scan-metadata", "latency-probe")
 
@@ -35,15 +35,19 @@ class UnroutedError(LookupError):
     """No covering prefix in the routing table."""
 
 
-@dataclass(frozen=True)
-class LocationHint:
+class _LocationHint(NamedTuple):
     ip: str
     source: str
     location: Location
 
-    def __post_init__(self) -> None:
+
+class LocationHint(Checked, _LocationHint):
+    __slots__ = ()
+
+    def _checked(self) -> LocationHint:
         if self.source not in HINT_SOURCES:
             raise ValueError(f"bad hint source {self.source!r}")
+        return self
 
 
 class BackendServer(NamedTuple):
@@ -62,8 +66,7 @@ class BackendServer(NamedTuple):
     region_token: str | None = None
 
 
-@dataclass(frozen=True)
-class StabilityDiff:
+class StabilityDiff(NamedTuple):
     provider_id: str
     date_a: str
     date_b: str
@@ -204,8 +207,7 @@ def diff_snapshots(
     return out
 
 
-@dataclass(frozen=True)
-class DiversityRow:
+class DiversityRow(NamedTuple):
     provider_id: str
     asn_count: int
     v4_prefix_count: int  # distinct /24s

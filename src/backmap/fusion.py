@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ipaddress
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -20,6 +19,7 @@ from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
 from .ingest import SOURCES, NameMatches, Observation, name_matches
 from .jsonl import Memo, naming_fields, quote, quote_sorted, read_jsonl, text, texts, write_lines
 from .netutil import canonical_ip, ip_family, parse_network
+from .records import Checked
 from .timeutil import fmt_epoch, iso_second, parse_iso
 
 SOURCE_CLASSES = ("tls-only", "pdns-only", "adns-only", "multiple")
@@ -67,27 +67,32 @@ class SharingVerdict(NamedTuple):
     threshold_used: int
 
 
-@dataclass(frozen=True)
-class GroundTruthSet:
+class _GroundTruthSet(NamedTuple):
     provider_id: str
     prefixes: tuple[str, ...]
+    networks: tuple = ()  # the parsed prefixes, set by the constructor
 
-    def __post_init__(self) -> None:
-        nets = [parse_network(p) for p in self.prefixes]
-        object.__setattr__(self, "prefixes", tuple(str(n) for n in nets))
-        object.__setattr__(self, "_networks", tuple(nets))
+
+class GroundTruthSet(Checked, _GroundTruthSet):
+    """A provider's published prefixes, in canonical text. `networks`
+    follows from them, so two sets compare as their ids and prefixes do."""
+
+    __slots__ = ()
+
+    def _checked(self) -> GroundTruthSet:
+        nets = tuple(parse_network(p) for p in self.prefixes)
         for i, a in enumerate(nets):
             for b in nets[i + 1:]:
                 if a.version == b.version and a.overlaps(b):
                     raise ValueError(f"overlapping truth prefixes: {a} and {b}")
+        return tuple.__new__(type(self), (self.provider_id, tuple(map(str, nets)), nets))
 
     def contains(self, ip: str) -> bool:
         addr = ipaddress.ip_address(ip)
-        return any(addr in net for net in self._networks)
+        return any(addr in net for net in self.networks)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     provider_id: str
     identified_in_truth: frozenset[str]
     identified_outside_truth: frozenset[str]
@@ -142,8 +147,7 @@ def fuse(observations: Iterable[Observation], day_of: Callable[[int], str]
     return candidates, dict(sorted(days.items()))
 
 
-@dataclass(frozen=True)
-class SourceContribution:
+class SourceContribution(NamedTuple):
     provider_id: str
     family: int
     counts: Mapping[str, int]

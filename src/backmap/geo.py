@@ -9,7 +9,9 @@ at load time instead of silently misplacing servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .records import Checked
 
 CONTINENTS = frozenset({"AF", "AN", "AS", "EU", "NA", "OC", "SA"})
 
@@ -50,15 +52,18 @@ def continent_of(country: str) -> str:
         raise UnknownCountryError(f"unknown country code: {country!r}") from None
 
 
-@dataclass(frozen=True)
-class Location:
-    """A resolved server location: country, optional city, continent."""
-
+class _Location(NamedTuple):
     country: str
     city: str | None
     continent: str
 
-    def __post_init__(self) -> None:
+
+class Location(Checked, _Location):
+    """A resolved server location: country, optional city, continent."""
+
+    __slots__ = ()
+
+    def _checked(self) -> Location:
         if self.continent not in CONTINENTS:
             raise ValueError(f"unknown continent code: {self.continent!r}")
         expected = continent_of(self.country)
@@ -67,6 +72,7 @@ class Location:
                 f"continent {self.continent} inconsistent with country "
                 f"{self.country} (expected {expected})"
             )
+        return self
 
     @classmethod
     def of(cls, country: str, city: str | None = None) -> "Location":

@@ -32,14 +32,15 @@ File formats (all line-delimited JSON, one record per line):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
-from .jsonl import Memo, naming_fields, quote, read_jsonl, text, texts, write_jsonl, write_lines
+from .jsonl import (Memo, flag, integer, naming_fields, quote, read_jsonl, text, texts,
+                    write_jsonl, write_lines)
 from .netutil import canonical_ip
+from .records import Checked
 from .timeutil import ensure_utc, epoch_second, fmt_epoch, iso_second, parse_iso, to_epoch
 
 SOURCES = ("tls-cert", "passive-dns", "active-dns")
@@ -49,16 +50,19 @@ SOURCES = ("tls-cert", "passive-dns", "active-dns")
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class StudyWindow:
+class _StudyWindow(NamedTuple):
     start: datetime
     end: datetime
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", ensure_utc(self.start))
-        object.__setattr__(self, "end", ensure_utc(self.end))
-        if not self.start < self.end:
+
+class StudyWindow(Checked, _StudyWindow):
+    __slots__ = ()
+
+    def _checked(self) -> StudyWindow:
+        start, end = ensure_utc(self.start), ensure_utc(self.end)
+        if not start < end:
             raise ValueError("window start must precede end")
+        return _new(type(self), (start, end))
 
     def overlaps(self, start: datetime, end: datetime) -> bool:
         """Closed interval [start, end] vs half-open window [start, end)."""
@@ -105,30 +109,30 @@ class Observation(NamedTuple):
     wildcard: bool = False  # the ingesters set it when fqdn starts with "*."
 
 
-@dataclass(frozen=True)
-class MalformedRecord:
+class MalformedRecord(NamedTuple):
     """Placeholder a reader yields for an unparseable line."""
 
     line_no: int
     reason: str
 
 
-@dataclass
 class IngestStats:
-    emitted: int = 0
-    malformed: int = 0
-    skipped_window: int = 0
-    skipped_rrtype: int = 0
-    unmatched_names: int = 0
+    """What one ingest call kept and why it dropped the rest."""
+
+    __slots__ = ("emitted", "malformed", "skipped_window", "skipped_rrtype", "unmatched_names")
+
+    def __init__(self, emitted: int = 0, malformed: int = 0, skipped_window: int = 0,
+                 skipped_rrtype: int = 0, unmatched_names: int = 0) -> None:
+        self.emitted = emitted
+        self.malformed = malformed
+        self.skipped_window = skipped_window
+        self.skipped_rrtype = skipped_rrtype
+        self.unmatched_names = unmatched_names
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     observations: tuple[Observation, ...]
     stats: IngestStats
-
-    def __iter__(self) -> Iterator[Observation]:
-        return iter(self.observations)
 
 
 class NameMatches(dict):
@@ -289,7 +293,7 @@ def _validity(value: object) -> tuple[int, int]:
 
 def _cert_record(addresses: Memo, names: Memo) -> Callable[[dict], CertScanRecord]:
     def build(doc: dict) -> CertScanRecord:
-        ip, port, listed = doc["ip"], int(doc["port"]), texts(doc["names"])
+        ip, port, listed = doc["ip"], integer(doc["port"]), texts(doc["names"])
         not_before, not_after = _validity(doc["validity"])
         observed_at = epoch_second(doc["observed_at"])
         ip = addresses(ip)
@@ -303,7 +307,7 @@ def _cert_record(addresses: Memo, names: Memo) -> Callable[[dict], CertScanRecor
 
 
 _CERT_CHECKS = {
-    "ip": canonical_ip, "port": int, "names": lambda v: [_name(n) for n in texts(v)],
+    "ip": canonical_ip, "port": integer, "names": lambda v: [_name(n) for n in texts(v)],
     "validity": _validity, "observed_at": epoch_second,
 }
 
@@ -396,7 +400,7 @@ def _observation(addresses: Memo, instants: Memo) -> Callable[[dict], Observatio
     def build(doc: dict) -> Observation:
         provider_id, fqdn = text(doc["provider_id"]), text(doc["fqdn"])
         ip, source = addresses(doc["ip"]), doc["source"]
-        seen_at, wildcard = instants(doc["seen_at"]), bool(doc.get("wildcard", False))
+        seen_at, wildcard = instants(doc["seen_at"]), flag(doc.get("wildcard", False))
         if source not in SOURCES:
             raise ValueError(f"bad source {source!r}")
         return _new(Observation, (provider_id, fqdn, ip, source, seen_at, wildcard))
@@ -405,7 +409,7 @@ def _observation(addresses: Memo, instants: Memo) -> Callable[[dict], Observatio
 
 _OBSERVATION_CHECKS = {
     "provider_id": text, "fqdn": text, "ip": canonical_ip, "source": text,
-    "seen_at": lambda v: parse_iso(text(v)),
+    "seen_at": lambda v: parse_iso(text(v)), "wildcard": flag,
 }
 
 

@@ -162,3 +162,10 @@ def integer(value: object) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, not {type(value).__name__}")
     return value
+
+
+def flag(value: object) -> bool:
+    """`value` if it is JSON true or false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, not {type(value).__name__}")
+    return value

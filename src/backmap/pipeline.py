@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import yaml
@@ -33,9 +32,10 @@ from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
                      ingest_passive_dns, name_matches, observations_from_resolutions,
                      read_cert_scan_export, read_observations, read_pdns_export,
                      read_resolutions, write_observations)
-from .jsonl import (Memo, integer, naming_fields, optional_text, quote, quote_optional,
+from .jsonl import (Memo, flag, integer, naming_fields, optional_text, quote, quote_optional,
                     quote_sorted, read_jsonl, text, texts, write_jsonl, write_lines)
 from .netutil import prefix_contains
+from .records import Checked
 from .timeutil import LocalDays, fmt_iso, parse_iso
 
 STAGES = ("discover", "fuse", "classify", "footprint", "flows", "report")
@@ -55,8 +55,7 @@ class UpstreamMissingError(RuntimeError):
         self.run_first = run_first
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfig(NamedTuple):
     catalog: Path
     window: StudyWindow
     out_dir: Path
@@ -75,11 +74,16 @@ class RunConfig:
     anonymize: bool = False
     salt: str = ""
 
-    def __post_init__(self) -> None:
+
+class RunConfig(Checked, _RunConfig):
+    __slots__ = ()
+
+    def _checked(self) -> RunConfig:
         for name, least in (("scanner_threshold", 0), ("sharing_threshold", 0),
                             ("baseline_days", 1), ("sustain_hours", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"field {name!r}: must be >= {least}")
+        return self
 
     def to_manifest_dict(self) -> dict:
         return {
@@ -102,12 +106,6 @@ class RunConfig:
             "anonymize": self.anonymize,
             "salt": self.salt,
         }
-
-
-def _flag(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, not {type(value).__name__}")
-    return value
 
 
 def _zone(value: object) -> str:
@@ -169,10 +167,10 @@ def load_run_config(path: str | Path, overrides: Mapping[str, object] | None = N
         "sharing_threshold": get("sharing_threshold", integer, 2),
         "vantages": tuple(get("vantages", texts, ())),
         "timezone": get("timezone", _zone, "UTC"),
-        "include_shared": get("include_shared", _flag, False),
+        "include_shared": get("include_shared", flag, False),
         "baseline_days": get("baseline_days", integer, 7),
         "sustain_hours": get("sustain_hours", integer, 2),
-        "anonymize": get("anonymize", _flag, False),
+        "anonymize": get("anonymize", flag, False),
         "salt": get("salt", str, ""),
     }
     if "window" in doc:
@@ -209,7 +207,6 @@ def _require_artifact(path: Path, run_first: str) -> Path:
     return path
 
 
-@dataclass
 class RunState:
     """Artifacts shared between stages of one run.
 
@@ -222,13 +219,14 @@ class RunState:
     distinct name is matched once per run.
     """
 
-    config: RunConfig
-    profiles: list = field(default_factory=list)
-    patterns: list = field(default_factory=list)
-    held: dict[str, Any] = field(default_factory=dict)
-    matches: NameMatches = field(init=False)
+    __slots__ = ("config", "profiles", "patterns", "held", "matches")
 
-    def __post_init__(self) -> None:
+    def __init__(self, config: RunConfig, profiles: list | None = None,
+                 patterns: list | None = None, held: dict[str, Any] | None = None) -> None:
+        self.config = config
+        self.profiles = [] if profiles is None else profiles
+        self.patterns = [] if patterns is None else patterns
+        self.held = {} if held is None else held
         self.matches = NameMatches(self.patterns)
 
     def profiles_by_id(self) -> dict:
@@ -469,8 +467,7 @@ def _stage_footprint(state: RunState) -> None:
     reports.write_stability(cfg.out_dir / "fig4_stability.csv", diffs)
 
 
-@dataclass(frozen=True)
-class FlowAnalysis:
+class FlowAnalysis(NamedTuple):
     verdicts: list[ScannerVerdict]
     sweep: list[SweepPoint]
     agg: FlowAggregate

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -764,10 +763,10 @@ def test_aggregate_matches_record_by_record_reference(catalog_profiles, flows,
                         include_shared=include_shared)
     got = aggregate_flows(flows, index, tz, cert_ips)
     want = reference_aggregate(flows, index, tz, cert_ips)
-    for f in dataclasses.fields(FlowAggregate):
-        value = getattr(got, f.name)
-        assert type(value) is type(getattr(want, f.name)), f.name
-        assert in_order(value) == in_order(getattr(want, f.name)), f.name
+    for field in FlowAggregate.__slots__:
+        value = getattr(got, field)
+        assert type(value) is type(getattr(want, field)), field
+        assert in_order(value) == in_order(getattr(want, field)), field
 
 
 def reference_contacts(flows, backend_ips, tz_name):
@@ -832,11 +831,11 @@ def test_analysis_is_the_same_from_bmf_jsonl_and_records(catalog_profiles, flows
             assert got.sweep == want.sweep, name
             assert in_order(line_contact_sets(read_flows(path), backend_ips, tz)) == in_order(
                 line_contact_sets(flows, backend_ips, tz)), name
-            for f in dataclasses.fields(FlowAggregate):
-                value = getattr(got.agg, f.name)
+            for field in FlowAggregate.__slots__:
+                value = getattr(got.agg, field)
                 for expected in (want.agg, reference):
-                    assert type(value) is type(getattr(expected, f.name)), (name, f.name)
-                    assert in_order(value) == in_order(getattr(expected, f.name)), (name, f.name)
+                    assert type(value) is type(getattr(expected, field)), (name, field)
+                    assert in_order(value) == in_order(getattr(expected, field)), (name, field)
 
 
 def multi_chunk_trace(path):
@@ -891,11 +890,11 @@ def test_multi_chunk_trace_matches_the_references(catalog_profiles, tmp_path):
     assert got.sweep == want.sweep
     assert in_order(line_contact_sets(flows, index.all_server_ips, tz)) == in_order(
         reference_contacts(flows, index.all_server_ips, tz))
-    for f in dataclasses.fields(FlowAggregate):
-        value = getattr(got.agg, f.name)
+    for field in FlowAggregate.__slots__:
+        value = getattr(got.agg, field)
         for expected in (want.agg, reference):
-            assert type(value) is type(getattr(expected, f.name)), f.name
-            assert in_order(value) == in_order(getattr(expected, f.name)), f.name
+            assert type(value) is type(getattr(expected, field)), field
+            assert in_order(value) == in_order(getattr(expected, field)), field
 
 
 def test_untraced_analysis_of_a_bmf_trace_builds_no_record(catalog_profiles, tmp_path,
@@ -992,8 +991,8 @@ def test_a_trace_in_synth_order_matches_the_references(catalog_profiles, tmp_pat
         assert in_order(line_contact_sets(trace, backend_ips, tz)) == contacts
     reference = reference_aggregate([f for f in flows if f.line_id != "S1"], index, tz,
                                     cert_ips)
-    for f in dataclasses.fields(FlowAggregate):
+    for field in FlowAggregate.__slots__:
         for agg in (got.agg, want.agg):
-            value = getattr(agg, f.name)
-            assert type(value) is type(getattr(reference, f.name)), f.name
-            assert in_order(value) == in_order(getattr(reference, f.name)), f.name
+            value = getattr(agg, field)
+            assert type(value) is type(getattr(reference, field)), field
+            assert in_order(value) == in_order(getattr(reference, field)), field

@@ -118,6 +118,7 @@ WRONG_TYPES = [
     ("servers", "region_token", ["eu"], "expected text or null, not list"),
     ("observations", "provider_id", 7, "expected text, not int"),
     ("observations", "fqdn", ["a.p1.example"], "expected text, not list"),
+    ("observations", "wildcard", "no", "expected true or false, not str"),
 ]
 
 
@@ -131,6 +132,16 @@ def test_wrong_typed_value_names_its_field(tmp_path, name, field, value, reason)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: field {field!r}: "
                                          rf"{re.escape(reason)}$"):
         list(read(path))
+
+
+def test_an_observation_without_wildcard_reads_as_no_wildcard(tmp_path):
+    path = tmp_path / "observations.jsonl"
+    first, second = observations()
+    write_observations(path, [first._replace(wildcard=True), second])
+    flagged, unflagged = path.read_text().splitlines()
+    unflagged = json.dumps({k: v for k, v in json.loads(unflagged).items() if k != "wildcard"})
+    path.write_text(f"{flagged}\n{unflagged}\n")
+    assert [o.wildcard for o in read_observations(path)] == [True, False]
 
 
 # (reader, field, a well-typed value the record's constructor rejects, its reason)
@@ -217,9 +228,12 @@ EXPORT_WRONG_TYPES = [
     ("pdns", "time_first", "noon", "'str' object cannot be interpreted as an integer"),
     ("cert", "validity", 5, "expected an object, not int"),
     ("cert", "ip", 3221225985, "address must be text, not int"),
-    ("cert", "port", "https", "invalid literal for int() with base 10: 'https'"),
+    ("cert", "port", "https", "expected an integer, not str"),
     ("cert", "names", ["a.p1.example", 5], "expected text, not int"),
     ("cert", "observed_at", "noon", "'str' object cannot be interpreted as an integer"),
+    ("cert", "port", 443.9, "expected an integer, not float"),
+    ("cert", "port", True, "expected an integer, not bool"),
+    ("cert", "port", "443", "expected an integer, not str"),
 ]
 
 

@@ -370,24 +370,20 @@ class TestArtifactHandoff:
                                                                        tmp_path):
         """Resolutions at fractional epoch seconds, in reverse order: the
         observations are handed over sorted and to the second."""
-        from dataclasses import replace
-
         rows = [json.loads(line) for line in
                 (universe_dir / "resolutions.jsonl").read_text().splitlines()]
         for i, row in enumerate(rows):
             row["resolved_at"] += 0.25 + (i % 3) / 4
         path = tmp_path / "resolutions.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in reversed(rows)))
-        config = replace(make_run_config(universe_dir, tmp_path / "out"),
-                         certs=None, pdns=None, resolutions=path)
+        config = make_run_config(universe_dir, tmp_path / "out")._replace(
+            certs=None, pdns=None, resolutions=path)
         run_checking_handoff(config)
 
     def test_reverse_index_keeps_the_rows_ingest_skips(self, universe_dir, tmp_path):
         """Discover hands classify the index of every parsed passive-DNS
         row: also a CNAME and an A row outside the window, which ingest
         skips, and not a malformed line."""
-        from dataclasses import replace
-
         from backmap.fusion import build_reverse_index
         from backmap.ingest import read_pdns_export
 
@@ -399,12 +395,12 @@ class TestArtifactHandoff:
                   "time_first": before, "time_last": before}]
         path.write_text((universe_dir / "pdns.jsonl").read_text()
                         + "".join(json.dumps(row) + "\n" for row in extra) + "{not json\n")
-        config = replace(make_run_config(universe_dir, tmp_path / "out"), pdns=path)
+        config = make_run_config(universe_dir, tmp_path / "out")._replace(pdns=path)
         run_checking_handoff(config)
         index = build_reverse_index(read_pdns_export(path))
         assert index["target.example.org"] == {"alias.example.org"}
         assert index["198.51.100.9"] == {"old.example.org"}
-        staged = replace(config, out_dir=tmp_path / "staged")
+        staged = config._replace(out_dir=tmp_path / "staged")
         for stage in ("discover", "fuse", "classify"):
             run_pipeline(staged, [stage])
         assert (staged.out_dir / "sharing.jsonl").read_bytes() == \
@@ -417,7 +413,6 @@ class TestArtifactHandoff:
         so its stability diff and manifest match a fresh out_dir's; also
         when fuse starts from the observations on disk."""
         import shutil
-        from dataclasses import replace
 
         shifted = StudyWindow(utc(2022, 3, 1), utc(2022, 3, 3))
         runs = {}
@@ -425,7 +420,7 @@ class TestArtifactHandoff:
             out_dir = tmp_path / name
             if name == "reused":
                 shutil.copytree(completed_run[0].out_dir, out_dir)
-            config = replace(make_run_config(universe_dir, out_dir), window=shifted)
+            config = make_run_config(universe_dir, out_dir)._replace(window=shifted)
             if stages:
                 run_pipeline(config, ["discover"])
             manifest = run_pipeline(config, stages)
@@ -1042,12 +1037,17 @@ def test_outage_drill_runs_with_its_defaults():
 
 def test_runtime_imports_leave_numpy_out():
     """numpy is a test dependency only: importing it would add to every
-    run's start-up time and resident memory."""
+    run's start-up time and resident memory. The pipeline's record types are
+    NamedTuples or slotted classes, so `import backmap.pipeline` also leaves
+    out `dataclasses` and the `inspect` it imports (the CLI's click needs
+    `inspect`)."""
     src = Path(backmap.__file__).resolve().parents[1]
-    code = "import sys, backmap.pipeline, backmap.cli; print('numpy' in sys.modules)"
+    code = ("import sys, backmap.pipeline; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "import backmap.cli; print('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["[]", "False"]
 
 
 def test_runtime_imports_leave_the_live_probe_modules_out():
