@@ -13,11 +13,19 @@ checkout, the parent first in even pairs and the change first in odd ones.
 `--workload` may be given more than once; the workloads run one after
 another.
 
-For every end-to-end metric that the parent's BENCHMARK.json declares, the
-summary holds each side's runs, median and quartiles, the pairs the change
-won (ties count for neither side) and the change of the median in percent.
-It is printed as JSON; with `--out`, it is also written to that file after
-each workload.
+Each side of a pair also runs one untraced `perfbench/job.py run` job of
+its own, over inputs that side generated once per workload, and reports
+that job's peak RSS as `job_peak_rss_mb`. The job is started through
+`sh -c '<job>; true'`: Linux carries `ru_maxrss` across fork and exec, so a
+job started straight from a Python process reports at least that process's
+peak, and run.py's `peak_rss_mb` is mostly run.py's own. The shell has to
+stay to run `true`, so it forks the job from its own small image.
+
+For every end-to-end metric that the parent's BENCHMARK.json declares, and
+for `job_peak_rss_mb`, the summary holds each side's runs, median and
+quartiles, the pairs the change won (ties count for neither side) and the
+change of the median in percent. It is printed as JSON; with `--out`, it is
+also written to that file after each workload.
 """
 
 from __future__ import annotations
@@ -25,10 +33,13 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -44,6 +55,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{checkout}: run.py gave no result (exit {proc.returncode}): "
                          f"{proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def job_peak_rss(checkout: Path, workload: str, inputs: Path, scratch: Path) -> float:
+    """Peak RSS in MB of one untraced job over `inputs`, started through a
+    shell that outlives it (see the module docstring)."""
+    result = scratch / "result.json"
+    result.unlink(missing_ok=True)
+    job = shlex.join([sys.executable, "perfbench/job.py", "run", workload, str(inputs),
+                      str(scratch / "out"), str(result)])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH="src")
+    subprocess.run(["sh", "-c", f"{job}; true"], cwd=checkout, env=env, check=True)
+    if not result.is_file():
+        raise SystemExit(f"{checkout}: the {workload} job wrote no result")
+    return json.loads(result.read_text())["peak_rss_mb"]
 
 
 def spread(runs: list[float]) -> dict:
@@ -74,6 +99,29 @@ def summarize(results: dict[str, list[dict]], better: dict[str, str]) -> dict:
     }
 
 
+def bench_workload(checkouts: dict[str, Path], workload: str, args: argparse.Namespace,
+                   better: dict[str, str], scratch: Path) -> dict:
+    """The summary of `args.pairs` alternating pairs of one workload."""
+    inputs = {}
+    for side, checkout in checkouts.items():
+        inputs[side] = scratch / side / workload / "inputs"
+        subprocess.run([sys.executable, "perfbench/job.py", "generate", workload,
+                        str(args.seed), str(inputs[side])], cwd=checkout, check=True,
+                       env=dict(os.environ, PYTHONPATH="src"), capture_output=True)
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(checkouts[side], workload, args.seed, args.seconds)
+            rss = job_peak_rss(checkouts[side], workload, inputs[side], inputs[side].parent)
+            result["metrics"]["job_peak_rss_mb"] = {"value": rss, "unit": "MB"}
+            results[side].append(result)
+            print(f"{workload} pair {pair + 1}/{args.pairs} {side}: run_s "
+                  f"{result['metrics']['run_s']['value']:.4f}, job peak RSS {rss:.1f} MB",
+                  file=sys.stderr)
+    return summarize(results, better)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -96,6 +144,7 @@ def main() -> int:
                 raise SystemExit(f"{checkout / sub}: compileall failed")
     end_to_end = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
+    better["job_peak_rss_mb"] = "lower"
 
     workloads: dict[str, dict] = {}
     summary = {
@@ -106,18 +155,12 @@ def main() -> int:
                 f"{platform.system()}",
         "workloads": workloads,
     }
-    for workload in args.workload:
-        results: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                result = run_once(checkouts[side], workload, args.seed, args.seconds)
-                results[side].append(result)
-                print(f"{workload} pair {pair + 1}/{args.pairs} {side}: run_s "
-                      f"{result['metrics']['run_s']['value']:.4f}", file=sys.stderr)
-        workloads[workload] = summarize(results, better)
-        if args.out:
-            args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        for workload in args.workload:
+            workloads[workload] = bench_workload(checkouts, workload, args, better,
+                                                 Path(scratch))
+            if args.out:
+                args.out.write_text(json.dumps(summary, indent=1) + "\n")
     print(json.dumps(summary, indent=1))
     return 0
 

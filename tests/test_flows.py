@@ -3,6 +3,7 @@ import math
 import re
 import socket
 import struct
+from collections import defaultdict
 from datetime import date, datetime, time
 from zoneinfo import ZoneInfo
 
@@ -678,7 +679,8 @@ def test_regional_series_uses_region_tokens():
 
 def reference_aggregate(flows, index, tz_name="UTC", cert_ips=None):
     """Every FlowAggregate field updated record by record, with no memo and
-    no rollup."""
+    no rollup, then each dict field put in key order, as `aggregate_flows`
+    builds it."""
     agg = FlowAggregate(tz_name=tz_name)
     cert_ips = cert_ips or set()
     days = LocalDays(tz_name)
@@ -711,6 +713,12 @@ def reference_aggregate(flows, index, tz_name="UTC", cert_ips=None):
         for per, key in ((slot[0], pid), (slot[1], (f.server_port, f.transport))):
             d, u = per.get(key, (0, 0))
             per[key] = (d + est, u) if down else (d, u + est)
+    for field in FlowAggregate.__slots__:
+        value = getattr(agg, field)
+        if isinstance(value, defaultdict):
+            setattr(agg, field, defaultdict(value.default_factory, sorted(value.items())))
+        elif isinstance(value, dict):
+            setattr(agg, field, dict(sorted(value.items())))
     return agg
 
 
@@ -721,6 +729,15 @@ def in_order(value):
     if isinstance(value, list):
         return [in_order(v) for v in value]
     return value
+
+
+def assert_same_aggregate(got, want, context=None):
+    """Every FlowAggregate field of the same type, with the same keys in the
+    same order."""
+    for field in FlowAggregate.__slots__:
+        value = getattr(got, field)
+        assert type(value) is type(getattr(want, field)), (context, field)
+        assert in_order(value) == in_order(getattr(want, field)), (context, field)
 
 
 EQUIVALENCE_SERVERS = (
@@ -761,12 +778,8 @@ def test_aggregate_matches_record_by_record_reference(catalog_profiles, flows,
     google = next(p for p in catalog_profiles if p.provider_id == "google")
     index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google},
                         include_shared=include_shared)
-    got = aggregate_flows(flows, index, tz, cert_ips)
-    want = reference_aggregate(flows, index, tz, cert_ips)
-    for field in FlowAggregate.__slots__:
-        value = getattr(got, field)
-        assert type(value) is type(getattr(want, field)), field
-        assert in_order(value) == in_order(getattr(want, field)), field
+    assert_same_aggregate(aggregate_flows(flows, index, tz, cert_ips),
+                          reference_aggregate(flows, index, tz, cert_ips))
 
 
 def reference_contacts(flows, backend_ips, tz_name):
@@ -831,11 +844,8 @@ def test_analysis_is_the_same_from_bmf_jsonl_and_records(catalog_profiles, flows
             assert got.sweep == want.sweep, name
             assert in_order(line_contact_sets(read_flows(path), backend_ips, tz)) == in_order(
                 line_contact_sets(flows, backend_ips, tz)), name
-            for field in FlowAggregate.__slots__:
-                value = getattr(got.agg, field)
-                for expected in (want.agg, reference):
-                    assert type(value) is type(getattr(expected, field)), (name, field)
-                    assert in_order(value) == in_order(getattr(expected, field)), (name, field)
+            for expected in (want.agg, reference):
+                assert_same_aggregate(got.agg, expected, name)
 
 
 def multi_chunk_trace(path):
@@ -890,11 +900,8 @@ def test_multi_chunk_trace_matches_the_references(catalog_profiles, tmp_path):
     assert got.sweep == want.sweep
     assert in_order(line_contact_sets(flows, index.all_server_ips, tz)) == in_order(
         reference_contacts(flows, index.all_server_ips, tz))
-    for field in FlowAggregate.__slots__:
-        value = getattr(got.agg, field)
-        for expected in (want.agg, reference):
-            assert type(value) is type(getattr(expected, field)), field
-            assert in_order(value) == in_order(getattr(expected, field)), field
+    for expected in (want.agg, reference):
+        assert_same_aggregate(got.agg, expected)
 
 
 def test_untraced_analysis_of_a_bmf_trace_builds_no_record(catalog_profiles, tmp_path,
@@ -968,9 +975,9 @@ def test_a_trace_in_synth_order_matches_the_references(catalog_profiles, tmp_pat
     rows cross a local midnight, and the next line's rows go back to the day
     before it; later the rows of a (line, key) pair come back to a local day
     that other lines' rows came between, and must add to what that pair
-    already holds for the day. Both passes, over the records and over a
-    `.bmf` trace that excludes the scanner, match the record-by-record
-    references, key order included."""
+    already holds for the day. The contact sets of the records and of a
+    `.bmf` trace, and the analysis of both with scanner S1 taken out, match
+    the record-by-record references, key order included."""
     from backmap.pipeline import analyze_flows
 
     flows = synth_order_trace()
@@ -991,8 +998,132 @@ def test_a_trace_in_synth_order_matches_the_references(catalog_profiles, tmp_pat
         assert in_order(line_contact_sets(trace, backend_ips, tz)) == contacts
     reference = reference_aggregate([f for f in flows if f.line_id != "S1"], index, tz,
                                     cert_ips)
-    for field in FlowAggregate.__slots__:
-        for agg in (got.agg, want.agg):
-            value = getattr(agg, field)
-            assert type(value) is type(getattr(reference, field)), field
-            assert in_order(value) == in_order(getattr(reference, field)), field
+    for agg in (got.agg, want.agg):
+        assert_same_aggregate(agg, reference)
+
+
+def test_analysis_reads_a_bmf_trace_once_unless_a_line_is_a_scanner(tmp_path, monkeypatch):
+    """`analyze_flows` reads a `.bmf` trace once when no line is a scanner,
+    and once more, for the scanner lines' rows, when one is. S1 contacts
+    the five backend servers each hour; the other lines three at most."""
+    from backmap import flows as flows_module
+    from backmap.pipeline import analyze_flows
+
+    path = tmp_path / "flows.bmf"
+    write_flows_binary(path, synth_order_trace())
+    index = ServerIndex(EQUIVALENCE_SERVERS)
+    reads = []
+    bmf_chunks = flows_module._bmf_chunks
+    monkeypatch.setattr(flows_module, "_bmf_chunks",
+                        lambda path: reads.append(path) or bmf_chunks(path))
+    for threshold, scanners, count in ((5, set(), 1), (4, {"S1"}, 2)):
+        reads.clear()
+        analysis = analyze_flows(path, index, threshold)
+        assert scanner_line_ids(analysis.verdicts) == scanners
+        assert len(reads) == count, threshold
+
+
+# --- scanner lines subtracted from the pass ----------------------------------------------
+
+
+class TestScannerSubtraction:
+    """The pass reads every line; the scanner lines' rows are subtracted
+    afterwards. Each trace's analysis matches the record-by-record reference
+    over the records of the other lines, under the sorted-order contract.
+    S1 contacts the five backend servers within an hour, so it is a
+    scanner at threshold 4; L1 and L2 are not."""
+
+    HOUR = to_epoch(T0) // 3600
+
+    def sweep(self, hours):
+        return [flow(ip=ip, line="S1", port=443, hours=hours) for ip in SERVER_IPS]
+
+    def analyze(self, flows, tmp_path, catalog_profiles):
+        """The aggregate of analyzing `flows` as a `.bmf` trace, after it is
+        checked against the reference."""
+        from backmap.pipeline import analyze_flows
+
+        google = next(p for p in catalog_profiles if p.provider_id == "google")
+        index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google})
+        path = tmp_path / "flows.bmf"
+        write_flows_binary(path, flows)
+        got = analyze_flows(path, index, 4)
+        assert scanner_line_ids(got.verdicts) == {"S1"}
+        assert_same_aggregate(got.agg, reference_aggregate(
+            [f for f in flows if f.line_id != "S1"], index))
+        return got.agg
+
+    def test_a_scanner_row_comes_first(self, tmp_path, catalog_profiles):
+        """S1's first row is the first of its key, of its hourly cell and of
+        (p1, hour); L1 and L2 reach all three later."""
+        flows = [flow(ip="10.1.0.1", line="S1", sampled_bytes=900, hours=0.1)]
+        flows += self.sweep(0.2)
+        flows += [flow(ip="10.1.0.1", line="L1", sampled_bytes=700, hours=0.5),
+                  flow(ip="10.1.0.1", line="L2", direction=UP, hours=0.7)]
+        agg = self.analyze(flows, tmp_path, catalog_profiles)
+        assert agg.provider_region_hour_down == {("p1", "eu-central-1", self.HOUR): 700}
+        assert agg.provider_hour_lines == {("p1", self.HOUR): {"L1", "L2"}}
+        assert agg.attributed_records == 2
+
+    def test_keys_and_cells_only_scanner_rows_reach(self, tmp_path, catalog_profiles):
+        """S1 alone reaches google, an unattributed address, port 443 of p1
+        and hour 2; none of them is left."""
+        flows = self.sweep(0.2) + [
+            flow(ip="10.2.0.1", line="S1", port=8883, direction=UP, hours=1.5),
+            flow(ip="203.0.113.9", line="S1", hours=2.5),
+            flow(ip="10.1.0.1", line="L1", hours=0.5),
+            flow(ip="203.0.113.9", line="L2", hours=1.2)]
+        agg = self.analyze(flows, tmp_path, catalog_profiles)
+        assert set(agg.provider_lines_full) == {"p1"}
+        assert set(agg.provider_port_bytes) == {("p1", 8883, "tcp")}
+        assert set(agg.provider_hour_lines) == {("p1", self.HOUR)}
+        assert (agg.attributed_records, agg.unattributed_records) == (1, 1)
+
+    def test_zero_byte_rows_of_a_scanner_and_a_kept_line_in_one_cell(self, tmp_path,
+                                                                      catalog_profiles):
+        """Hour 1's cell holds zero-byte rows of S1 and L1 and stays, at 0;
+        hour 2's holds S1's alone and goes, though no byte leaves it."""
+        flows = self.sweep(0.2) + [
+            flow(ip="10.1.0.1", line="S1", sampled_bytes=0, hours=1.1),
+            flow(ip="10.1.0.1", line="L1", sampled_bytes=0, hours=1.6),
+            flow(ip="10.1.0.1", line="S1", sampled_bytes=0, hours=2.1),
+            flow(ip="10.1.0.1", line="L2", hours=0.5)]
+        agg = self.analyze(flows, tmp_path, catalog_profiles)
+        assert agg.provider_hour_down == {("p1", self.HOUR): 1500, ("p1", self.HOUR + 1): 0}
+        assert agg.provider_hour_lines[("p1", self.HOUR + 1)] == {"L1"}
+
+    @pytest.mark.parametrize("tz", ["UTC", "Asia/Kolkata"])
+    def test_jsonl_and_record_traces_with_scanners(self, tmp_path, catalog_profiles, tz):
+        """Two scanners among shuffled lines, in a JSONL trace and as records,
+        whose second read is a one-shot iterator as the benchmark's tracer
+        hands over, give the reference's aggregate."""
+        import random
+
+        from backmap.pipeline import analyze_flows
+
+        rnd = random.Random(7)
+        flows = self.sweep(0.2) + [f._replace(line_id="S2") for f in self.sweep(30.5)]
+        for line in rnd.choices(("L1", "L2", "L3", "S1", "S2"), k=300):
+            # a kept line contacts three backend servers at most
+            ips = SERVER_IPS if line[0] == "S" else ["10.1.0.1", "2001:db8::1", "10.2.0.1"]
+            flows.append(flow(ip=rnd.choice(ips + ["203.0.113.9"]), line=line,
+                              port=rnd.choice((443, 8883)), direction=rnd.choice((DOWN, UP)),
+                              sampled_bytes=rnd.randrange(3),
+                              hours=rnd.randrange(48 * 60) / 60))
+        rnd.shuffle(flows)
+        google = next(p for p in catalog_profiles if p.provider_id == "google")
+        index = ServerIndex(EQUIVALENCE_SERVERS, {"google": google})
+        cert_ips = {"10.1.0.1", "2001:db8::2"}
+        reference = reference_aggregate([f for f in flows if f.line_id not in ("S1", "S2")],
+                                        index, tz, cert_ips)
+        path = tmp_path / "flows.jsonl"
+        write_flows_jsonl(path, flows)
+        got = analyze_flows(path, index, 4, tz, cert_ips)
+        assert scanner_line_ids(got.verdicts) == {"S1", "S2"}
+        assert_same_aggregate(got.agg, reference, "jsonl")
+
+        def scanners(contacts):
+            return scanner_line_ids(detect_scanners(contacts, 4)), iter(flows)
+
+        agg = aggregate_flows(iter(flows), index, tz, cert_ips, scanners)
+        assert_same_aggregate(agg, reference, "records")
