@@ -370,7 +370,3 @@ def load_catalog(path: str | Path) -> list[ProviderProfile]:
         seen.add(profile.provider_id)
         profiles.append(profile)
     return profiles
-
-
-def load_default_catalog() -> list[ProviderProfile]:
-    return load_catalog(default_catalog_path())

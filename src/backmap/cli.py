@@ -21,7 +21,8 @@ from .fusion import read_candidates
 from .ingest import StudyWindow, write_cert_scan_export, write_resolutions
 from .pipeline import (RunConfig, UpstreamMissingError, load_run_config, outage_findings,
                        read_servers, run_pipeline)
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import naming_fields, optional_text, port, read_jsonl, write_jsonl
+from .netutil import canonical_ip
 from .timeutil import parse_iso
 
 EXIT_VALIDATION = 1
@@ -142,13 +143,13 @@ def discover_resolve(fqdn_file, vantages, pacing, unsafe_fast, timeout, qtypes, 
     for spec in vantages:
         try:
             vantage_id, host = spec.split("=", 1)
-            port = 53
+            number = 53
             if ":" in host:
                 host, port_s = host.rsplit(":", 1)
-                port = int(port_s)
-            endpoints.append(ResolverEndpoint(vantage_id, host, port))
+                number = port(int(port_s))
+            endpoints.append(ResolverEndpoint(vantage_id, host, number))
         except ValueError:
-            _fail(EXIT_VALIDATION, f"bad vantage {spec!r} (want id=host[:port])")
+            _fail(EXIT_VALIDATION, f"bad vantage {spec!r} (want id=host[:port], port in 1..65535)")
     names = [ln.strip() for ln in Path(fqdn_file).read_text().splitlines() if ln.strip()]
     try:
         results = resolve_active(names, endpoints, pacing,
@@ -174,8 +175,10 @@ def discover_tls(targets_file, timeout, max_inflight, out_path):
     if not Path(targets_file).exists():
         _fail(EXIT_IO, f"no such file: {targets_file}")
     try:
-        targets = list(read_jsonl(
-            targets_file, lambda doc: TlsTarget(doc["ip"], int(doc["port"]), doc.get("sni"))))
+        targets = list(read_jsonl(targets_file, naming_fields(
+            lambda doc: TlsTarget(canonical_ip(doc["ip"]), port(doc["port"]),
+                                  optional_text(doc.get("sni"))),
+            {"ip": canonical_ip, "port": port, "sni": optional_text})))
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     results = collect_tls(targets, timeout=timeout, max_inflight=max_inflight)

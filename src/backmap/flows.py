@@ -37,7 +37,7 @@ import socket
 import struct
 from collections import defaultdict
 from pathlib import Path
-from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
+from typing import (Callable, Hashable, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence)
 
 from .catalog import ProviderProfile
@@ -150,25 +150,13 @@ class ScannerVerdict(NamedTuple):
     threshold_used: int
 
 
-def line_contact_sets(
-    flows: Iterable[FlowRecord],
-    backend_ips: Container[str],
-    tz_name: str = "UTC",
-) -> dict[tuple[str, str], set[str]]:
-    """(line, local date) -> distinct backend server IPs contacted: the
-    contact sets of the flow pass (`_FlowPass`) with no server to attribute
-    flows to. `aggregate_flows` hands its own to a `scanners` callback."""
-    return _FlowPass(flows, ServerIndex(()), tz_name, None, backend_ips).contacts
-
-
 def detect_scanners(
     contacts: Mapping[tuple[str, str], set[str]],
     threshold: int = DEFAULT_SCANNER_THRESHOLD,
 ) -> list[ScannerVerdict]:
     """A line hosts a scanner on a day iff it contacts strictly more than
-    `threshold` distinct backend server IPs that day. `contacts` comes from
-    `line_contact_sets`, or is what `aggregate_flows` hands its `scanners`
-    callback."""
+    `threshold` distinct backend server IPs that day. `contacts` is what
+    `aggregate_flows` hands its `scanners` callback."""
     return [
         ScannerVerdict(
             line_id=line, date=date, distinct_backend_ips=len(ips),
@@ -243,8 +231,8 @@ class FlowAggregate:
     `aggregate_flows` builds every dict field with its keys in sorted order,
     so its consumers need not sort them. The per-provider and per-(port,
     transport) dicts of a `line_day` value hold their keys in the order of
-    the line's first row to each that day. A dict left out starts empty: a
-    defaultdict of ints or sets, or, for `line_day`, a plain dict.
+    the line's first row to each that day. `FlowAggregate(tz_name)` starts
+    every dict empty, for `_FlowPass.rollup` to fill.
     """
 
     __slots__ = ("tz_name", "provider_hour_down", "provider_hour_up", "provider_hour_lines",
@@ -253,38 +241,23 @@ class FlowAggregate:
                  "provider_lines_cert", "line_regions", "region_bytes", "line_day",
                  "attributed_records", "unattributed_records")
 
-    def __init__(self, tz_name: str = "UTC", provider_hour_down: dict | None = None,
-                 provider_hour_up: dict | None = None, provider_hour_lines: dict | None = None,
-                 provider_region_hour_down: dict | None = None,
-                 provider_down: dict | None = None, provider_up: dict | None = None,
-                 provider_port_bytes: dict | None = None,
-                 provider_contacted: dict | None = None,
-                 provider_lines_full: dict | None = None,
-                 provider_lines_cert: dict | None = None, line_regions: dict | None = None,
-                 region_bytes: dict | None = None, line_day: dict | None = None,
-                 attributed_records: int = 0, unattributed_records: int = 0) -> None:
-        def sums(given):
-            return defaultdict(int) if given is None else given
-
-        def sets(given):
-            return defaultdict(set) if given is None else given
-
+    def __init__(self, tz_name: str) -> None:
         self.tz_name = tz_name
-        self.provider_hour_down = sums(provider_hour_down)
-        self.provider_hour_up = sums(provider_hour_up)
-        self.provider_hour_lines = sets(provider_hour_lines)
-        self.provider_region_hour_down = sums(provider_region_hour_down)
-        self.provider_down = sums(provider_down)
-        self.provider_up = sums(provider_up)
-        self.provider_port_bytes = sums(provider_port_bytes)
-        self.provider_contacted = sets(provider_contacted)
-        self.provider_lines_full = sets(provider_lines_full)
-        self.provider_lines_cert = sets(provider_lines_cert)
-        self.line_regions = sets(line_regions)
-        self.region_bytes = sums(region_bytes)
-        self.line_day = {} if line_day is None else line_day
-        self.attributed_records = attributed_records
-        self.unattributed_records = unattributed_records
+        self.provider_hour_down = defaultdict(int)
+        self.provider_hour_up = defaultdict(int)
+        self.provider_hour_lines = defaultdict(set)
+        self.provider_region_hour_down = defaultdict(int)
+        self.provider_down = defaultdict(int)
+        self.provider_up = defaultdict(int)
+        self.provider_port_bytes = defaultdict(int)
+        self.provider_contacted = defaultdict(set)
+        self.provider_lines_full = defaultdict(set)
+        self.provider_lines_cert = defaultdict(set)
+        self.line_regions = defaultdict(set)
+        self.region_bytes = defaultdict(int)
+        self.line_day = {}
+        self.attributed_records = 0
+        self.unattributed_records = 0
 
 
 def aggregate_flows(
@@ -305,8 +278,7 @@ def aggregate_flows(
     that holds their rows (it is not read when there are none). The
     aggregate is then that of `flows` without those lines' records.
     """
-    flow_pass = _FlowPass(flows, index, tz_name, cert_ips,
-                          index.facts if scanners is not None else ())
+    flow_pass = _FlowPass(flows, index, tz_name, cert_ips)
     if scanners is not None:
         drop, again = scanners(flow_pass.contacts)
         flow_pass.contacts = {}  # freed before the second read
@@ -318,16 +290,17 @@ def aggregate_flows(
 class _FlowPass:
     """One read of the rows of a trace, and what it leaves for the rollup.
 
-    Rows come from `_row_source`, already checked. Attribution
-    and the backend IP depend only on a row's (address, port, transport)
-    key, so each is decided once per distinct key, and what a row does once
-    per (line, key) pair and local day. At a pair's first sight on a day its
-    backend IP joins the (line, day) contact set. An attributed row then
-    updates two accumulators: the [down, up] bytes of its (line, local day,
-    key), and its hourly cell, keyed by (provider and region token, hour,
-    direction), which sums the row's bytes, counts it and adds its line to
-    the set of lines of (provider, hour). `rollup` builds every
-    FlowAggregate field from those; `take_out` first subtracts some lines.
+    Rows come from `_row_source`, already checked. Attribution and the
+    backend IP depend only on a row's (address, port, transport) key, so
+    each is decided once per distinct key, and what a row does once per
+    (line, key) pair and local day. At a pair's first sight on a day its
+    backend IP, an address `index` has facts for, joins the (line, day)
+    contact set. An attributed row then updates two accumulators: the
+    [down, up] bytes of its (line, local day, key), and its hourly cell,
+    keyed by (provider and region token, hour, direction), which sums the
+    row's bytes, counts it and adds its line to the set of lines of
+    (provider, hour). `rollup` builds every FlowAggregate field from those;
+    `take_out` first subtracts some lines.
 
     attributions: (provider, ip, (port, transport), family, region, cert)
         per attributed key, in first-row order; its position is the key's
@@ -345,7 +318,7 @@ class _FlowPass:
                  "hour_lines", "contacts", "unattributed")
 
     def __init__(self, flows: Iterable[FlowRecord], index: ServerIndex, tz_name: str,
-                 cert_ips: set[str] | None, backend_ips: Container[str]) -> None:
+                 cert_ips: set[str] | None) -> None:
         batches = _row_source(flows)
         cert_ips = cert_ips or set()
         days = LocalDays(tz_name)
@@ -363,7 +336,7 @@ class _FlowPass:
         def decide(key) -> tuple:
             """(backend IP or "", (series id, attribution id) or ()) of a key."""
             ip, port, transport = _unpack_key(key)
-            contact = ip if ip in backend_ips else ""
+            contact = ip if ip in facts else ""
             pid = attribute(ip, port, transport)
             if pid is None:
                 return contact, ()
@@ -481,12 +454,12 @@ class _FlowPass:
         hour_down: dict[tuple[str, int], int] = defaultdict(int)
         for (pid, _token, hour), est in region_hour_down.items():
             hour_down[(pid, hour)] += est
-        agg = FlowAggregate(
-            tz_name=self.tz_name, provider_hour_down=_in_key_order(hour_down),
-            provider_hour_up=_in_key_order(hour_up),
-            provider_hour_lines=_in_key_order(self.hour_lines),
-            provider_region_hour_down=_in_key_order(region_hour_down),
-            attributed_records=attributed, unattributed_records=self.unattributed)
+        agg = FlowAggregate(self.tz_name)
+        agg.provider_hour_down = _in_key_order(hour_down)
+        agg.provider_hour_up = _in_key_order(hour_up)
+        agg.provider_hour_lines = _in_key_order(self.hour_lines)
+        agg.provider_region_hour_down = _in_key_order(region_hour_down)
+        agg.attributed_records, agg.unattributed_records = attributed, self.unattributed
         for (pid, _hour), est in agg.provider_hour_down.items():
             agg.provider_down[pid] += est
         for (pid, _hour), est in agg.provider_hour_up.items():

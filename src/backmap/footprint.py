@@ -15,10 +15,10 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 # names are matched through ingest.NameMatches; `match_fqdn` stays bound here
 # because perfbench/layers.py wraps it at this name
-from .catalog import DomainPattern, ProviderProfile, match_fqdn  # noqa: F401
+from .catalog import ProviderProfile, match_fqdn  # noqa: F401
 from .fusion import CandidateAddress
 from .geo import Location
-from .ingest import NameMatches, name_matches
+from .ingest import NameMatches
 from .netutil import PrefixIndex, ip_family, parse_prefix, truncate_prefix
 from .records import Checked
 
@@ -253,7 +253,7 @@ def _region_token(matches: NameMatches, pid: str, fqdns: Iterable[str]) -> str |
 def enrich_candidates(
     candidates: Mapping[tuple[str, str], CandidateAddress],
     profiles_by_id: Mapping[str, ProviderProfile],
-    patterns: Sequence[DomainPattern] | NameMatches,
+    matches: NameMatches,
     table: PrefixTable,
     sharing: Mapping[tuple[str, str], str],
     hints: Mapping[str, Sequence[LocationHint]] | None = None,
@@ -262,11 +262,10 @@ def enrich_candidates(
 
     Returns (servers, skipped) where skipped rows carry (provider, ip,
     reason: unrouted|unlocatable). Region tokens are re-extracted from the
-    candidate's matched FQDNs via the provider's own pattern; `patterns`
-    may be the run's NameMatches, which has matched them already.
+    candidate's matched FQDNs via the provider's own pattern; the run's
+    `matches` has matched them already.
     """
     hints = hints or {}
-    matches = name_matches(patterns)
     servers: list[BackendServer] = []
     skipped: list[tuple[str, str, str]] = []
     for (pid, ip), cand in sorted(candidates.items()):

@@ -11,12 +11,12 @@ from __future__ import annotations
 import ipaddress
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 # names are matched through ingest.NameMatches; `match_fqdn` stays bound here
 # because perfbench/layers.py wraps it at this name
-from .catalog import DomainPattern, match_fqdn, normalize_fqdn  # noqa: F401
-from .ingest import SOURCES, NameMatches, Observation, name_matches
+from .catalog import match_fqdn, normalize_fqdn  # noqa: F401
+from .ingest import SOURCES, NameMatches, Observation
 from .jsonl import Memo, naming_fields, quote, quote_sorted, read_jsonl, text, texts, write_lines
 from .netutil import canonical_ip, ip_family, parse_network
 from .records import Checked
@@ -180,17 +180,16 @@ def classify_sharing(
     ip: str,
     provider_id: str,
     reverse_index: Mapping[str, Iterable[str]],
-    patterns: Sequence[DomainPattern] | NameMatches,
+    matches: NameMatches,
     threshold: int = 2,
 ) -> SharingVerdict:
     """Count distinct reverse names (compared after `normalize_fqdn`) that
     match no provider pattern; shared iff the count strictly exceeds the
-    threshold. `patterns` may be a NameMatches over the catalog's patterns,
-    so that the calls of one run match each distinct name once."""
+    threshold. The calls of one run share one `matches`, so that they match
+    each distinct name once."""
     ip = canonical_ip(ip)
     if ip not in reverse_index:
         raise ReverseIndexMissError(f"no reverse data for {ip}")
-    matches = name_matches(patterns)
     non_matching = 0
     matching = 0
     for name in {normalize_fqdn(n) for n in reverse_index[ip]}:

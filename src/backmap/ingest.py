@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .catalog import DomainPattern, MatchResult, match_fqdn, normalize_fqdn
-from .jsonl import (Memo, flag, integer, naming_fields, quote, read_jsonl, text, texts,
+from .jsonl import (Memo, flag, integer, naming_fields, port, quote, read_jsonl, text, texts,
                     write_jsonl, write_lines)
 from .netutil import canonical_ip
 from .records import Checked
@@ -157,13 +157,7 @@ class NameMatches(dict):
         return found
 
 
-def name_matches(patterns: Sequence[DomainPattern] | NameMatches) -> NameMatches:
-    """`patterns` as a NameMatches: itself if it is one, so that callers can
-    share one memo, or else a new one over them."""
-    return patterns if isinstance(patterns, NameMatches) else NameMatches(patterns)
-
-
-def _match_name(patterns: Sequence[DomainPattern] | NameMatches, name: str):
+def _match_name(matches: NameMatches, name: str):
     """All pattern matches for a (possibly wildcard) certificate/DNS name.
 
     A leading ``*.`` is treated as a single-label wildcard: the star is
@@ -171,20 +165,19 @@ def _match_name(patterns: Sequence[DomainPattern] | NameMatches, name: str):
     """
     wildcard = name.startswith("*.")
     probe = "wildcardprobe" + name[1:] if wildcard else name
-    return [(result, wildcard) for result in name_matches(patterns)[probe]]
+    return [(result, wildcard) for result in matches[probe]]
 
 
 def ingest_cert_scan(
     stream: Iterable[CertScanRecord | MalformedRecord],
-    patterns: Sequence[DomainPattern] | NameMatches,
+    matches: NameMatches,
     window: StudyWindow,
 ) -> IngestResult:
     """One observation per matching name of every certificate whose validity
     overlaps the window and whose scan observation falls inside it.
 
-    `patterns` may be a NameMatches over the catalog's patterns, so that the
-    ingesters of one run match each distinct name once between them."""
-    memo = name_matches(patterns)
+    The ingesters of one run share one `matches`, so that they match each
+    distinct name once between them."""
     start, end = window.epoch_bounds()
     stats = IngestStats()
     observations: list[Observation] = []
@@ -197,11 +190,11 @@ def ingest_cert_scan(
             stats.skipped_window += 1
             continue
         for name in record.names:
-            matches = _match_name(memo, name)
-            if not matches:
+            found = _match_name(matches, name)
+            if not found:
                 stats.unmatched_names += 1
                 continue
-            for result, wildcard in matches:
+            for result, wildcard in found:
                 observations.append(_new(Observation, (
                     result.provider_id, name, record.ip, "tls-cert", record.observed_at,
                     wildcard)))
@@ -211,12 +204,11 @@ def ingest_cert_scan(
 
 def ingest_passive_dns(
     stream: Iterable[PassiveDnsRecord | MalformedRecord],
-    patterns: Sequence[DomainPattern] | NameMatches,
+    matches: NameMatches,
     window: StudyWindow,
 ) -> IngestResult:
     """Observations from A/AAAA rows whose [first_seen, last_seen] range
     overlaps the window. seen_at is the first in-window second."""
-    memo = name_matches(patterns)
     start, end = window.epoch_bounds()
     stats = IngestStats()
     observations: list[Observation] = []
@@ -230,12 +222,12 @@ def ingest_passive_dns(
         if not (record.first_seen < end and record.last_seen >= start):
             stats.skipped_window += 1
             continue
-        matches = _match_name(memo, record.rrname)
-        if not matches:
+        found = _match_name(matches, record.rrname)
+        if not found:
             stats.unmatched_names += 1
             continue
         seen_at = max(record.first_seen, start)
-        for result, wildcard in matches:
+        for result, wildcard in found:
             observations.append(_new(Observation, (
                 result.provider_id, record.rrname, record.rdata, "passive-dns", seen_at,
                 wildcard)))
@@ -245,11 +237,10 @@ def ingest_passive_dns(
 
 def observations_from_resolutions(
     results: Iterable[ResolutionResult],
-    patterns: Sequence[DomainPattern] | NameMatches,
+    matches: NameMatches,
     window: StudyWindow,
 ) -> IngestResult:
     """Active-DNS observations from resolver answers inside the window."""
-    memo = name_matches(patterns)
     start, end = window.epoch_bounds()
     stats = IngestStats()
     observations: list[Observation] = []
@@ -259,11 +250,11 @@ def observations_from_resolutions(
         if not start <= res.resolved_at < end:
             stats.skipped_window += 1
             continue
-        matches = _match_name(memo, res.fqdn)
-        if not matches:
+        found = _match_name(matches, res.fqdn)
+        if not found:
             stats.unmatched_names += 1
             continue
-        for result, wildcard in matches:
+        for result, wildcard in found:
             for ip in res.answers:
                 observations.append(_new(Observation, (
                     result.provider_id, res.fqdn, ip, "active-dns", res.resolved_at,
@@ -293,15 +284,13 @@ def _validity(value: object) -> tuple[int, int]:
 
 def _cert_record(addresses: Memo, names: Memo) -> Callable[[dict], CertScanRecord]:
     def build(doc: dict) -> CertScanRecord:
-        ip, port, listed = doc["ip"], integer(doc["port"]), texts(doc["names"])
+        ip, number, listed = doc["ip"], port(doc["port"]), texts(doc["names"])
         not_before, not_after = _validity(doc["validity"])
         observed_at = epoch_second(doc["observed_at"])
         ip = addresses(ip)
-        if not 1 <= port <= 65535:
-            raise ValueError(f"port out of range: {port}")
         if not_before > not_after:
             raise ValueError("certificate validity interval is inverted")
-        return _new(CertScanRecord, (ip, port, tuple(map(names, listed)),
+        return _new(CertScanRecord, (ip, number, tuple(map(names, listed)),
                                      not_before, not_after, observed_at))
     return build
 

@@ -164,6 +164,13 @@ def integer(value: object) -> int:
     return value
 
 
+def port(value: object) -> int:
+    """`value` if it is a JSON integer in 1..65535."""
+    if not 1 <= integer(value) <= 65535:
+        raise ValueError(f"port out of range: {value}")
+    return value
+
+
 def flag(value: object) -> bool:
     """`value` if it is JSON true or false."""
     if not isinstance(value, bool):

@@ -18,7 +18,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 import yaml
 
 from . import reports
-from .catalog import YAML_LOADER, DomainPattern, compile_catalog, load_catalog
+from .catalog import YAML_LOADER, compile_catalog, load_catalog
 from .disruption import OutageFinding, outage_scan
 from .flows import (FlowAggregate, ScannerVerdict, ServerIndex, SweepPoint, aggregate_flows,
                     detect_scanners, read_flows, regional_down_series, scanner_line_ids,
@@ -30,7 +30,7 @@ from .fusion import (CandidateAddress, CandidateLines, build_reverse_index, clas
                      fuse, read_candidates, snapshot_filename, write_candidates, write_snapshot)
 from .geo import Location
 from .ingest import (NameMatches, Observation, StudyWindow, ingest_cert_scan,
-                     ingest_passive_dns, name_matches, observations_from_resolutions,
+                     ingest_passive_dns, observations_from_resolutions,
                      read_cert_scan_export, read_observations, read_pdns_export,
                      read_resolutions, write_observations)
 from .jsonl import (Memo, flag, integer, naming_fields, optional_text, quote, quote_optional,
@@ -212,23 +212,22 @@ class RunState:
     """Artifacts shared between stages of one run.
 
     Each stage artifact is parsed at most once per run. The stage that
-    writes one hands it over in `held`, as the file's reader would return
-    it (same order, timestamps to the second), and later stages take it
-    from the accessor. A run that starts at a later stage reads each file
+    writes one puts it in `held`, as the file's reader would return it
+    (same order, timestamps to the second), and later stages take it from
+    the accessor. A run that starts at a later stage reads each file
     once; a missing file raises UpstreamMissingError. `matches` memoizes
     the catalog matches of every name the run's stages look up, so each
     distinct name is matched once per run.
     """
 
-    __slots__ = ("config", "profiles", "patterns", "held", "matches")
+    __slots__ = ("config", "profiles", "held", "matches")
 
     def __init__(self, config: RunConfig, profiles: list | None = None,
-                 patterns: list | None = None, held: dict[str, Any] | None = None) -> None:
+                 patterns: list | None = None) -> None:
         self.config = config
         self.profiles = [] if profiles is None else profiles
-        self.patterns = [] if patterns is None else patterns
-        self.held = {} if held is None else held
-        self.matches = NameMatches(self.patterns)
+        self.held: dict[str, Any] = {}
+        self.matches = NameMatches([] if patterns is None else patterns)
 
     def profiles_by_id(self) -> dict:
         return {p.provider_id: p for p in self.profiles}
@@ -340,14 +339,13 @@ def write_sharing(
     path: Path,
     candidates: Mapping[tuple[str, str], CandidateAddress],
     reverse: Mapping[str, set[str]],
-    patterns: Sequence[DomainPattern] | NameMatches,
+    matches: NameMatches,
     threshold: int,
 ) -> dict[tuple[str, str], str]:
     """One sharing row per candidate in (provider, ip) order. An IP with no
     reverse evidence at all stays dedicated but is marked `reverse_data:
     false`, so reports can tell it from a measured zero. Returns the rows'
     verdicts as `_read_sharing` reads them back."""
-    matches = name_matches(patterns)  # one memo across the candidates
     verdicts: dict[tuple[str, str], str] = {}
     lines = []
     for pid, ip in sorted(candidates):

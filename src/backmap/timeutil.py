@@ -81,11 +81,6 @@ def parse_iso(text: str) -> datetime:
     return ensure_utc(datetime.fromisoformat(text))
 
 
-def local_date(dt: datetime, tz_name: str) -> str:
-    """Calendar date (YYYY-MM-DD) of a UTC instant in the given timezone."""
-    return ensure_utc(dt).astimezone(ZoneInfo(tz_name)).strftime("%Y-%m-%d")
-
-
 class LocalDays:
     """Local calendar date (YYYY-MM-DD) of epoch seconds in one timezone.
 

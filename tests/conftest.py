@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from backmap.catalog import compile_catalog, load_default_catalog
+from backmap.catalog import compile_catalog, default_catalog_path, load_catalog
+from backmap.ingest import NameMatches
 
 TESTS_DIR = Path(__file__).parent
 DATA_DIR = TESTS_DIR / "data"
@@ -15,12 +16,18 @@ DATA_DIR = TESTS_DIR / "data"
 
 @pytest.fixture(scope="session")
 def catalog_profiles():
-    return load_default_catalog()
+    return load_catalog(default_catalog_path())
 
 
 @pytest.fixture(scope="session")
 def catalog_patterns(catalog_profiles):
     return compile_catalog(catalog_profiles)
+
+
+@pytest.fixture
+def catalog_matches(catalog_patterns):
+    """A new name-match memo over the catalog's patterns."""
+    return NameMatches(catalog_patterns)
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,7 @@ import yaml
 from backmap import oracle as orc
 from backmap.catalog import compile_catalog, match_fqdn
 from backmap.disruption import BlocklistEntry, BlocklistIndex, blocklist_check, outage_scan
-from backmap.flows import (ServerIndex, aggregate_flows, detect_scanners,
-                           line_contact_sets, read_flows, scanner_line_ids,
+from backmap.flows import (ServerIndex, aggregate_flows, detect_scanners, scanner_line_ids,
                            source_ablation, threshold_sweep, visibility_per_provider,
                            write_flows_binary, continent_attribution,
                            regional_down_series)
@@ -26,8 +25,9 @@ from backmap.footprint import BackendServer, diff_snapshots
 from backmap.fusion import (GroundTruthSet, classify_sharing, fuse,
                             validate_against_ground_truth)
 from backmap.geo import Location
-from backmap.ingest import (StudyWindow, ingest_cert_scan, ingest_passive_dns,
+from backmap.ingest import (NameMatches, StudyWindow, ingest_cert_scan, ingest_passive_dns,
                             observations_from_resolutions)
+from backmap.pipeline import analyze_flows
 from backmap.synth import (OutageSpec, ProviderSpec, RegionSpec, ScannerSpec,
                            UniverseConfig, generate)
 from backmap.timeutil import LocalDays, to_epoch, utc
@@ -45,11 +45,11 @@ def report(number: int, description: str, started: float, budget: float | None =
 
 
 def ingest_all(universe, window):
-    patterns = compile_catalog(universe.profiles)
+    matches = NameMatches(compile_catalog(universe.profiles))
     observations = []
-    observations += ingest_cert_scan(universe.cert_records, patterns, window).observations
-    observations += ingest_passive_dns(universe.pdns_records, patterns, window).observations
-    observations += observations_from_resolutions(universe.resolutions, patterns,
+    observations += ingest_cert_scan(universe.cert_records, matches, window).observations
+    observations += ingest_passive_dns(universe.pdns_records, matches, window).observations
+    observations += observations_from_resolutions(universe.resolutions, matches,
                                                   window).observations
     return observations
 
@@ -119,8 +119,8 @@ def test_c03_sni_ablation():
             coverage={"tls-cert": 1.0, "passive-dns": 1.0, "active-dns": 1.0}),),
     )
     universe = generate(config)
-    patterns = compile_catalog(universe.profiles)
-    tls_only = fuse(ingest_cert_scan(universe.cert_records, patterns,
+    matches = NameMatches(compile_catalog(universe.profiles))
+    tls_only = fuse(ingest_cert_scan(universe.cert_records, matches,
                                      WINDOW_1D).observations, UTC_DATE)[0]
     assert tls_only == {}, "TLS-only discovery must yield zero servers"
     index = build_index(universe)
@@ -154,9 +154,10 @@ def test_c04_sharing_classifier_vs_bruteforce(catalog_patterns):
 
     started = time.perf_counter()
     thresholds = [0, 1, 2, 3]
+    matches = NameMatches(catalog_patterns)
     for ip, names in index.items():
         threshold = thresholds[zlib.crc32(ip.encode()) % 4]
-        verdict = classify_sharing(ip, "amazon", index, catalog_patterns, threshold)
+        verdict = classify_sharing(ip, "amazon", index, matches, threshold)
         assert verdict.non_matching_domain_count == expected[ip]
         assert verdict.verdict == (
             "shared" if expected[ip] > threshold else "dedicated")
@@ -181,7 +182,14 @@ def test_c05_scanner_sweep():
     )
     universe = generate(config)
     index = build_index(universe)
-    contacts = line_contact_sets(universe.flow_stream(), index.all_server_ips)
+    handed = []
+
+    def scanners(contacts):
+        handed.append(contacts)
+        return set(), ()
+
+    aggregate_flows(universe.flow_stream(), index, scanners=scanners)
+    [contacts] = handed
     thresholds = [10, 20, 50, 100, 150, 199, 200, 250, 500, 1000]
     points = threshold_sweep(contacts, index.all_server_ips, thresholds)
     fractions = [p.visible_server_fraction for p in points]
@@ -231,10 +239,9 @@ def test_c06_sampling_estimator(tmp_path):
     assert generated >= 1_000_000, f"only {generated} generated flow rows"
 
     index = build_index(universe)
-    scanners = scanner_line_ids(detect_scanners(
-        line_contact_sets(read_flows(flows_path), index.all_server_ips), 100))
-    assert scanners == set()
-    agg = aggregate_flows(read_flows(flows_path), index)
+    analysis = analyze_flows(flows_path, index, 100)
+    assert scanner_line_ids(analysis.verdicts) == set()
+    agg = analysis.agg
 
     for pid in ("p01", "p02"):
         sampled_packets = truth.flow.provider_sampled_packets[pid]

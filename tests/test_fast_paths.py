@@ -26,8 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backmap import catalog, ingest
-from backmap.catalog import (default_catalog_path, load_default_catalog, match_fqdn,
-                             normalize_fqdn)
+from backmap.catalog import default_catalog_path, match_fqdn, normalize_fqdn
 from backmap.disruption import BlocklistEntry, BlocklistIndex
 from backmap.footprint import PrefixTable, RouteEntry, UnroutedError, _region_token
 from backmap.fusion import classify_sharing
@@ -271,7 +270,8 @@ def reference_match_name(patterns, name):
 
 
 def assert_same_matches(patterns, name):
-    assert outcome(lambda n: ingest._match_name(patterns, n), name) == \
+    matches = ingest.NameMatches(patterns)
+    assert outcome(lambda n: ingest._match_name(matches, n), name) == \
         outcome(lambda n: reference_match_name(patterns, n), name), name
 
 
@@ -326,7 +326,8 @@ def test_match_name_agrees_with_every_pattern_loop(catalog_patterns, name):
 
 def assert_same_sharing_counts(patterns, names, threshold=2):
     ip = "192.0.2.7"
-    got = outcome(lambda n: classify_sharing(ip, "p", {ip: n}, patterns, threshold), names)
+    matches = ingest.NameMatches(patterns)
+    got = outcome(lambda n: classify_sharing(ip, "p", {ip: n}, matches, threshold), names)
     want = outcome(lambda n: reference_counts(n, patterns), names)
     if got[0] == "value" and want[0] == "value":
         got = ("value", (got[1].matching_domain_count, got[1].non_matching_domain_count))
@@ -356,10 +357,10 @@ def test_match_name_asks_only_patterns_with_the_name_s_suffix(catalog_patterns,
         return match_fqdn(pattern, fqdn)
 
     monkeypatch.setattr(ingest, "match_fqdn", counting)
-    assert ingest._match_name(catalog_patterns, "www.example.org") == []
+    matches = ingest.NameMatches(catalog_patterns)
+    assert ingest._match_name(matches, "www.example.org") == []
     assert asked == []
-    assert [r.provider_id for r, _ in ingest._match_name(catalog_patterns, "*.iot.sap")] \
-        == ["sap"]
+    assert [r.provider_id for r, _ in ingest._match_name(matches, "*.iot.sap")] == ["sap"]
     assert asked == ["sap"]
 
 
@@ -469,8 +470,6 @@ def test_a_name_memo_stays_with_its_patterns(catalog_patterns):
     name = "dev.iot.us-east-1.amazonaws.com"
     assert [r.provider_id for r in everyone[name]] == ["amazon"]
     assert only_sap[name] == ()
-    assert ingest.name_matches(everyone) is everyone
-    assert ingest.name_matches(sap) is not only_sap
 
 
 # --- prefix truncation and lookups ----------------------------------------------------
@@ -652,11 +651,11 @@ def test_blocklist_index_agrees_with_ipaddress(rows, queries):
 # --- YAML loader --------------------------------------------------------------------------
 
 
-def test_catalogs_load_alike_under_both_loaders(tmp_path, monkeypatch):
+def test_catalogs_load_alike_under_both_loaders(tmp_path, monkeypatch, catalog_profiles):
     """The bundled catalog and a fixture catalog as synth writes it give
     equal profiles under libyaml's loader and the pure-Python SafeLoader."""
     synthetic = tmp_path / "catalog.yaml"
-    write_synthetic_catalog(synthetic, [p for p in load_default_catalog()
+    write_synthetic_catalog(synthetic, [p for p in catalog_profiles
                                         if p.region_grammar and p.region_grammar.tokens])
     paths = [default_catalog_path(), synthetic]
     fast = [catalog.load_catalog(path) for path in paths]
@@ -676,4 +675,5 @@ def test_catalog_loads_with_a_yaml_built_without_libyaml(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, copy)
     spec.loader.exec_module(copy)
     assert copy.YAML_LOADER is yaml.SafeLoader
-    assert repr(copy.load_catalog(default_catalog_path())) == repr(load_default_catalog())
+    assert repr(copy.load_catalog(default_catalog_path())) == \
+        repr(catalog.load_catalog(default_catalog_path()))

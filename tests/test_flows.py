@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from backmap.flows import (DOWN, UP, Ecdf, FlowAggregate, FlowRecord, ServerIndex,
                            activity_series, aggregate_flows, continent_attribution,
-                           detect_scanners, exclude_scanner_lines, line_contact_sets,
+                           detect_scanners, exclude_scanner_lines,
                            line_day_profiles, per_line_distribution, port_label,
                            port_mix, read_flows, read_flows_binary, region_class,
                            regional_down_series, scanner_line_ids, source_ablation,
@@ -22,9 +22,15 @@ from backmap.flows import (DOWN, UP, Ecdf, FlowAggregate, FlowRecord, ServerInde
                            write_flows_binary, write_flows_jsonl)
 from backmap.footprint import BackendServer
 from backmap.geo import Location
-from backmap.timeutil import LocalDays, from_epoch, local_date, to_epoch, utc
+from backmap.timeutil import LocalDays, from_epoch, to_epoch, utc
 
 T0 = utc(2022, 2, 28)
+
+
+def local_date(dt, tz_name):
+    """Calendar date (YYYY-MM-DD) of an aware instant in a timezone, from
+    zoneinfo alone: the reference `LocalDays` is checked against."""
+    return dt.astimezone(ZoneInfo(tz_name)).strftime("%Y-%m-%d")
 
 
 def flow(ip="10.1.0.1", line="L1", port=8883, transport="tcp", direction=DOWN,
@@ -48,8 +54,17 @@ def index():
     return ServerIndex([server(f"10.1.0.{i}") for i in range(1, 11)])
 
 
-def contacts(flows, idx):
-    return line_contact_sets(flows, idx.all_server_ips)
+def contacts(flows, idx, tz_name="UTC"):
+    """The contact sets that `aggregate_flows` hands its `scanners` callback:
+    (line, local date) -> the backend IPs of `idx` the line contacted."""
+    handed = []
+
+    def scanners(sets):
+        handed.append(sets)
+        return set(), ()
+
+    aggregate_flows(flows, idx, tz_name, scanners=scanners)
+    return handed[0]
 
 
 class TestScanners:
@@ -485,15 +500,15 @@ class TestFlowFileErrors:
         """Record 9, on the scanner line and with a line and address seen
         before, is the first bad one, alone or with record 11 bad in the
         line field, which is checked first. Every pass names record 9, as
-        the record reader does: the contact-set pass, the aggregation pass
-        with S1 excluded or not, and the whole analysis."""
+        the record reader does: the pass with a `scanners` callback, the
+        aggregation pass with S1 excluded or not, and the whole analysis."""
         from backmap.pipeline import analyze_flows
 
         path = self.write_scanner_trace(tmp_path / "flows.bmf", (9, offset, fmt, value),
                                         *later)
         runs = {
             "read": lambda: list(read_flows(path)),
-            "contacts": lambda: line_contact_sets(read_flows(path), index.all_server_ips),
+            "contacts": lambda: contacts(read_flows(path), index),
             "aggregate": lambda: aggregate_flows(read_flows(path), index),
             "aggregate without S1": lambda: aggregate_flows(
                 exclude_scanner_lines(read_flows(path), {"S1"}), index),
@@ -512,7 +527,7 @@ class TestFlowFileErrors:
 
         return {
             "read": lambda: list(read_flows(path)),
-            "contacts": lambda: line_contact_sets(read_flows(path), index.all_server_ips),
+            "contacts": lambda: contacts(read_flows(path), index),
             "aggregate": lambda: aggregate_flows(read_flows(path), index),
             "analysis": lambda: analyze_flows(path, index, 5),
         }
@@ -578,18 +593,18 @@ class TestFlowFileErrors:
             "line-nul"])
     def test_bad_record_in_a_later_chunk(self, tmp_path, index, number, offset, fmt, value):
         """A bad record in the third chunk fails both passes as the record
-        reader fails, with its number: the contact-set pass over the whole
-        file and aggregation with the clean file's scanner lines excluded."""
+        reader fails, with its number: the pass with a `scanners` callback
+        over the whole file and aggregation with the clean file's scanner
+        lines excluded."""
         clean = self.write_long_trace(tmp_path / "clean.bmf")
-        verdicts = detect_scanners(line_contact_sets(read_flows(clean),
-                                                     index.all_server_ips), 5)
+        verdicts = detect_scanners(contacts(read_flows(clean), index), 5)
         assert scanner_line_ids(verdicts) == {"S1"}
         path = self.write_long_trace(tmp_path / "flows.bmf", (number, offset, fmt, value))
         with pytest.raises(ValueError) as want:
             list(read_flows(path))
         assert str(want.value).startswith(f"{path}:{number}: ")
         runs = {
-            "contacts": lambda: line_contact_sets(read_flows(path), index.all_server_ips),
+            "contacts": lambda: contacts(read_flows(path), index),
             "aggregate": lambda: aggregate_flows(
                 exclude_scanner_lines(read_flows(path), scanner_line_ids(verdicts)), index),
         }
@@ -620,7 +635,7 @@ class TestLocalDay:
                 flow(ip="10.1.0.2", hours=24 + 18 + 40 / 60)]
 
     def test_contact_sets(self, index):
-        assert line_contact_sets(self.flows(), index.all_server_ips, "Asia/Kolkata") == {
+        assert contacts(self.flows(), index, "Asia/Kolkata") == {
             ("L1", "2022-03-01"): {"10.1.0.1"}, ("L1", "2022-03-02"): {"10.1.0.2"}}
 
     def test_line_day_profiles(self, index):
@@ -681,7 +696,7 @@ def reference_aggregate(flows, index, tz_name="UTC", cert_ips=None):
     """Every FlowAggregate field updated record by record, with no memo and
     no rollup, then each dict field put in key order, as `aggregate_flows`
     builds it."""
-    agg = FlowAggregate(tz_name=tz_name)
+    agg = FlowAggregate(tz_name)
     cert_ips = cert_ips or set()
     days = LocalDays(tz_name)
     for f in flows:
@@ -795,9 +810,9 @@ def records_analysis(flows, index, threshold, tz_name, cert_ips):
     """What `analyze_flows` does to a trace, done to its records in memory."""
     from backmap.pipeline import DEFAULT_SWEEP_THRESHOLDS, FlowAnalysis
 
-    contacts = line_contact_sets(flows, index.all_server_ips, tz_name)
-    verdicts = detect_scanners(contacts, threshold)
-    sweep = threshold_sweep(contacts, index.all_server_ips, DEFAULT_SWEEP_THRESHOLDS)
+    sets = contacts(flows, index, tz_name)
+    verdicts = detect_scanners(sets, threshold)
+    sweep = threshold_sweep(sets, index.all_server_ips, DEFAULT_SWEEP_THRESHOLDS)
     agg = aggregate_flows(exclude_scanner_lines(flows, scanner_line_ids(verdicts)), index,
                           tz_name, cert_ips)
     return FlowAnalysis(verdicts, sweep, agg)
@@ -830,8 +845,8 @@ def test_analysis_is_the_same_from_bmf_jsonl_and_records(catalog_profiles, flows
     want = records_analysis(flows, index, threshold, tz, cert_ips)
     scanners = scanner_line_ids(want.verdicts)
     assert "S1" in scanners
-    assert in_order(line_contact_sets(flows, backend_ips, tz)) == in_order(
-        reference_contacts(flows, backend_ips, tz))
+    want_contacts = in_order(reference_contacts(flows, backend_ips, tz))
+    assert in_order(contacts(flows, index, tz)) == want_contacts
     reference = reference_aggregate([f for f in flows if f.line_id not in scanners], index,
                                     tz, cert_ips)
     with tempfile.TemporaryDirectory() as tmp:
@@ -842,8 +857,7 @@ def test_analysis_is_the_same_from_bmf_jsonl_and_records(catalog_profiles, flows
             got = analyze_flows(path, index, threshold, tz, cert_ips)
             assert got.verdicts == want.verdicts, name
             assert got.sweep == want.sweep, name
-            assert in_order(line_contact_sets(read_flows(path), backend_ips, tz)) == in_order(
-                line_contact_sets(flows, backend_ips, tz)), name
+            assert in_order(contacts(read_flows(path), index, tz)) == want_contacts, name
             for expected in (want.agg, reference):
                 assert_same_aggregate(got.agg, expected, name)
 
@@ -898,7 +912,7 @@ def test_multi_chunk_trace_matches_the_references(catalog_profiles, tmp_path):
     got = analyze_flows(tmp_path / "flows.bmf", index, 4, tz, cert_ips)
     assert got.verdicts == want.verdicts
     assert got.sweep == want.sweep
-    assert in_order(line_contact_sets(flows, index.all_server_ips, tz)) == in_order(
+    assert in_order(contacts(flows, index, tz)) == in_order(
         reference_contacts(flows, index.all_server_ips, tz))
     for expected in (want.agg, reference):
         assert_same_aggregate(got.agg, expected)
@@ -962,7 +976,7 @@ def test_a_pass_resolves_each_local_day_once(catalog_profiles, tmp_path, monkeyp
     day = LocalDays.day
     monkeypatch.setattr(LocalDays, "day", lambda self, ts: calls.append(ts) or day(self, ts))
     for trace in (flows, read_flows(tmp_path / "flows.bmf")):
-        for run_pass in (lambda: line_contact_sets(trace, index.all_server_ips, tz),
+        for run_pass in (lambda: contacts(trace, index, tz),
                          lambda: aggregate_flows(trace, index, tz)):
             calls.clear()
             run_pass()
@@ -993,9 +1007,9 @@ def test_a_trace_in_synth_order_matches_the_references(catalog_profiles, tmp_pat
     assert scanner_line_ids(want.verdicts) == {"S1"}
     got = analyze_flows(tmp_path / "flows.bmf", index, 4, tz, cert_ips)
     assert got.verdicts == want.verdicts
-    contacts = in_order(reference_contacts(flows, backend_ips, tz))
+    want_contacts = in_order(reference_contacts(flows, backend_ips, tz))
     for trace in (flows, read_flows(tmp_path / "flows.bmf")):
-        assert in_order(line_contact_sets(trace, backend_ips, tz)) == contacts
+        assert in_order(contacts(trace, index, tz)) == want_contacts
     reference = reference_aggregate([f for f in flows if f.line_id != "S1"], index, tz,
                                     cert_ips)
     for agg in (got.agg, want.agg):

@@ -9,7 +9,7 @@ from backmap.fusion import (CandidateAddress, CandidateLines, GroundTruthSet,
                             ReverseIndexMissError, build_reverse_index, classify_sharing, fuse,
                             read_candidates, source_contribution,
                             validate_against_ground_truth, write_candidates, write_snapshot)
-from backmap.ingest import Observation
+from backmap.ingest import NameMatches, Observation
 from backmap.timeutil import LocalDays, to_epoch, utc
 
 T0 = to_epoch(utc(2022, 2, 28))
@@ -144,42 +144,42 @@ class TestSourceContribution:
 
 
 class TestClassifySharing:
-    def test_only_matching_names_is_dedicated(self, catalog_patterns):
+    def test_only_matching_names_is_dedicated(self, catalog_matches):
         index = {"192.0.2.1": {"a.iot.us-east-1.amazonaws.com"}}
-        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, 2)
+        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_matches, 2)
         assert verdict.verdict == "dedicated"
         assert verdict.non_matching_domain_count == 0
         assert verdict.matching_domain_count == 1
 
-    def test_three_foreign_names_cross_threshold_two(self, catalog_patterns):
+    def test_three_foreign_names_cross_threshold_two(self, catalog_matches):
         index = {"192.0.2.1": {"m1.iot.us-east-1.amazonaws.com", "shop.example.org",
                                "cdn.foo.net", "blog.bar.io"}}
-        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, 2)
+        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_matches, 2)
         assert verdict.non_matching_domain_count == 3
         assert verdict.verdict == "shared"
 
-    def test_boundary_count_equal_threshold_is_dedicated(self, catalog_patterns):
+    def test_boundary_count_equal_threshold_is_dedicated(self, catalog_matches):
         index = {"192.0.2.1": {"a.example.org", "b.example.org"}}
-        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, 2)
+        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_matches, 2)
         assert verdict.non_matching_domain_count == 2
         assert verdict.verdict == "dedicated"
 
-    def test_missing_ip_is_an_error_not_zero(self, catalog_patterns):
+    def test_missing_ip_is_an_error_not_zero(self, catalog_matches):
         with pytest.raises(ReverseIndexMissError, match="no reverse data"):
-            classify_sharing("192.0.2.99", "amazon", {}, catalog_patterns, 2)
+            classify_sharing("192.0.2.99", "amazon", {}, catalog_matches, 2)
 
-    def test_matches_any_provider_pattern_not_just_own(self, catalog_patterns):
+    def test_matches_any_provider_pattern_not_just_own(self, catalog_matches):
         # a SAP name on an IP being classified for amazon still counts as matching
         index = {"192.0.2.1": {"gw.iot.sap"}}
-        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, 0)
+        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_matches, 0)
         assert verdict.non_matching_domain_count == 0
         assert verdict.verdict == "dedicated"
 
-    def test_spellings_of_one_name_count_once(self, catalog_patterns):
+    def test_spellings_of_one_name_count_once(self, catalog_matches):
         index = {"192.0.2.1": {"Web.example.com", "web.example.com.", "web.example.com",
                                "A.IOT.us-east-1.amazonaws.com.",
                                "a.iot.us-east-1.amazonaws.com"}}
-        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, 1)
+        verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_matches, 1)
         assert verdict.non_matching_domain_count == 1
         assert verdict.matching_domain_count == 1
         assert verdict.verdict == "dedicated"
@@ -195,7 +195,8 @@ NAMES = (["x.iot.us-east-1.amazonaws.com", "dev1.iot.cn-shanghai.aliyuncs.com",
        threshold=st.integers(min_value=0, max_value=6))
 def test_classifier_agrees_with_bruteforce_oracle(catalog_patterns, names, threshold):
     index = {"192.0.2.1": names}
-    verdict = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, threshold)
+    matches = NameMatches(catalog_patterns)
+    verdict = classify_sharing("192.0.2.1", "amazon", index, matches, threshold)
     non_matching = sum(
         1 for name in names
         if not any(match_fqdn(p, name).matched for p in catalog_patterns))
@@ -210,8 +211,9 @@ def test_classifier_agrees_with_bruteforce_oracle(catalog_patterns, names, thres
 def test_raising_threshold_never_flips_dedicated_to_shared(catalog_patterns, names,
                                                            low, bump):
     index = {"192.0.2.1": names}
-    before = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, low)
-    after = classify_sharing("192.0.2.1", "amazon", index, catalog_patterns, low + bump)
+    matches = NameMatches(catalog_patterns)
+    before = classify_sharing("192.0.2.1", "amazon", index, matches, low)
+    after = classify_sharing("192.0.2.1", "amazon", index, matches, low + bump)
     if before.verdict == "dedicated":
         assert after.verdict == "dedicated"
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from backmap import fusion, ingest
 from backmap.active import ResolverEndpoint, TlsTarget, collect_tls, resolve_active
 from backmap.catalog import default_catalog_path
-from backmap.ingest import (CertScanRecord, MalformedRecord, Observation,
+from backmap.ingest import (CertScanRecord, MalformedRecord, NameMatches, Observation,
                             PassiveDnsRecord, ResolutionResult, StudyWindow,
                             ingest_cert_scan, ingest_passive_dns,
                             observations_from_resolutions, read_cert_scan_export,
@@ -36,47 +36,47 @@ def cert(names, not_before=None, not_after=None, observed=None, ip="192.0.2.10")
 
 
 class TestCertIngest:
-    def test_matching_name_valid_across_window(self, catalog_patterns):
+    def test_matching_name_valid_across_window(self, catalog_matches):
         result = ingest_cert_scan([cert(["x.iot.us-east-1.amazonaws.com"])],
-                                  catalog_patterns, WINDOW)
+                                  catalog_matches, WINDOW)
         assert len(result.observations) == 1
         obs = result.observations[0]
         assert obs.provider_id == "amazon"
         assert obs.source == "tls-cert"
         assert obs.ip == "192.0.2.10"
 
-    def test_expired_before_window(self, catalog_patterns):
+    def test_expired_before_window(self, catalog_matches):
         expired = cert(["x.iot.us-east-1.amazonaws.com"],
                        not_before=START - 30 * DAY,
                        not_after=START - DAY)
-        result = ingest_cert_scan([expired], catalog_patterns, WINDOW)
+        result = ingest_cert_scan([expired], catalog_matches, WINDOW)
         assert result.observations == ()
         assert result.stats.skipped_window == 1
 
-    def test_validity_overlap_not_containment(self, catalog_patterns):
+    def test_validity_overlap_not_containment(self, catalog_matches):
         rotating = cert(["x.iot.us-east-1.amazonaws.com"],
                         not_before=START + 2 * DAY,
                         not_after=END + 300 * DAY)
-        result = ingest_cert_scan([rotating], catalog_patterns, WINDOW)
+        result = ingest_cert_scan([rotating], catalog_matches, WINDOW)
         assert len(result.observations) == 1
 
-    def test_one_matching_name_of_three(self, catalog_patterns):
+    def test_one_matching_name_of_three(self, catalog_matches):
         record = cert(["x.iot.us-east-1.amazonaws.com", "www.example.com",
                        "mail.example.org"])
-        result = ingest_cert_scan([record], catalog_patterns, WINDOW)
+        result = ingest_cert_scan([record], catalog_matches, WINDOW)
         assert len(result.observations) == 1
         assert result.stats.unmatched_names == 2
 
-    def test_wildcard_name_matches_single_label_and_is_flagged(self, catalog_patterns):
+    def test_wildcard_name_matches_single_label_and_is_flagged(self, catalog_matches):
         record = cert(["*.iot.us-east-1.amazonaws.com"])
-        result = ingest_cert_scan([record], catalog_patterns, WINDOW)
+        result = ingest_cert_scan([record], catalog_matches, WINDOW)
         assert len(result.observations) == 1
         assert result.observations[0].wildcard
         assert result.observations[0].fqdn == "*.iot.us-east-1.amazonaws.com"
 
-    def test_malformed_rows_are_counted(self, catalog_patterns):
+    def test_malformed_rows_are_counted(self, catalog_matches):
         stream = [cert(["x.iot.us-east-1.amazonaws.com"]), MalformedRecord(7, "bad json")]
-        result = ingest_cert_scan(stream, catalog_patterns, WINDOW)
+        result = ingest_cert_scan(stream, catalog_matches, WINDOW)
         assert result.stats.malformed == 1
         assert len(result.observations) == 1
 
@@ -89,31 +89,31 @@ class TestPdnsIngest:
             last_seen=last or START + 2 * DAY,
         )
 
-    def test_alibaba_record_inside_window(self, catalog_patterns):
+    def test_alibaba_record_inside_window(self, catalog_matches):
         result = ingest_passive_dns([self.pdns("dev1.iot.cn-shanghai.aliyuncs.com")],
-                                    catalog_patterns, WINDOW)
+                                    catalog_matches, WINDOW)
         assert len(result.observations) == 1
         assert result.observations[0].provider_id == "alibaba"
         assert result.observations[0].source == "passive-dns"
 
-    def test_last_seen_before_window(self, catalog_patterns):
+    def test_last_seen_before_window(self, catalog_matches):
         old = self.pdns("dev1.iot.cn-shanghai.aliyuncs.com",
                         first=START - 9 * DAY,
                         last=START - 8 * DAY)
-        result = ingest_passive_dns([old], catalog_patterns, WINDOW)
+        result = ingest_passive_dns([old], catalog_matches, WINDOW)
         assert result.observations == ()
 
-    def test_aaaa_passthrough(self, catalog_patterns):
+    def test_aaaa_passthrough(self, catalog_matches):
         record = self.pdns("dev1.iot.cn-shanghai.aliyuncs.com",
                            rdata="2001:db8::7", rrtype="AAAA")
-        result = ingest_passive_dns([record], catalog_patterns, WINDOW)
+        result = ingest_passive_dns([record], catalog_matches, WINDOW)
         assert result.observations[0].ip == "2001:db8::7"
 
-    def test_other_rrtypes_skipped_with_counter(self, catalog_patterns):
+    def test_other_rrtypes_skipped_with_counter(self, catalog_matches):
         record = PassiveDnsRecord(
             rrname="dev1.iot.cn-shanghai.aliyuncs.com", rrtype="CNAME",
             rdata="anything", first_seen=START, last_seen=END)
-        result = ingest_passive_dns([record], catalog_patterns, WINDOW)
+        result = ingest_passive_dns([record], catalog_matches, WINDOW)
         assert result.observations == ()
         assert result.stats.skipped_rrtype == 1
 
@@ -148,7 +148,7 @@ def test_resolution_result_invariant(tmp_path):
             list(read_resolutions(path))
 
 
-def test_observations_from_resolutions(catalog_patterns):
+def test_observations_from_resolutions(catalog_matches):
     results = [
         ResolutionResult(fqdn="x.iot.eu-west-1.amazonaws.com", vantage_id="v1",
                          answers=("192.0.2.1", "192.0.2.2"),
@@ -156,12 +156,12 @@ def test_observations_from_resolutions(catalog_patterns):
         ResolutionResult(fqdn="x.iot.eu-west-1.amazonaws.com", vantage_id="v2",
                          answers=(), resolved_at=START, status="nxdomain"),
     ]
-    ingested = observations_from_resolutions(results, catalog_patterns, WINDOW)
+    ingested = observations_from_resolutions(results, catalog_matches, WINDOW)
     assert {o.ip for o in ingested.observations} == {"192.0.2.1", "192.0.2.2"}
     assert all(o.source == "active-dns" for o in ingested.observations)
 
 
-def test_a_bound_inside_a_second_counts_from_the_next_second(catalog_patterns):
+def test_a_bound_inside_a_second_counts_from_the_next_second(catalog_matches):
     """Records hold whole seconds. A window from 00:00:00.5 holds seconds
     1 on, up to and including the second its end falls in; a passive-DNS
     row that began before it is seen at its first second."""
@@ -174,11 +174,11 @@ def test_a_bound_inside_a_second_counts_from_the_next_second(catalog_patterns):
     results = [ResolutionResult(fqdn=fqdn, vantage_id="v1", answers=(f"192.0.2.{i + 1}",),
                                 resolved_at=ts, status="ok")
                for i, ts in enumerate((START, START + 1, END, END + 1))]
-    kept = observations_from_resolutions(results, catalog_patterns, window).observations
+    kept = observations_from_resolutions(results, catalog_matches, window).observations
     assert [o.seen_at for o in kept] == [START + 1, END]
     record = PassiveDnsRecord(rrname="dev1.iot.cn-shanghai.aliyuncs.com", rrtype="A",
                               rdata="203.0.113.5", first_seen=START - DAY, last_seen=START + 1)
-    [seen] = ingest_passive_dns([record], catalog_patterns, window).observations
+    [seen] = ingest_passive_dns([record], catalog_matches, window).observations
     assert seen.seen_at == START + 1
 
 
@@ -198,7 +198,7 @@ def test_window_soundness_certs(catalog_patterns, start_min, dur, obs_min):
                   not_before=EPOCH0 + start_min * HOUR,
                   not_after=EPOCH0 + (start_min + dur) * HOUR,
                   observed=EPOCH0 + obs_min * HOUR)
-    result = ingest_cert_scan([record], catalog_patterns, WINDOW)
+    result = ingest_cert_scan([record], NameMatches(catalog_patterns), WINDOW)
     start, end = WINDOW.epoch_bounds()
     expected = (WINDOW.overlaps(from_epoch(record.not_before), from_epoch(record.not_after))
                 and start <= record.observed_at < end)
@@ -213,8 +213,8 @@ def test_window_monotonicity_pdns(catalog_patterns, first, dur):
         rrname="dev1.iot.cn-shanghai.aliyuncs.com", rrtype="A", rdata="203.0.113.5",
         first_seen=EPOCH0 + first * HOUR,
         last_seen=EPOCH0 + (first + dur) * HOUR)
-    small = ingest_passive_dns([record], catalog_patterns, WINDOW)
-    big = ingest_passive_dns([record], catalog_patterns,
+    small = ingest_passive_dns([record], NameMatches(catalog_patterns), WINDOW)
+    big = ingest_passive_dns([record], NameMatches(catalog_patterns),
                              StudyWindow(WINDOW.start - timedelta(days=40),
                                          WINDOW.end + timedelta(days=40)))
     assert len(big.observations) >= len(small.observations)
@@ -223,7 +223,7 @@ def test_window_monotonicity_pdns(catalog_patterns, first, dur):
 def test_pattern_soundness_of_emitted_observations(catalog_patterns):
     records = [cert(["x.iot.us-east-1.amazonaws.com", "nope.example.net"]),
                cert(["gw.iot.sap"], ip="198.51.100.4")]
-    result = ingest_cert_scan(records, catalog_patterns, WINDOW)
+    result = ingest_cert_scan(records, NameMatches(catalog_patterns), WINDOW)
     from backmap.catalog import match_fqdn
     by_id = {p.provider_id: p for p in catalog_patterns}
     for obs in result.observations:

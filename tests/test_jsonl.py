@@ -7,10 +7,10 @@ from backmap.flows import FlowRecord, read_flows_jsonl, write_flows_jsonl
 from backmap.footprint import BackendServer
 from backmap.fusion import classify_sharing, fuse, read_candidates, write_candidates
 from backmap.geo import Location
-from backmap.ingest import (CertScanRecord, MalformedRecord, Observation, PassiveDnsRecord,
-                            ResolutionResult, read_cert_scan_export, read_observations,
-                            read_pdns_export, read_resolutions, write_observations,
-                            write_resolutions)
+from backmap.ingest import (CertScanRecord, MalformedRecord, NameMatches, Observation,
+                            PassiveDnsRecord, ResolutionResult, read_cert_scan_export,
+                            read_observations, read_pdns_export, read_resolutions,
+                            write_observations, write_resolutions)
 from backmap.jsonl import read_jsonl
 from backmap.pipeline import _read_sharing, read_servers, write_servers, write_sharing
 from backmap.timeutil import LocalDays, fmt_iso, from_epoch, to_epoch, utc
@@ -55,7 +55,8 @@ STRICT_READERS = {
                    "first_seen"),
     "flows": (read_flows_jsonl, write_two_flows, "sampling_rate"),
     "sharing": (_read_sharing,
-                lambda p: write_sharing(p, fuse(observations(), UTC_DATE)[0], {}, [], 2),
+                lambda p: write_sharing(p, fuse(observations(), UTC_DATE)[0], {},
+                                        NameMatches([]), 2),
                 "verdict"),
     "servers": (read_servers, write_two_servers, "prefix"),
 }
@@ -374,7 +375,7 @@ def sharing_docs(candidates, reverse, threshold):
     for pid, ip in sorted(candidates):
         non_matching, matching, verdict = 0, 0, "dedicated"
         if ip in reverse:
-            v = classify_sharing(ip, pid, reverse, [], threshold)
+            v = classify_sharing(ip, pid, reverse, NameMatches([]), threshold)
             non_matching, matching, verdict = (v.non_matching_domain_count,
                                                v.matching_domain_count, v.verdict)
         docs.append({"provider_id": pid, "ip": ip,
@@ -399,7 +400,7 @@ HOT_WRITERS = {
     "candidates": (lambda p: write_candidates(p, fuse(hostile_observations(), UTC_DATE)[0]),
                    lambda: candidate_docs(fuse(hostile_observations(), UTC_DATE)[0])),
     "sharing": (lambda p: write_sharing(p, fuse(hostile_observations(), UTC_DATE)[0],
-                                        REVERSE, [], 1),
+                                        REVERSE, NameMatches([]), 1),
                 lambda: sharing_docs(fuse(hostile_observations(), UTC_DATE)[0], REVERSE, 1)),
     "servers": (lambda p: write_servers(p, hostile_servers()),
                 lambda: server_docs(hostile_servers())),

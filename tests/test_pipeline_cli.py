@@ -780,6 +780,49 @@ class TestCli:
         assert result.exit_code == 1
         assert f"error: {targets}:1: missing field 'port'" in result.output
 
+    @pytest.mark.parametrize("doc, field, reason", [
+        ({"ip": "127.0.0.1", "port": 70000}, "port", "port out of range: 70000"),
+        ({"ip": "127.0.0.1", "port": 0}, "port", "port out of range: 0"),
+        ({"ip": "127.0.0.1", "port": "443"}, "port", "expected an integer, not str"),
+        ({"ip": "not-an-ip", "port": 443}, "ip", "'not-an-ip' does not appear to be"),
+        ({"ip": "127.0.0.1", "port": 443, "sni": 7}, "sni", "expected text or null"),
+    ])
+    def test_discover_tls_bad_target_exits_1_before_any_probe(self, tmp_path, monkeypatch,
+                                                             doc, field, reason):
+        import socket
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        targets = tmp_path / "targets.jsonl"
+        targets.write_text(json.dumps({"ip": "127.0.0.1", "port": 443}) + "\n"
+                           + json.dumps(doc) + "\n")
+        result = self.runner.invoke(main, [
+            "discover", "tls", "--targets", str(targets), "--out", str(tmp_path / "certs.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert f"error: {targets}:2: field {field!r}: {reason}" in result.output
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "0", "-1"])
+    def test_discover_resolve_bad_vantage_port_exits_1_before_any_query(
+            self, tmp_path, monkeypatch, port):
+        from backmap import active
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("a query was sent")
+
+        monkeypatch.setattr(active, "_query_udp", no_query)
+        fqdns = tmp_path / "names.txt"
+        fqdns.write_text("a.example\n")
+        result = self.runner.invoke(main, [
+            "discover", "resolve", "--fqdns", str(fqdns), "--vantage", f"v1=127.0.0.1:{port}",
+            "--pacing", "0.01", "--unsafe-fast", "--out", str(tmp_path / "out.jsonl")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert (f"error: bad vantage 'v1=127.0.0.1:{port}' (want id=host[:port], "
+                "port in 1..65535)") in result.output
+
     def test_report_unknown_figure_exits_1(self, tmp_path):
         result = self.runner.invoke(main, ["report", "fig99", "--from", str(tmp_path)])
         assert result.exit_code == 1

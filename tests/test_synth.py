@@ -4,10 +4,11 @@ import pytest
 
 from backmap import oracle as orc
 from backmap.catalog import compile_catalog
-from backmap.flows import detect_scanners, line_contact_sets
-from backmap.footprint import diff_snapshots
+from backmap.flows import ServerIndex, aggregate_flows, detect_scanners
+from backmap.footprint import BackendServer, diff_snapshots
 from backmap.fusion import fuse, read_candidates
-from backmap.ingest import StudyWindow, ingest_cert_scan, ingest_passive_dns
+from backmap.geo import Location
+from backmap.ingest import NameMatches, StudyWindow, ingest_cert_scan, ingest_passive_dns
 from backmap.pipeline import RunConfig, run_pipeline
 from backmap.synth import (FlowTruth, ProviderSpec, RegionSpec, ScannerSpec,
                            UniverseConfig, generate, largest_remainder, read_truth,
@@ -79,8 +80,8 @@ class TestStructure:
 
     def test_cert_only_observations_round_trip(self):
         universe = generate(small_config())
-        patterns = compile_catalog(universe.profiles)
-        result = ingest_cert_scan(universe.cert_records, patterns, WINDOW)
+        matches = NameMatches(compile_catalog(universe.profiles))
+        result = ingest_cert_scan(universe.cert_records, matches, WINDOW)
         fused = fuse(result.observations, UTC_DATE)[0]
         cert_truth = {(s.provider_id, s.ip) for s in universe.truth.servers
                       if "tls-cert" in s.sources}
@@ -88,14 +89,14 @@ class TestStructure:
 
     def test_fused_all_sources_equals_oracle_union(self):
         universe = generate(small_config())
-        patterns = compile_catalog(universe.profiles)
+        matches = NameMatches(compile_catalog(universe.profiles))
         from backmap.ingest import observations_from_resolutions
         observations = []
-        observations += ingest_cert_scan(universe.cert_records, patterns,
+        observations += ingest_cert_scan(universe.cert_records, matches,
                                          WINDOW).observations
-        observations += ingest_passive_dns(universe.pdns_records, patterns,
+        observations += ingest_passive_dns(universe.pdns_records, matches,
                                            WINDOW).observations
-        observations += observations_from_resolutions(universe.resolutions, patterns,
+        observations += observations_from_resolutions(universe.resolutions, matches,
                                                       WINDOW).observations
         assert set(fuse(observations, UTC_DATE)[0]) == orc.oracle_candidates(universe.truth)
 
@@ -207,9 +208,21 @@ class TestTruthRoundtrip:
         providers = tuple(replace(p, diurnal=(0.25,) * 24) for p in small_config().providers)
         universe = generate(small_config(timezone="Asia/Kolkata", providers=providers,
                                          scanners=ScannerSpec(count=1, breadth=5)))
-        flows = list(universe.flow_stream())
         truth = universe.truth
-        contacts = line_contact_sets(flows, truth.dedicated_discovered_ips(), "Asia/Kolkata")
+        index = ServerIndex(BackendServer(
+            ip=s.ip, provider_id=s.provider_id, location=Location.of(s.country),
+            location_confidence="unanimous", prefix=f"{s.ip}/{128 if ':' in s.ip else 32}",
+            asn=s.asn, sharing=s.sharing, sources=s.sources, region_token=s.region_token)
+            for s in truth.discovered_servers())
+        assert set(index.facts) == truth.dedicated_discovered_ips()
+        handed = []
+
+        def scanners(contacts):
+            handed.append(contacts)
+            return set(), ()
+
+        aggregate_flows(universe.flow_stream(), index, "Asia/Kolkata", scanners=scanners)
+        [contacts] = handed
         assert truth.flow.line_contacts == contacts
         path = tmp_path / "truth.json"
         write_truth(path, truth)
